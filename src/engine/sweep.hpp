@@ -72,8 +72,12 @@ struct SweepSpec {
   /// Base learning options for every task (audit may be widened below).
   LearningOptions learning;
 
-  /// Audit the ordinal potential for tasks with at most this many miners
-  /// (the audit is O(|C| log |C|) per step); 0 leaves `learning` untouched.
+  /// Audit the ordinal potential for tasks with at most this many miners;
+  /// 0 leaves `learning` untouched. The audit is expensive: every step
+  /// rescans each miner's best and better responses in exact `Rational`
+  /// arithmetic (`BestResponseIndex::audit`, O(n·|C|) gain evaluations) on
+  /// top of the O(|C| log |C|) potential key, and that rescan dominates
+  /// the E3 wall time.
   std::size_t audit_max_miners = 0;
 
   /// Optional predicate: tasks for which it returns false are dropped from

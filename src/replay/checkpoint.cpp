@@ -5,6 +5,7 @@
 #include "io/serialize.hpp"
 #include "util/assert.hpp"
 #include "util/fnv.hpp"
+#include "util/stats.hpp"
 
 namespace goc::replay {
 namespace {
@@ -19,14 +20,12 @@ constexpr const char* kCheckpointKind = "trajectory-checkpoint";
 std::vector<WelfordState> BatchCheckpoint::welford() const {
   const std::size_t metrics = metric_names.size();
   std::vector<WelfordState> state(metrics);
-  for (std::size_t r = 0; r < completed; ++r) {
-    for (std::size_t m = 0; m < metrics; ++m) {
-      const double x = values[r * metrics + m];
-      WelfordState& s = state[m];
-      const double delta = x - s.mean;
-      s.mean += delta / static_cast<double>(r + 1);
-      s.m2 += delta * (x - s.mean);
+  for (std::size_t m = 0; m < metrics; ++m) {
+    RunningStats fold;
+    for (std::size_t r = 0; r < completed; ++r) {
+      fold.add(values[r * metrics + m]);
     }
+    state[m] = {fold.mean(), fold.m2()};
   }
   return state;
 }

@@ -35,9 +35,12 @@ namespace goc::replay {
 struct CheckpointOptions {
   /// Artifact path; written atomically (tmp + fsync + rename).
   std::string path;
-  /// Fixed-R batches persist every `interval` completed replicas;
-  /// adaptive batches persist at every wave boundary (the wave already is
-  /// the natural unit of completed work). Must be >= 1.
+  /// Fixed-R batches persist at every multiple of `interval` (and at R);
+  /// adaptive batches persist at every stop-check boundary and ignore it.
+  /// These are decision boundaries, not execution barriers: the batch may
+  /// run replicas past one to keep the pool busy, yet each write holds
+  /// exactly the rows before its boundary, so the files are the same at
+  /// any lane count. Must be >= 1.
   std::size_t interval = 16;
   /// Load `path` (salvaging if damaged) and skip its completed prefix
   /// when the file exists; false overwrites unconditionally.

@@ -107,6 +107,7 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
   options.pool = &pool_;
   options.root_seed = cli.get_u64("seed", options.root_seed);
   sim::apply_batch_cli(cli, options);
+  sim::validate(options);  // a bad rule is an `err` at submit, not a failed job
 
   const std::string scenario = cli.get_string("scenario", "chain-reference");
   if (scenario == "chain-reference") {

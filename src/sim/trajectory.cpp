@@ -10,6 +10,7 @@
 #include "obs/span.hpp"
 #include "util/assert.hpp"
 #include "util/fnv.hpp"
+#include "util/stats.hpp"
 
 namespace goc::sim {
 
@@ -90,31 +91,13 @@ TrajectoryBatchResult::TrajectoryBatchResult(
                 "value matrix arity mismatch");
   // Welford in replica order: the summaries are a pure function of the
   // value matrix, so they inherit its thread-count invariance.
-  summaries_.resize(names_.size());
+  summaries_.reserve(names_.size());
   for (std::size_t m = 0; m < names_.size(); ++m) {
-    MetricSummary& s = summaries_[m];
-    s.name = names_[m];
-    s.replicas = replicas_;
-    double mean = 0.0, m2 = 0.0;
-    for (std::size_t r = 0; r < replicas_; ++r) {
-      const double x = value(r, m);
-      if (r == 0) {
-        s.min = s.max = x;
-      } else {
-        s.min = std::min(s.min, x);
-        s.max = std::max(s.max, x);
-      }
-      const double delta = x - mean;
-      mean += delta / static_cast<double>(r + 1);
-      m2 += delta * (x - mean);
-    }
-    s.mean = mean;
-    if (replicas_ > 1) {
-      s.variance = m2 / static_cast<double>(replicas_ - 1);
-      s.stddev = std::sqrt(s.variance);
-      s.ci95_halfwidth = 1.959963984540054 * s.stddev /
-                         std::sqrt(static_cast<double>(replicas_));
-    }
+    RunningStats fold;
+    for (std::size_t r = 0; r < replicas_; ++r) fold.add(value(r, m));
+    summaries_.push_back({names_[m], replicas_, fold.mean(), fold.variance(),
+                          fold.stddev(), fold.ci95_halfwidth(), fold.min(),
+                          fold.max()});
   }
 }
 
@@ -159,17 +142,7 @@ bool TrajectoryBatchResult::deterministic_equals(
   return true;
 }
 
-TrajectoryBatchResult run_trajectory_batch(
-    std::vector<std::string> metric_names,
-    const TrajectoryBatchOptions& options,
-    const std::function<std::vector<double>(std::size_t replica,
-                                            std::uint64_t seed)>& replica) {
-  GOC_CHECK_ARG(replica != nullptr, "a batch needs a replica function");
-  const std::size_t metrics = metric_names.size();
-  GOC_CHECK_ARG(metrics >= 1, "a batch needs at least one metric");
-
-  std::size_t metric_index = 0;
-  std::size_t requested = options.replicas;
+void validate(const TrajectoryBatchOptions& options) {
   if (options.stopping.has_value()) {
     const StoppingRule& rule = *options.stopping;
     GOC_CHECK_ARG(std::isfinite(rule.tolerance) && rule.tolerance >= 0.0,
@@ -179,26 +152,45 @@ TrajectoryBatchResult run_trajectory_batch(
     GOC_CHECK_ARG(rule.max_replicas >= rule.min_replicas,
                   "stopping needs max_replicas >= min_replicas");
     GOC_CHECK_ARG(rule.wave >= 1, "stopping needs a wave of >= 1 replicas");
-    const auto it =
-        std::find(metric_names.begin(), metric_names.end(), rule.metric);
-    GOC_CHECK_ARG(it != metric_names.end(),
-                  "stopping metric is not one of the batch's metrics");
-    metric_index = static_cast<std::size_t>(it - metric_names.begin());
-    requested = rule.max_replicas;
   } else {
     GOC_CHECK_ARG(options.replicas >= 1, "a batch needs at least one replica");
   }
-
-  const replay::CheckpointOptions* ckpt =
-      options.checkpoint.has_value() ? &*options.checkpoint : nullptr;
-  if (ckpt != nullptr) {
-    GOC_CHECK_ARG(!ckpt->path.empty(), "checkpointing needs a path");
-    GOC_CHECK_ARG(ckpt->interval >= 1, "checkpoint interval must be >= 1");
+  if (options.checkpoint.has_value()) {
+    GOC_CHECK_ARG(!options.checkpoint->path.empty(),
+                  "checkpointing needs a path");
+    GOC_CHECK_ARG(options.checkpoint->interval >= 1,
+                  "checkpoint interval must be >= 1");
   }
   if (options.on_progress) {
     GOC_CHECK_ARG(options.progress_interval >= 1,
                   "progress reporting needs an interval of >= 1 replicas");
   }
+}
+
+TrajectoryBatchResult run_trajectory_batch(
+    std::vector<std::string> metric_names,
+    const TrajectoryBatchOptions& options,
+    const std::function<std::vector<double>(std::size_t replica,
+                                            std::uint64_t seed)>& replica) {
+  GOC_CHECK_ARG(replica != nullptr, "a batch needs a replica function");
+  const std::size_t metrics = metric_names.size();
+  GOC_CHECK_ARG(metrics >= 1, "a batch needs at least one metric");
+  validate(options);
+
+  const StoppingRule* rule =
+      options.stopping.has_value() ? &*options.stopping : nullptr;
+  std::size_t metric_index = 0;
+  if (rule != nullptr) {
+    const auto it =
+        std::find(metric_names.begin(), metric_names.end(), rule->metric);
+    GOC_CHECK_ARG(it != metric_names.end(),
+                  "stopping metric is not one of the batch's metrics");
+    metric_index = static_cast<std::size_t>(it - metric_names.begin());
+  }
+  const std::size_t requested =
+      rule != nullptr ? rule->max_replicas : options.replicas;
+  const replay::CheckpointOptions* ckpt =
+      options.checkpoint.has_value() ? &*options.checkpoint : nullptr;
 
   BatchMetrics& metrics_obs = BatchMetrics::get();
   metrics_obs.batches.add();
@@ -214,14 +206,15 @@ TrajectoryBatchResult run_trajectory_batch(
     }
   };
 
-  // Slot writes into a pre-sized matrix: replica r's value row depends only
-  // on (root_seed, r), never on scheduling.
-  std::vector<double> values(requested * metrics, 0.0);
+  // Rows [0, completed), replica-major. Replica r's row depends only on
+  // (root_seed, r), never on scheduling; the matrix grows one round at a
+  // time, so a far-off ceiling costs nothing until it is approached.
+  std::vector<double> values;
 
   // Resume: a checkpoint's row prefix is ground truth (rows are pure
-  // functions of (root_seed, r)), so adopting it and re-entering the wave
-  // loop reproduces the uninterrupted run bit-for-bit. Salvage mode keeps
-  // a damaged artifact's longest valid prefix — losing at most one wave —
+  // functions of (root_seed, r)), so adopting it and re-entering the loop
+  // reproduces the uninterrupted run bit-for-bit. Salvage mode keeps a
+  // damaged artifact's longest valid prefix — losing at most one round —
   // while magic/version/header damage still surfaces as a typed error.
   std::size_t completed = 0;
   if (ckpt != nullptr && ckpt->resume && replay::file_exists(ckpt->path)) {
@@ -234,7 +227,7 @@ TrajectoryBatchResult run_trajectory_batch(
     };
     if (loaded.root_seed != options.root_seed) mismatch("root seed differs");
     if (loaded.metric_names != metric_names) mismatch("metric names differ");
-    if (loaded.adaptive != options.stopping.has_value()) {
+    if (loaded.adaptive != (rule != nullptr)) {
       mismatch("fixed/adaptive mode differs");
     }
     if (loaded.replicas_requested != requested) {
@@ -244,11 +237,11 @@ TrajectoryBatchResult run_trajectory_batch(
       mismatch("scenario config hash differs");
     }
     completed = std::min(loaded.completed, requested);
-    std::copy(loaded.values.begin(),
-              loaded.values.begin() +
-                  static_cast<std::ptrdiff_t>(completed * metrics),
-              values.begin());
+    values.assign(loaded.values.begin(),
+                  loaded.values.begin() +
+                      static_cast<std::ptrdiff_t>(completed * metrics));
   }
+  const std::size_t resumed = completed;
 
   const auto write_checkpoint = [&](std::size_t done) {
     replay::BatchCheckpoint cp;
@@ -256,7 +249,7 @@ TrajectoryBatchResult run_trajectory_batch(
     cp.config_hash = options.config_hash;
     cp.metric_names = metric_names;
     cp.replicas_requested = requested;
-    cp.adaptive = options.stopping.has_value();
+    cp.adaptive = rule != nullptr;
     cp.completed = done;
     cp.values.assign(values.begin(),
                      values.begin() + static_cast<std::ptrdiff_t>(done * metrics));
@@ -265,14 +258,25 @@ TrajectoryBatchResult run_trajectory_batch(
     if (ckpt->on_write) ckpt->on_write(done);
   };
 
-  // Cancellation granularity is one replica: `parallel_for` stops handing
-  // out indices after the first throw, so a cancel lands within one unit
-  // of replica work plus whatever is already in flight.
-  const auto run_range = [&](engine::ThreadPool& pool, std::size_t begin,
-                             std::size_t end) {
+  std::optional<engine::ThreadPool> owned;
+  engine::ThreadPool* pool = options.pool;
+  if (pool == nullptr) {
+    owned.emplace(engine::ThreadPool::workers_for(
+        engine::ThreadPool::resolve_lanes(options.threads)));
+    pool = &*owned;
+  }
+  const std::size_t lanes = pool->num_threads() + 1;  // the caller is a lane
+
+  // One execution round: rows [completed, end). Cancellation granularity
+  // is one replica: `parallel_for` stops handing out indices after the
+  // first throw, so a cancel lands within one unit of replica work plus
+  // whatever is already in flight.
+  const auto run_round = [&](std::size_t end) {
     obs::Span span(metrics_obs.wave_ns);
+    const std::size_t begin = completed;
     metrics_obs.replicas_run.add(end - begin);
-    pool.parallel_for(end - begin, [&](std::size_t k) {
+    values.resize(end * metrics);
+    pool->parallel_for(end - begin, [&](std::size_t k) {
       options.cancel.throw_if_stale("trajectory batch cancelled");
       const std::size_t r = begin + k;
       const std::uint64_t seed = engine::task_seed(options.root_seed, r, 0);
@@ -281,88 +285,65 @@ TrajectoryBatchResult run_trajectory_batch(
                     "replica returned the wrong number of metrics");
       std::copy(row.begin(), row.end(), values.begin() + r * metrics);
     });
+    completed = end;
   };
 
-  std::optional<engine::ThreadPool> owned;
-  engine::ThreadPool* pool = options.pool;
-  if (pool == nullptr) {
-    const std::size_t lanes =
-        engine::ThreadPool::resolve_lanes(options.threads);
-    owned.emplace(engine::ThreadPool::workers_for(lanes));
-    pool = &*owned;
-  }
+  // Decision boundaries — where checkpoints are written, progress is
+  // reported and the stop rule is checked — are a pure function of the
+  // options, never of the lane count. Adaptive: min_replicas, then every
+  // `wave` more. Fixed R: multiples of the checkpoint (else progress)
+  // interval, aligned regardless of where a salvaged prefix landed; with
+  // no observer, R alone. Fixed R is the rule that never stops.
+  const std::size_t step = rule != nullptr       ? rule->wave
+                           : ckpt != nullptr     ? ckpt->interval
+                           : options.on_progress ? options.progress_interval
+                                                 : requested;
+  const auto next_boundary = [&](std::size_t b) {
+    if (rule == nullptr) return std::min(requested, (b / step + 1) * step);
+    if (b < rule->min_replicas) return rule->min_replicas;
+    return b + std::min(step, requested - b);
+  };
 
   options.cancel.throw_if_stale("trajectory batch cancelled before start");
 
-  std::size_t run_count = 0;
-  StopReason reason = StopReason::kFixedReplicas;
-  if (!options.stopping.has_value()) {
-    if (ckpt == nullptr && !options.on_progress) {
-      run_range(*pool, 0, requested);
-    } else {
-      // Interval chunks aligned to multiples of `interval` regardless of
-      // where a salvaged prefix landed, so the persisted boundaries are
-      // the same whether or not the batch was ever interrupted. Progress
-      // reporting reuses the same chunking (checkpoint interval when both
-      // are on — one wave, two observers); slot writes keep the value
-      // matrix bit-identical however the range is carved up.
-      const std::size_t interval =
-          ckpt != nullptr ? ckpt->interval : options.progress_interval;
-      while (completed < requested) {
-        const std::size_t next =
-            std::min(requested, ((completed / interval) + 1) * interval);
-        run_range(*pool, completed, next);
-        completed = next;
-        if (ckpt != nullptr) write_checkpoint(completed);
-        report(completed, 0.0);
-      }
-    }
-    run_count = requested;
-  } else {
-    const StoppingRule& rule = *options.stopping;
-    reason = StopReason::kMaxReplicas;
-    while (run_count < rule.max_replicas) {
+  // Execution rounds run ahead of the next boundary to give every lane a
+  // replica, then the boundaries they covered are taken in order, each
+  // seeing exactly the prefix before it. A resumed adaptive batch retakes
+  // its stop checks from replica 0 (the rule may already be met inside
+  // the prefix); a fixed batch has nothing to decide there and starts at
+  // the prefix. Rows past the chosen R (at most lanes - 1) are dropped.
+  RunningStats fold;  // the stopping metric over rows [0, fold.count())
+  StopReason reason =
+      rule != nullptr ? StopReason::kMaxReplicas : StopReason::kFixedReplicas;
+  std::size_t decided = rule != nullptr ? 0 : completed;
+  while (decided < requested) {
+    const std::size_t boundary = next_boundary(decided);
+    if (boundary > completed) {
       options.cancel.throw_if_stale("trajectory batch cancelled");
-      // Wave boundaries depend only on (min_replicas, max_replicas, wave):
-      // the first wave jumps straight to min_replicas, later ones add a
-      // fixed `wave` — never a lane-count-derived amount.
-      const std::size_t next =
-          run_count == 0 ? rule.min_replicas
-                         : std::min(rule.max_replicas, run_count + rule.wave);
-      if (next > completed) {
-        // A resumed prefix can end mid-wave (a salvaged artifact keeps
-        // whatever rows survived); only the missing tail runs.
-        run_range(*pool, completed, next);
-        completed = next;
-        if (ckpt != nullptr) write_checkpoint(completed);
-      }
-      run_count = next;
-      // Welford over the replica-ordered prefix [0, run_count): the stop
-      // decision is a pure function of the prefix, so the chosen R is
-      // identical at any thread count.
-      double mean = 0.0;
-      double m2 = 0.0;
-      for (std::size_t r = 0; r < run_count; ++r) {
-        const double x = values[r * metrics + metric_index];
-        const double delta = x - mean;
-        mean += delta / static_cast<double>(r + 1);
-        m2 += delta * (x - mean);
-      }
-      const double variance = m2 / static_cast<double>(run_count - 1);
-      const double ci = 1.959963984540054 * std::sqrt(variance) /
-                        std::sqrt(static_cast<double>(run_count));
-      const double bound =
-          rule.relative ? rule.tolerance * std::abs(mean) : rule.tolerance;
-      report(run_count, ci);
-      if (ci <= bound) {
-        reason = StopReason::kToleranceMet;
-        break;
-      }
+      run_round(std::min(requested, std::max(boundary, completed + lanes)));
     }
-    values.resize(run_count * metrics);
-    metrics_obs.replicas_saved.add(requested - run_count);
+    decided = boundary;
+    if (ckpt != nullptr && boundary > resumed) write_checkpoint(boundary);
+    if (rule == nullptr) {
+      report(boundary, 0.0);
+      continue;
+    }
+    while (fold.count() < boundary) {
+      fold.add(values[fold.count() * metrics + metric_index]);
+    }
+    const double ci = fold.ci95_halfwidth();
+    report(boundary, ci);
+    const double bound = rule->relative
+                             ? rule->tolerance * std::abs(fold.mean())
+                             : rule->tolerance;
+    if (ci <= bound) {
+      reason = StopReason::kToleranceMet;
+      break;
+    }
   }
-  return TrajectoryBatchResult(std::move(metric_names), run_count,
+  values.resize(decided * metrics);
+  metrics_obs.replicas_saved.add(requested - decided);
+  return TrajectoryBatchResult(std::move(metric_names), decided,
                                std::move(values), options.root_seed, requested,
                                reason);
 }

@@ -23,10 +23,10 @@
 /// `engine::ThreadPool` with the sweep engine's determinism contract:
 /// replica r's seed is `engine::task_seed(root_seed, r, ·)` — a pure
 /// function of the root seed and the replica index — and every replica
-/// writes its metric vector into a pre-sized slot, so the aggregated
-/// `TrajectoryBatchResult` is **bit-identical at any thread count**
-/// (aggregation itself runs serially in replica order; no atomics, no
-/// completion-order reductions).
+/// writes its metric vector into its own row of the value matrix, so the
+/// aggregated `TrajectoryBatchResult` is **bit-identical at any thread
+/// count** (aggregation itself runs serially in replica order; no atomics,
+/// no completion-order reductions).
 
 namespace goc::engine {
 class ThreadPool;  // engine/thread_pool.hpp
@@ -35,15 +35,15 @@ class ThreadPool;  // engine/thread_pool.hpp
 namespace goc::sim {
 
 /// CI-driven sequential stopping: instead of always running a fixed R,
-/// the batch spawns replicas in deterministic waves and stops as soon as
-/// the 95% CI half-width of `metric` — computed by a Welford pass over the
-/// replica-ordered prefix [0, replicas_run) — drops to `tolerance`.
+/// the batch checks at deterministic boundaries and stops at the first one
+/// where the 95% CI half-width of `metric` — a running Welford fold over
+/// the replica-ordered prefix [0, boundary) — drops to `tolerance`.
 ///
 /// Determinism contract: replica r's seed and value are the same pure
-/// function of (root_seed, r) as in the fixed-R path, waves are a pure
-/// function of (min_replicas, max_replicas, wave), and the stop check runs
-/// over replica-ordered prefixes at wave boundaries only — so the chosen R
-/// and every emitted value are bit-identical at any thread count.
+/// function of (root_seed, r) as in the fixed-R path, the boundaries are a
+/// pure function of (min_replicas, max_replicas, wave), and the stop check
+/// sees only the replica-ordered prefix before its boundary — so the
+/// chosen R and every emitted value are bit-identical at any thread count.
 struct StoppingRule {
   /// Metric whose CI drives the stop (must be one of the batch's metrics).
   std::string metric;
@@ -60,9 +60,12 @@ struct StoppingRule {
   /// Hard ceiling: the batch reports StopReason::kMaxReplicas when the
   /// tolerance was never met.
   std::size_t max_replicas = 1024;
-  /// Replicas added per wave between stop checks. A *fixed* count, never
-  /// derived from the lane count — that is what keeps the chosen R
-  /// thread-invariant.
+  /// Replicas between stop checks. A *fixed* count, never derived from the
+  /// lane count — that is what keeps the chosen R thread-invariant. The
+  /// checks (decision boundaries) are not execution barriers: a round runs
+  /// to the next check or one replica per pool lane, whichever is further,
+  /// and the checks it covers are then taken in replica order, discarding
+  /// any rows past the chosen R.
   std::size_t wave = 16;
 };
 
@@ -122,17 +125,30 @@ struct TrajectoryBatchOptions {
   /// (no token) never cancels — existing callers are unaffected.
   engine::CancelView cancel;
   /// Wave-boundary progress reports (the serve daemon's `watch` rows).
-  /// Called on the batch's calling thread after each wave completes —
+  /// Called on the batch's calling thread once per decision boundary, in
+  /// replica order, after the rows before it are complete —
   /// strictly observational: reports never influence seeds, wave
   /// boundaries, or the stop decision. Default: no reports.
   std::function<void(const BatchProgress&)> on_progress;
-  /// Fixed-R batches have no natural wave; when `on_progress` is set they
-  /// chunk into ranges of this many replicas purely to have reporting
-  /// boundaries (slot writes make results bit-identical under any
-  /// chunking). Adaptive batches report at their own wave boundaries and
-  /// ignore this. Must be >= 1 when a callback is set.
+  /// Fixed-R batches have no natural wave; when `on_progress` is set (and
+  /// no checkpoint interval takes precedence) they report at every
+  /// multiple of this many replicas. Like every decision boundary it is
+  /// observational only: execution rounds may run past it to fill the
+  /// pool, and reports still arrive once per boundary, in order. Adaptive
+  /// batches report at their own stop checks and ignore this. Must be >= 1
+  /// when a callback is set.
   std::size_t progress_interval = 16;
 };
+
+/// Throws std::invalid_argument unless `options` can run: a fixed batch
+/// needs replicas >= 1; a stopping rule needs a finite, non-negative
+/// tolerance, 2 <= min_replicas <= max_replicas and wave >= 1; a checkpoint
+/// needs a path and interval >= 1; a progress callback needs an interval
+/// >= 1. `run_trajectory_batch` calls it first; front ends (the serve
+/// daemon's `submit`) call it to refuse a bad request before queueing it.
+/// Whether the stopping metric names one of the batch's metrics is checked
+/// by `run_trajectory_batch`, which knows the names.
+void validate(const TrajectoryBatchOptions& options);
 
 /// Splits one shared pool's lanes between the two parallelism levels of a
 /// Monte Carlo study: replica fan-out vs intra-replica decision-epoch

@@ -35,7 +35,7 @@ double RunningStats::max() const noexcept { return n_ == 0 ? 0.0 : max_; }
 
 double RunningStats::ci95_halfwidth() const noexcept {
   if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
+  return kZ95 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
 void RunningStats::merge(const RunningStats& other) noexcept {

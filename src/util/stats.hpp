@@ -9,8 +9,14 @@
 
 namespace goc {
 
+/// Two-sided 95% normal quantile, the z of every CI half-width reported by
+/// this repository.
+inline constexpr double kZ95 = 1.959963984540054;
+
 /// Welford-style running accumulator: O(1) per observation, numerically
-/// stable mean/variance, tracks extrema.
+/// stable mean/variance, tracks extrema. `add` is the one replica-order
+/// fold: the batch engine's stop check and summaries and the checkpoint's
+/// stored prefix state all run through it, so they agree bit for bit.
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -24,9 +30,11 @@ class RunningStats {
   double min() const noexcept;
   double max() const noexcept;
   double sum() const noexcept { return sum_; }
+  /// Sum of squared deviations from the running mean (Welford's M2).
+  double m2() const noexcept { return m2_; }
 
   /// Half-width of the normal-approximation 95% confidence interval for the
-  /// mean; 0 for fewer than two observations.
+  /// mean (`kZ95 * stddev / sqrt(n)`); 0 for fewer than two observations.
   double ci95_halfwidth() const noexcept;
 
   void merge(const RunningStats& other) noexcept;

@@ -177,6 +177,25 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
   EXPECT_EQ(server.jobs().size(), 0u);
 }
 
+TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
+  Server server(ServerOptions{2});
+  const std::string rule =
+      "submit batch --miners=8 --chains=2 --days=1 --stop-metric=blocks_total ";
+  for (const std::string& line :
+       {rule + "--stop-wave=0", rule + "--stop-min=1", rule + "--stop-tol=nan",
+        std::string("submit batch --replicas=0"),
+        std::string("submit batch --checkpoint=unused.gocr "
+                    "--checkpoint-interval=0")}) {
+    const std::string reply = respond(server, line);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << line << " -> " << reply;
+  }
+  EXPECT_NE(respond(server, rule + "--stop-wave=0").find("wave"),
+            std::string::npos);
+  // Nothing was queued: every request failed before reaching the table.
+  EXPECT_EQ(server.jobs().size(), 0u);
+  EXPECT_EQ(respond(server, "jobs"), "ok jobs=0\n");
+}
+
 /// The acceptance criterion: a daemon-submitted trajectory batch produces
 /// a bit-identical `values_hash` to the equivalent one-shot run — the
 /// scenario factory and flag grammar are single-sourced (sim/scenarios.hpp,

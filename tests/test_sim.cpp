@@ -2,10 +2,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/chain_sim.hpp"
@@ -15,6 +18,8 @@
 #include "market/fig1_replay.hpp"
 #include "market/market_sim.hpp"
 #include "market/scenario.hpp"
+#include "obs/registry.hpp"
+#include "replay/replay.hpp"
 #include "sim/event_core.hpp"
 #include "sim/trajectory.hpp"
 
@@ -754,6 +759,191 @@ TEST(Trajectory, PlanNestedLanesGivesThePoolToExactlyOneLevel) {
       EXPECT_GE(p.replica_lanes * p.epoch_lanes, 1u);
     }
   }
+}
+
+// ------------------------------------------------ lane-filling wave loop
+
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "goc_sim_" + name;
+}
+
+/// Metric "x" alternates 0/1, so the prefix CI half-width is 0.98, 0.65,
+/// 0.57 and 0.48 at 2..5 replicas: a 0.5 tolerance stops at exactly 5.
+std::vector<double> alternating_row(std::size_t r, std::uint64_t seed) {
+  return {static_cast<double>(r % 2), static_cast<double>(seed >> 40)};
+}
+
+enum class LoopCase { kAdaptiveToCeiling, kAdaptiveEarlyStop, kFixed };
+
+TrajectoryBatchOptions loop_options(LoopCase kind, engine::ThreadPool& pool) {
+  TrajectoryBatchOptions options;
+  options.root_seed = 99;
+  options.pool = &pool;
+  options.replicas = 9;
+  if (kind != LoopCase::kFixed) {
+    StoppingRule rule;
+    rule.metric = "x";
+    rule.tolerance = kind == LoopCase::kAdaptiveEarlyStop ? 0.5 : 0.0;
+    rule.min_replicas = 2;
+    rule.max_replicas = 9;
+    rule.wave = 1;
+    options.stopping = rule;
+  }
+  return options;
+}
+
+TrajectoryBatchResult run_loop(const TrajectoryBatchOptions& options) {
+  return run_trajectory_batch({"x", "y"}, options, alternating_row);
+}
+
+TEST(WaveLoop, CheckpointFilesAndReportsAreLaneInvariant) {
+  // Wider pools run rounds past the next boundary, yet every write holds
+  // exactly the rows before its boundary and every report arrives once per
+  // boundary, in order — so the observers see the serial run's sequence.
+  const std::vector<std::pair<LoopCase, std::vector<std::size_t>>> cases = {
+      {LoopCase::kAdaptiveToCeiling, {2, 3, 4, 5, 6, 7, 8, 9}},
+      {LoopCase::kAdaptiveEarlyStop, {2, 3, 4, 5}},
+      {LoopCase::kFixed, {1, 2, 3, 4, 5, 6, 7, 8, 9}}};
+  for (const auto& [kind, boundaries] : cases) {
+    std::vector<std::vector<std::string>> files;
+    std::vector<std::uint64_t> hashes;
+    for (const std::size_t workers : {0, 1, 7}) {
+      engine::ThreadPool pool(workers);
+      const std::string path = temp_path("lanes.gocr");
+      TrajectoryBatchOptions options = loop_options(kind, pool);
+      replay::CheckpointOptions ckpt;
+      ckpt.path = path;
+      ckpt.interval = 1;
+      ckpt.resume = false;
+      std::vector<std::string> seen;
+      std::vector<std::size_t> written;
+      ckpt.on_write = [&](std::size_t done) {
+        seen.push_back(replay::read_file_bytes(path));
+        written.push_back(done);
+      };
+      options.checkpoint = ckpt;
+      std::vector<std::size_t> reported;
+      options.on_progress = [&](const BatchProgress& progress) {
+        reported.push_back(progress.completed);
+      };
+      hashes.push_back(run_loop(options).values_hash());
+      EXPECT_EQ(written, boundaries) << "workers=" << workers;
+      EXPECT_EQ(reported, boundaries) << "workers=" << workers;
+      files.push_back(std::move(seen));
+      std::remove(path.c_str());
+    }
+    for (std::size_t k = 1; k < files.size(); ++k) {
+      EXPECT_TRUE(files[k] == files[0]) << "pool " << k << " wrote other bytes";
+      EXPECT_EQ(hashes[k], hashes[0]);
+    }
+  }
+}
+
+TEST(WaveLoop, RoundsFillThePoolLanes) {
+  if (!obs::enabled()) GTEST_SKIP() << "metrics recording is off";
+  obs::Histogram& rounds = obs::Registry::instance().histogram("sim.batch.wave_ns");
+  const auto rounds_on = [&](std::size_t workers, std::size_t ceiling) {
+    engine::ThreadPool pool(workers);
+    TrajectoryBatchOptions options =
+        loop_options(LoopCase::kAdaptiveToCeiling, pool);
+    options.stopping->max_replicas = ceiling;
+    const std::uint64_t before = rounds.count();
+    EXPECT_EQ(run_loop(options).replicas(), ceiling);
+    return rounds.count() - before;
+  };
+  // min 2 / wave 1 / max 8: boundaries 2, 3, ..., 8 are one round each on
+  // one lane; two lanes run [0,2) [2,4) [4,6) [6,8).
+  EXPECT_EQ(rounds_on(0, 8), 7u);
+  EXPECT_EQ(rounds_on(1, 8), 4u);
+  // An odd ceiling leaves a last round of one: [6,8) [8,9).
+  EXPECT_EQ(rounds_on(0, 9), 8u);
+  EXPECT_EQ(rounds_on(1, 9), 5u);
+}
+
+TEST(WaveLoop, EarlyStopOnAWidePoolMatchesSerial) {
+  engine::ThreadPool serial(0);
+  engine::ThreadPool wide(7);
+  obs::Counter& run = obs::Registry::instance().counter("sim.batch.replicas_run");
+  const std::uint64_t before_serial = run.total();
+  const TrajectoryBatchResult a =
+      run_loop(loop_options(LoopCase::kAdaptiveEarlyStop, serial));
+  const std::uint64_t serial_run = run.total() - before_serial;
+  const std::uint64_t before_wide = run.total();
+  const TrajectoryBatchResult b =
+      run_loop(loop_options(LoopCase::kAdaptiveEarlyStop, wide));
+  const std::uint64_t wide_run = run.total() - before_wide;
+  EXPECT_EQ(a.replicas(), 5u);
+  EXPECT_EQ(b.replicas(), 5u);
+  EXPECT_EQ(a.stop_reason(), StopReason::kToleranceMet);
+  EXPECT_EQ(b.stop_reason(), StopReason::kToleranceMet);
+  EXPECT_TRUE(a.deterministic_equals(b));
+  EXPECT_EQ(a.values_hash(), b.values_hash());
+  if (obs::enabled()) {
+    // The wide pool's one round ran 8 rows; the 3 past R were discarded.
+    EXPECT_EQ(serial_run, 5u);
+    EXPECT_EQ(wide_run, 8u);
+  }
+}
+
+TEST(WaveLoop, ResumeFromAMidRunCheckpointMatchesUninterrupted) {
+  struct Interrupted {};
+  for (const LoopCase kind : {LoopCase::kAdaptiveToCeiling,
+                              LoopCase::kAdaptiveEarlyStop, LoopCase::kFixed}) {
+    engine::ThreadPool serial(0);
+    const TrajectoryBatchResult reference = run_loop(loop_options(kind, serial));
+    for (const std::size_t stop_after : {1, 2, 3}) {
+      // Interrupted on a wide pool (rows past the checkpoint were computed
+      // and lost), resumed on another lane count.
+      const std::string path = temp_path("resume.gocr");
+      std::remove(path.c_str());
+      engine::ThreadPool wide(7);
+      TrajectoryBatchOptions options = loop_options(kind, wide);
+      replay::CheckpointOptions ckpt;
+      ckpt.path = path;
+      ckpt.interval = 2;
+      std::size_t writes = 0;
+      ckpt.on_write = [&](std::size_t) {
+        if (++writes == stop_after) throw Interrupted{};
+      };
+      options.checkpoint = ckpt;
+      EXPECT_THROW(run_loop(options), Interrupted);
+      ASSERT_TRUE(replay::file_exists(path));
+
+      engine::ThreadPool narrow(1);
+      options.pool = &narrow;
+      options.checkpoint->on_write = nullptr;
+      const TrajectoryBatchResult resumed = run_loop(options);
+      EXPECT_TRUE(resumed.deterministic_equals(reference))
+          << "stop_after=" << stop_after;
+      EXPECT_EQ(resumed.replicas(), reference.replicas());
+      EXPECT_EQ(resumed.stop_reason(), reference.stop_reason());
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(WaveLoop, FarCeilingDoesNotSizeTheMatrixUpFront) {
+  // Five metrics × 10^9 replicas would be a ~40 GB matrix; the rule is met
+  // at min_replicas (zero variance), so only the rows actually run exist.
+  engine::ThreadPool pool(3);
+  TrajectoryBatchOptions options;
+  options.pool = &pool;
+  StoppingRule rule;
+  rule.metric = "a";
+  rule.tolerance = 0.0;
+  rule.min_replicas = 4;
+  rule.max_replicas = 1'000'000'000;
+  rule.wave = 4;
+  options.stopping = rule;
+  const TrajectoryBatchResult result = run_trajectory_batch(
+      {"a", "b", "c", "d", "e"}, options, [](std::size_t r, std::uint64_t) {
+        return std::vector<double>{1.0, 2.0, 3.0, 4.0,
+                                   static_cast<double>(r)};
+      });
+  EXPECT_EQ(result.replicas(), 4u);
+  EXPECT_EQ(result.replicas_requested(), 1'000'000'000u);
+  EXPECT_EQ(result.stop_reason(), StopReason::kToleranceMet);
+  EXPECT_DOUBLE_EQ(result.summary("e").mean, 1.5);
 }
 
 // ------------------------------------------------- sharded decision epochs

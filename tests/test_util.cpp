@@ -197,6 +197,15 @@ TEST(RunningStats, EmptyAndSingle) {
   EXPECT_DOUBLE_EQ(s.ci95_halfwidth(), 0.0);
 }
 
+TEST(RunningStats, Ci95UsesTheExactNormalQuantile) {
+  // One z for every CI the repository reports (not the rounded 1.96).
+  EXPECT_EQ(kZ95, 1.959963984540054);
+  RunningStats s;
+  for (const double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
+  EXPECT_DOUBLE_EQ(s.m2(), 5.0);
+  EXPECT_EQ(s.ci95_halfwidth(), kZ95 * s.stddev() / 2.0);
+}
+
 TEST(Sample, Percentiles) {
   Sample s;
   for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
