@@ -1,17 +1,9 @@
 /// \file bench_des.cpp
-/// The stochastic hot path: legacy callback DES vs the flat event core.
-///
-/// PR 2 gave the learning loop an incremental index, PR 3 gave the
-/// exhaustive walkers a devirtualized sharded engine; this harness measures
-/// the same treatment applied to the stochastic simulators. Old vs new on
-/// identical workloads: the legacy path runs `chain::EventQueue`
-/// (std::function per event, heap allocation at schedule, full miner scans
-/// per block), the flat path runs `sim::EventCore` (POD events, enum
-/// switch, generation invalidation in the core, per-chain member lists).
-/// Both paths consume the RNG identically, so trajectories must be
-/// **bit-identical** — every row checks the trajectory hash, and any
-/// divergence fails the run (`--compare-scan` is implied; the flag is
-/// accepted for CI symmetry with the other engine benches).
+/// The stochastic hot path: throughput of the chain simulator's event core
+/// (`sim::EventCore`: POD events, enum switch, generation invalidation,
+/// per-chain member lists) and of the market's zero-rebuild epoch loop.
+/// Each row prints its trajectory hash, so a run is comparable byte for
+/// byte with the committed baseline.
 ///
 /// The second table exercises layer 2: a Monte Carlo chain batch fanned
 /// across the thread pool, replayed on one lane — bit-identical aggregates
@@ -28,7 +20,6 @@
 #include "market/fee_market.hpp"
 #include "market/market_sim.hpp"
 #include "market/price_process.hpp"
-#include "sim/event_core.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/trajectory.hpp"
 #include "util/rng.hpp"
@@ -45,19 +36,17 @@ using namespace goc;
 chain::MultiChainSimulator make_reference_chain(std::size_t miners,
                                                 std::size_t num_chains,
                                                 double days,
-                                                sim::EngineKind engine,
                                                 std::uint64_t seed) {
   sim::ReferenceChainParams params;
   params.miners = miners;
   params.chains = num_chains;
   params.days = days;
-  return sim::make_reference_chain(params, engine, seed);
+  return sim::make_reference_chain(params, sim::EngineKind::kFlat, seed);
 }
 
 /// The EDA stress: few miners, hot invalidation churn (every epoch moves
 /// hashrate, so races go stale constantly) — the queue-mechanics case.
-chain::MultiChainSimulator make_eda_chain(double days, sim::EngineKind engine,
-                                          std::uint64_t seed) {
+chain::MultiChainSimulator make_eda_chain(double days, std::uint64_t seed) {
   std::vector<chain::ChainSpec> chains;
   chains.push_back(chain::ChainSpec{
       "btc", 20.0, 1.0 / 6.0, 60.0,
@@ -71,14 +60,12 @@ chain::MultiChainSimulator make_eda_chain(double days, sim::EngineKind engine,
   options.reevaluation_fraction = 0.5;
   options.seed = seed;
   options.record_timeline = false;
-  options.engine = engine;
   std::vector<double> powers(12, 10.0);
   return chain::MultiChainSimulator(std::move(powers), std::move(chains),
                                     options);
 }
 
-market::MarketSimulator make_market(std::size_t epochs, sim::EngineKind engine,
-                                    std::uint64_t seed) {
+market::MarketSimulator make_market(std::size_t epochs, std::uint64_t seed) {
   std::vector<market::CoinSpec> coins;
   coins.emplace_back("major", 12.5, 6.0,
                      std::make_unique<market::GbmProcess>(7400.0, 0.0, 0.03),
@@ -92,7 +79,6 @@ market::MarketSimulator make_market(std::size_t epochs, sim::EngineKind engine,
   market::MarketOptions options;
   options.epochs = epochs;
   options.seed = seed;
-  options.engine = engine;
   std::vector<std::int64_t> powers;
   for (std::size_t i = 0; i < 48; ++i) {
     powers.push_back(10 + static_cast<std::int64_t>(i) * 37 % 900);
@@ -114,7 +100,6 @@ chain::MultiChainSimulator make_epoch_chain(std::size_t miners,
                                             std::size_t num_chains,
                                             double hours,
                                             std::size_t epoch_lanes,
-                                            sim::EngineKind engine,
                                             std::uint64_t seed) {
   Rng setup(seed ^ 0xE90CULL);
   std::vector<double> powers;
@@ -147,38 +132,37 @@ chain::MultiChainSimulator make_epoch_chain(std::size_t miners,
   options.reevaluation_fraction = 1.0;
   options.seed = seed;
   options.record_timeline = false;
-  options.engine = engine;
   options.epoch_lanes = epoch_lanes;
   return chain::MultiChainSimulator(std::move(powers), std::move(chains),
                                     options, std::move(assignment));
 }
 
-struct EngineRun {
+struct TimedRun {
   double wall_ms = 0.0;
   std::uint64_t events = 0;
   std::uint64_t hash = 0;
 };
 
 template <typename MakeSim>
-EngineRun time_chain(const MakeSim& make, sim::EngineKind engine) {
+TimedRun time_chain(const MakeSim& make) {
   goc::bench::Stopwatch watch;
-  chain::MultiChainSimulator sim = make(engine);
+  chain::MultiChainSimulator sim = make();
   const chain::ChainSimResult result = sim.run();
-  EngineRun run;
+  TimedRun run;
   run.wall_ms = watch.elapsed_ms();
   run.events = result.events_dispatched;
   run.hash = sim::chain_result_hash(result);
   return run;
 }
 
-EngineRun time_market(std::size_t epochs, sim::EngineKind engine,
-                      std::uint64_t seed) {
+TimedRun time_market(std::size_t epochs, std::uint64_t seed) {
   goc::bench::Stopwatch watch;
-  market::MarketSimulator sim = make_market(epochs, engine, seed);
+  market::MarketSimulator sim = make_market(epochs, seed);
   const auto records = sim.run();
-  EngineRun run;
+  TimedRun run;
   run.wall_ms = watch.elapsed_ms();
-  // One price tick + one fee update per coin per epoch, plus the epoch.
+  // One price step + one fee step per coin per epoch, plus the epoch's
+  // adjustment — the unit of the market row's events/s.
   run.events = records.size() * (2 * sim.num_coins() + 1);
   run.hash = sim::market_records_hash(records);
   return run;
@@ -189,9 +173,8 @@ int run(int argc, char** argv) {
   {
     // Fail fast on typos (`--stop-maxx=64` silently running the full study
     // is exactly the kind of wasted night this guards against).
-    std::vector<std::string> known = {"quick",    "threads", "seed",
-                                      "compare-scan", "adaptive", "csv",
-                                      "json"};
+    std::vector<std::string> known = {"quick", "threads", "seed",
+                                      "adaptive", "csv", "json"};
     const auto& batch = sim::batch_cli_names();
     known.insert(known.end(), batch.begin(), batch.end());
     const std::vector<std::string> stray = cli.unknown(known);
@@ -205,62 +188,42 @@ int run(int argc, char** argv) {
   const bool quick = cli.get_bool("quick", false);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
   const std::uint64_t seed0 = cli.get_u64("seed", 2017);
-  // The old-vs-new table always runs both engines and verifies trajectory
-  // bit-equality; the flag is accepted so CI invocations read like the
-  // other engine benches.
-  (void)cli.get_bool("compare-scan", false);
 
   bench::banner(
-      "DES engine old-vs-new (speedup = legacy_ms/flat_ms, single lane)",
-      "Legacy = std::function EventQueue + full miner scans; flat = "
-      "sim::EventCore POD events + enum dispatch + member lists. Identical "
-      "RNG draws: trajectories must be bit-identical.");
+      "Stochastic simulators (single lane)",
+      "Chain rows: sim::EventCore POD events + enum dispatch + member lists; "
+      "market row: the zero-rebuild epoch loop. The trajectory hash pins "
+      "each row's run byte for byte.");
 
   bool all_identical = true;
-  Table table({"workload", "events", "legacy_ms", "flat_ms", "speedup",
-               "flat_events/s", "identical"});
-  const auto add_row = [&](const std::string& name, const EngineRun& legacy,
-                           const EngineRun& flat) {
-    const bool identical =
-        legacy.hash == flat.hash && legacy.events == flat.events;
-    all_identical = all_identical && identical;
-    table.row() << name << fmt_group(flat.events)
-                << fmt_double(legacy.wall_ms, 2) << fmt_double(flat.wall_ms, 2)
-                << fmt_double(legacy.wall_ms / flat.wall_ms, 1)
+  Table table({"workload", "events", "ms", "events/s", "trajectory hash"});
+  const auto add_row = [&](const std::string& name, const TimedRun& run) {
+    table.row() << name << fmt_group(run.events) << fmt_double(run.wall_ms, 2)
                 << fmt_group(static_cast<std::uint64_t>(
-                       1000.0 * static_cast<double>(flat.events) /
-                       flat.wall_ms))
-                << (identical ? "yes" : "NO");
+                       1000.0 * static_cast<double>(run.events) / run.wall_ms))
+                << std::to_string(run.hash);
   };
 
   {
     const std::size_t miners = 2048;  // the acceptance reference shape
     const std::size_t num_chains = 128;
     const double days = quick ? 5.0 : 20.0;
-    const auto make = [&](sim::EngineKind engine) {
-      return make_reference_chain(miners, num_chains, days, engine, seed0);
-    };
     add_row("chain " + std::to_string(miners) + "m x " +
                 std::to_string(num_chains) + "c better-response (reference)",
-            time_chain(make, sim::EngineKind::kLegacy),
-            time_chain(make, sim::EngineKind::kFlat));
+            time_chain([&] {
+              return make_reference_chain(miners, num_chains, days, seed0);
+            }));
   }
   {
     const double days = quick ? 60.0 : 240.0;
-    const auto make = [&](sim::EngineKind engine) {
-      return make_eda_chain(days, engine, seed0 + 1);
-    };
     add_row("chain 12m x 2c EDA sawtooth (invalidation churn)",
-            time_chain(make, sim::EngineKind::kLegacy),
-            time_chain(make, sim::EngineKind::kFlat));
+            time_chain([&] { return make_eda_chain(days, seed0 + 1); }));
   }
   {
     const std::size_t epochs = quick ? 24 * 30 : 24 * 90;
-    add_row("market 48m x 3c epoch events",
-            time_market(epochs, sim::EngineKind::kLegacy, seed0 + 2),
-            time_market(epochs, sim::EngineKind::kFlat, seed0 + 2));
+    add_row("market 48m x 3c epochs", time_market(epochs, seed0 + 2));
   }
-  bench::emit(cli, table, "Old vs new (trajectory hashes checked per row)");
+  bench::emit(cli, table, "Stochastic simulators (trajectory hash per row)");
 
   // ---------------------------------------------------- Monte Carlo batch
   sim::TrajectoryBatchOptions batch;
@@ -271,7 +234,7 @@ int run(int argc, char** argv) {
   const std::size_t replicas = batch.replicas;
   const auto chain_factory = [&](std::uint64_t seed) {
     return make_reference_chain(quick ? 128 : 256, 8, quick ? 10.0 : 20.0,
-                                sim::EngineKind::kFlat, seed);
+                                seed);
   };
   bench::Stopwatch watch;
   const sim::TrajectoryBatchResult parallel =
@@ -304,8 +267,7 @@ int run(int argc, char** argv) {
         "Stopping: waves of replicas stop once the replica-ordered prefix "
         "95% CI meets the tolerance — same chosen R at any --threads. "
         "Epochs: frozen-state sharded decision_epoch vs the sequential "
-        "scan; sharded trajectories are hash-checked across lane counts "
-        "and both event engines.");
+        "scan; sharded trajectories are hash-checked across lane counts.");
 
     Table adaptive_table(
         {"case", "mode", "n", "wall_ms", "gain", "detail", "ok"});
@@ -389,30 +351,23 @@ int run(int argc, char** argv) {
     // (b) The decision-epoch workload: sequential scan vs the sharded
     // frozen-state epoch. The two are *different dynamics* (the scan sees
     // live mid-epoch state), so only sharded rows are hash-compared — at
-    // every lane count and on both event engines they must coincide.
+    // every lane count they must coincide.
     {
       const std::size_t miners = quick ? 20000 : 100000;
       const std::size_t num_chains = 128;
       const double hours = quick ? 8.0 : 16.0;
       const std::string name = std::to_string(miners / 1000) + "k m x " +
                                std::to_string(num_chains) + "c";
-      const auto run_epoch = [&](std::size_t lanes, sim::EngineKind engine) {
-        bench::Stopwatch epoch_watch;
-        chain::MultiChainSimulator sim = make_epoch_chain(
-            miners, num_chains, hours, lanes, engine, seed0 + 11);
-        const chain::ChainSimResult result = sim.run();
-        EngineRun run;
-        run.wall_ms = epoch_watch.elapsed_ms();
-        run.events = result.events_dispatched;
-        run.hash = sim::chain_result_hash(result);
-        return run;
+      const auto run_epoch = [&](std::size_t lanes) {
+        return time_chain([&] {
+          return make_epoch_chain(miners, num_chains, hours, lanes,
+                                  seed0 + 11);
+        });
       };
-      const EngineRun scan = run_epoch(0, sim::EngineKind::kFlat);
-      const EngineRun lane1 = run_epoch(1, sim::EngineKind::kFlat);
-      const EngineRun lane8 = run_epoch(8, sim::EngineKind::kFlat);
-      const EngineRun legacy8 = run_epoch(8, sim::EngineKind::kLegacy);
-      const bool lanes_identical =
-          lane1.hash == lane8.hash && lane1.hash == legacy8.hash;
+      const TimedRun scan = run_epoch(0);
+      const TimedRun lane1 = run_epoch(1);
+      const TimedRun lane8 = run_epoch(8);
+      const bool lanes_identical = lane1.hash == lane8.hash;
       all_identical = all_identical && lanes_identical;
       adaptive_table.row()
           << ("epoch " + name) << "sequential-scan" << "-"
@@ -429,11 +384,6 @@ int run(int argc, char** argv) {
           << fmt_double(lane8.wall_ms, 1)
           << (fmt_double(scan.wall_ms / lane8.wall_ms, 1) + "x")
           << "hash matches lanes=1" << (lanes_identical ? "yes" : "NO");
-      adaptive_table.row()
-          << ("epoch " + name) << "sharded legacy lanes=8" << "8"
-          << fmt_double(legacy8.wall_ms, 1)
-          << (fmt_double(scan.wall_ms / legacy8.wall_ms, 1) + "x")
-          << "hash matches flat" << (lanes_identical ? "yes" : "NO");
     }
 
     bench::emit(cli, adaptive_table,

@@ -28,8 +28,7 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
     : powers_(std::move(miner_powers)),
       chains_(std::move(chains)),
       options_(options),
-      rng_(options.seed),
-      flat_(options.engine == sim::EngineKind::kFlat) {
+      rng_(options.seed) {
   GOC_CHECK_ARG(!powers_.empty(), "need at least one miner");
   GOC_CHECK_ARG(!chains_.empty(), "need at least one chain");
   for (const double m : powers_) {
@@ -55,17 +54,15 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
   for (std::size_t i = 0; i < powers_.size(); ++i) {
     mass_[assignment_[i]] += powers_[i];
   }
-  if (flat_) {
-    members_.resize(chains_.size());
-    for (auto& m : members_) m.reserve(powers_.size());  // alloc-free moves
-    for (std::size_t i = 0; i < powers_.size(); ++i) {
-      members_[assignment_[i]].push_back(static_cast<std::uint32_t>(i));
-    }
-    reward_per_power_.assign(chains_.size(), 0.0);
-    stint_base_.assign(powers_.size(), 0.0);
-    core_.declare_streams(sim::EventType::kBlockFound, chains_.size());
-    core_.declare_streams(sim::EventType::kDecisionEpoch, 1);
+  members_.resize(chains_.size());
+  for (auto& m : members_) m.reserve(powers_.size());  // alloc-free moves
+  for (std::size_t i = 0; i < powers_.size(); ++i) {
+    members_[assignment_[i]].push_back(static_cast<std::uint32_t>(i));
   }
+  reward_per_power_.assign(chains_.size(), 0.0);
+  stint_base_.assign(powers_.size(), 0.0);
+  core_.declare_streams(sim::EventType::kBlockFound, chains_.size());
+  core_.declare_streams(sim::EventType::kDecisionEpoch, 1);
   difficulty_.resize(chains_.size());
   reward_fiat_.resize(chains_.size());
   for (std::size_t c = 0; c < chains_.size(); ++c) {
@@ -100,34 +97,21 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
       epoch_pool_ = owned_epoch_pool_.get();
     }
   }
-  generation_.assign(chains_.size(), 0);
   result_.blocks_per_chain.assign(chains_.size(), 0);
   result_.miner_rewards_fiat.assign(powers_.size(), 0.0);
   result_.miner_blocks.assign(powers_.size(), 0);
   predicted_rewards_.assign(powers_.size(), 0.0);
 }
 
-double MultiChainSimulator::sim_now() const noexcept {
-  return flat_ ? core_.now() : queue_.now();
-}
-
 void MultiChainSimulator::arm_block_race(std::size_t chain) {
   if (mass_[chain] <= 0.0) return;  // re-armed when a miner joins
   // The next block faces the prospective difficulty (EDA discounts apply).
   const double difficulty =
-      chains_[chain].adjuster->prospective(sim_now(), difficulty_[chain]);
+      chains_[chain].adjuster->prospective(core_.now(), difficulty_[chain]);
   const double rate = mass_[chain] / difficulty;  // blocks per hour
-  const double at = sim_now() + rng_.exponential(rate);
-  if (flat_) {
-    core_.schedule(at, sim::EventType::kBlockFound,
-                   static_cast<std::uint32_t>(chain));
-    return;
-  }
-  const std::uint64_t gen = generation_[chain];
-  queue_.schedule(at, [this, chain, gen] {
-    if (gen != generation_[chain]) return;  // stale race: hashrate changed
-    on_block(chain);
-  });
+  const double at = core_.now() + rng_.exponential(rate);
+  core_.schedule(at, sim::EventType::kBlockFound,
+                 static_cast<std::uint32_t>(chain));
 }
 
 void MultiChainSimulator::on_block(std::size_t chain) {
@@ -135,53 +119,30 @@ void MultiChainSimulator::on_block(std::size_t chain) {
   ++result_.events_dispatched;
   ++result_.blocks_per_chain[chain];
 
-  // Winner lottery ∝ power among the chain's miners; simultaneously accrue
-  // the proportional-split prediction the paper's model assumes. Both
-  // engines visit the members in ascending miner order, so the lottery is
-  // bit-identical; the flat engine accrues the prediction as one O(1) bump
-  // of the chain's reward-per-power integral (settled per stint) and exits
-  // the walk at the winner, the legacy engine pays O(chain members) adds.
+  // Winner lottery ∝ power among the chain's miners, walked in ascending
+  // miner order and stopped at the winner. The proportional-split
+  // prediction the paper's model assumes accrues as one O(1) bump of the
+  // chain's reward-per-power integral (settled per stint).
   const double ticket = rng_.uniform01() * mass_[chain];
   double acc = 0.0;
   std::size_t winner = powers_.size();
-  if (flat_) {
-    reward_per_power_[chain] += reward_fiat_[chain] / mass_[chain];
-    for (const std::uint32_t i : members_[chain]) {
-      acc += powers_[i];
-      if (ticket < acc) {
-        winner = i;
-        break;
-      }
+  reward_per_power_[chain] += reward_fiat_[chain] / mass_[chain];
+  for (const std::uint32_t i : members_[chain]) {
+    acc += powers_[i];
+    if (ticket < acc) {
+      winner = i;
+      break;
     }
-    if (winner == powers_.size() && !members_[chain].empty()) {
-      // Numeric edge (ticket == mass): award the last member.
-      winner = members_[chain].back();
-    }
-  } else {
-    for (std::size_t i = 0; i < powers_.size(); ++i) {
-      if (assignment_[i] != chain) continue;
-      predicted_rewards_[i] +=
-          reward_fiat_[chain] * powers_[i] / mass_[chain];
-      if (winner == powers_.size()) {
-        acc += powers_[i];
-        if (ticket < acc) winner = i;
-      }
-    }
-    if (winner == powers_.size()) {
-      // Numeric edge (ticket == mass): award the last member.
-      for (std::size_t i = powers_.size(); i-- > 0;) {
-        if (assignment_[i] == chain) {
-          winner = i;
-          break;
-        }
-      }
-    }
+  }
+  if (winner == powers_.size() && !members_[chain].empty()) {
+    // Numeric edge (ticket == mass): award the last member.
+    winner = members_[chain].back();
   }
   GOC_ASSERT(winner < powers_.size(), "block found on a chain with no miners");
   result_.miner_rewards_fiat[winner] += reward_fiat_[chain];
   ++result_.miner_blocks[winner];
 
-  difficulty_[chain] = spec.adjuster->on_block(sim_now(), difficulty_[chain]);
+  difficulty_[chain] = spec.adjuster->on_block(core_.now(), difficulty_[chain]);
   GOC_ASSERT(difficulty_[chain] > 0.0, "DAA produced nonpositive difficulty");
   arm_block_race(chain);
 }
@@ -204,26 +165,21 @@ void MultiChainSimulator::move_miner(std::size_t miner, std::size_t to_chain) {
   mass_[to_chain] += powers_[miner];
   assignment_[miner] = to_chain;
   ++result_.migrations;
-  if (flat_) {
-    // Settle the finished stint on `from` and start a new one on `to`.
-    predicted_rewards_[miner] +=
-        powers_[miner] * (reward_per_power_[from] - stint_base_[miner]);
-    stint_base_[miner] = reward_per_power_[to_chain];
-    const auto id = static_cast<std::uint32_t>(miner);
-    auto& src = members_[from];
-    src.erase(std::lower_bound(src.begin(), src.end(), id));
-    auto& dst = members_[to_chain];
-    dst.insert(std::lower_bound(dst.begin(), dst.end(), id), id);
-    // Both races now run at the wrong rate; memorylessness makes a fresh
-    // exponential draw exact. The core drops the stale races at pop time.
-    core_.invalidate(sim::EventType::kBlockFound,
-                     static_cast<std::uint32_t>(from));
-    core_.invalidate(sim::EventType::kBlockFound,
-                     static_cast<std::uint32_t>(to_chain));
-  } else {
-    ++generation_[from];
-    ++generation_[to_chain];
-  }
+  // Settle the finished stint on `from` and start a new one on `to`.
+  predicted_rewards_[miner] +=
+      powers_[miner] * (reward_per_power_[from] - stint_base_[miner]);
+  stint_base_[miner] = reward_per_power_[to_chain];
+  const auto id = static_cast<std::uint32_t>(miner);
+  auto& src = members_[from];
+  src.erase(std::lower_bound(src.begin(), src.end(), id));
+  auto& dst = members_[to_chain];
+  dst.insert(std::lower_bound(dst.begin(), dst.end(), id), id);
+  // Both races now run at the wrong rate; memorylessness makes a fresh
+  // exponential draw exact. The core drops the stale races at pop time.
+  core_.invalidate(sim::EventType::kBlockFound,
+                   static_cast<std::uint32_t>(from));
+  core_.invalidate(sim::EventType::kBlockFound,
+                   static_cast<std::uint32_t>(to_chain));
   arm_block_race(from);
   arm_block_race(to_chain);
 }
@@ -232,7 +188,7 @@ void MultiChainSimulator::decision_epoch() {
   ++result_.events_dispatched;
   if (reward_hook_) {
     for (std::size_t c = 0; c < chains_.size(); ++c) {
-      const double updated = reward_hook_(c, sim_now());
+      const double updated = reward_hook_(c, core_.now());
       GOC_ASSERT(updated > 0.0, "reward hook produced a nonpositive reward");
       reward_fiat_[c] = updated;
     }
@@ -259,7 +215,7 @@ void MultiChainSimulator::decision_epoch() {
         // the next block would face (incl. prospective EDA discounts).
         const auto myopic_value = [&](std::size_t c) {
           const double d =
-              chains_[c].adjuster->prospective(sim_now(), difficulty_[c]);
+              chains_[c].adjuster->prospective(core_.now(), difficulty_[c]);
           return reward_fiat_[c] / d;
         };
         // Hysteresis models switching friction: stay unless an alternative
@@ -282,7 +238,7 @@ void MultiChainSimulator::decision_epoch() {
 
   if (options_.record_timeline) {
     TimelinePoint point;
-    point.t_hours = sim_now();
+    point.t_hours = core_.now();
     point.difficulty = difficulty_;
     point.hashrate = mass_;
     point.blocks = result_.blocks_per_chain;
@@ -290,20 +246,16 @@ void MultiChainSimulator::decision_epoch() {
     result_.timeline.push_back(std::move(point));
   }
 
-  const double next = sim_now() + options_.decision_interval_hours;
+  const double next = core_.now() + options_.decision_interval_hours;
   if (next <= options_.duration_hours) {
-    if (flat_) {
-      core_.schedule(next, sim::EventType::kDecisionEpoch, 0);
-    } else {
-      queue_.schedule(next, [this] { decision_epoch(); });
-    }
+    core_.schedule(next, sim::EventType::kDecisionEpoch, 0);
   }
 }
 
 void MultiChainSimulator::decision_epoch_sharded() {
   const std::size_t n = powers_.size();
   const std::size_t num_chains = chains_.size();
-  const double now = sim_now();
+  const double now = core_.now();
   const bool better_response = options_.policy == MinerPolicy::kBetterResponse;
 
   // --- Freeze the per-chain values every evaluation reads. -----------------
@@ -409,34 +361,24 @@ void MultiChainSimulator::decision_epoch_sharded() {
 
 ChainSimResult MultiChainSimulator::run() {
   for (std::size_t c = 0; c < chains_.size(); ++c) arm_block_race(c);
-  if (flat_) {
-    core_.schedule(options_.decision_interval_hours,
-                   sim::EventType::kDecisionEpoch, 0);
-    sim::Event event;
-    while (core_.pop_until(event, options_.duration_hours)) {
-      switch (event.type) {
-        case sim::EventType::kBlockFound:
-          on_block(event.subject);
-          break;
-        case sim::EventType::kDecisionEpoch:
-          decision_epoch();
-          break;
-        default:
-          GOC_ASSERT(false, "unexpected event type in the chain simulator");
-      }
+  core_.schedule(options_.decision_interval_hours,
+                 sim::EventType::kDecisionEpoch, 0);
+  sim::Event event;
+  while (core_.pop_until(event, options_.duration_hours)) {
+    switch (event.type) {
+      case sim::EventType::kBlockFound:
+        on_block(event.subject);
+        break;
+      case sim::EventType::kDecisionEpoch:
+        decision_epoch();
+        break;
     }
-  } else {
-    queue_.schedule(options_.decision_interval_hours,
-                    [this] { decision_epoch(); });
-    queue_.run_until(options_.duration_hours);
   }
 
-  if (flat_) {
-    // Settle every miner's open stint into the prediction accumulator.
-    for (std::size_t i = 0; i < powers_.size(); ++i) {
-      predicted_rewards_[i] +=
-          powers_[i] * (reward_per_power_[assignment_[i]] - stint_base_[i]);
-    }
+  // Settle every miner's open stint into the prediction accumulator.
+  for (std::size_t i = 0; i < powers_.size(); ++i) {
+    predicted_rewards_[i] +=
+        powers_[i] * (reward_per_power_[assignment_[i]] - stint_base_[i]);
   }
 
   // E9 validation: realized vs predicted reward shares.

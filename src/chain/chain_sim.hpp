@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "chain/des.hpp"
 #include "chain/difficulty.hpp"
 #include "engine/thread_pool.hpp"
 #include "sim/event_core.hpp"
@@ -32,14 +31,12 @@
 ///    reward/D_c (what whattomine-style dashboards report); with an EDA
 ///    chain this produces the famous hashrate sawtooth.
 ///
-/// Two event engines drive the same dynamics. The default flat path runs
-/// on `sim::EventCore` (POD events, enum-switch dispatch, generation
-/// invalidation in the core) and keeps a sorted member list per chain so a
-/// block costs O(miners on that chain) instead of O(all miners). The
-/// legacy path (`sim::EngineKind::kLegacy`) is the original
-/// `chain::EventQueue` implementation, kept as the reference: both paths
-/// consume the RNG identically and produce **bit-identical trajectories**
-/// (`tests/test_sim.cpp`, `bench_des --compare-scan`).
+/// The simulator runs on `sim::EventCore` (POD events, enum-switch
+/// dispatch, generation invalidation in the core) and keeps a sorted member
+/// list per chain so a block costs O(miners on that chain) instead of
+/// O(all miners). Trajectories are pinned byte for byte by the committed
+/// `GOLDEN_chain.gocr` / `GOLDEN_fig1.gocr` recordings and by the hash pins
+/// in `tests/test_sim.cpp`.
 
 namespace goc::chain {
 
@@ -65,8 +62,6 @@ struct ChainSimOptions {
   std::uint64_t seed = 42;
   /// Record a timeline sample at every decision epoch.
   bool record_timeline = true;
-  /// Flat event core (default) or the legacy callback queue (reference).
-  sim::EngineKind engine = sim::EngineKind::kFlat;
   /// Decision-epoch execution mode. 0 (default) keeps the original
   /// sequential policy scan: miners re-evaluate one at a time against the
   /// *live* state (earlier movers shift the masses later miners see) with
@@ -78,8 +73,7 @@ struct ChainSimOptions {
   /// (apply phase). The two modes are *different dynamics* — equally valid
   /// discretizations of the paper's epoch game — so their trajectories are
   /// not comparable; within sharded mode, results are bit-identical at ANY
-  /// lane count (epoch_lanes = 1 is the serial reference) and across both
-  /// event engines.
+  /// lane count (epoch_lanes = 1 is the serial reference).
   std::size_t epoch_lanes = 0;
   /// Shared pool for the sharded evaluate phase (e.g. handed down by
   /// `sim::plan_nested_lanes` arbitration). When null, the simulator owns a
@@ -113,20 +107,14 @@ struct ChainSimResult {
   std::vector<TimelinePoint> timeline;
   /// Mean absolute error between each miner's realized reward share and
   /// its within-chain power share prediction, over miners with nonzero
-  /// predicted share (the E9 validation number).
-  ///
-  /// FP-order note: the flat engine accrues the prediction through the
-  /// per-chain reward-per-power integral (O(1) per block, settled per
-  /// stint), the legacy engine adds per miner per block. The two sums are
-  /// mathematically identical but associate differently, so this one field
-  /// matches across engines only to floating-point tolerance — every other
-  /// field stays bit-identical, and `sim::chain_result_hash` excludes this
-  /// field for exactly that reason.
+  /// predicted share (the E9 validation number). The prediction accrues
+  /// through the per-chain reward-per-power integral (O(1) per block,
+  /// settled per stint). `sim::chain_result_hash` leaves this field out,
+  /// because the committed golden format was recorded that way.
   double share_prediction_mae = 0.0;
   std::uint64_t migrations = 0;  ///< total miner moves across the run
   /// Live events dispatched (blocks + decision epochs; stale races are
-  /// skipped before dispatch on both engines). The throughput denominator
-  /// of `bench_des`.
+  /// skipped before dispatch). The throughput denominator of `bench_des`.
   std::uint64_t events_dispatched = 0;
 };
 
@@ -145,7 +133,6 @@ class MultiChainSimulator {
   ChainSimResult run();
 
  private:
-  double sim_now() const noexcept;
   void arm_block_race(std::size_t chain);
   void on_block(std::size_t chain);
   void decision_epoch();
@@ -157,33 +144,26 @@ class MultiChainSimulator {
   std::vector<ChainSpec> chains_;
   ChainSimOptions options_;
   Rng rng_;
-  bool flat_;  // options_.engine == kFlat, hoisted for the hot loops
 
-  sim::EventCore core_;                     // flat engine
-  EventQueue queue_;                        // legacy engine
+  sim::EventCore core_;
   std::vector<std::size_t> assignment_;     // miner -> chain
-  // Flat engine only: per-chain member lists, ascending miner index —
-  // keeps the winner lottery and prediction accrual at O(chain members)
-  // while iterating in exactly the legacy full-scan order.
+  // Per-chain member lists, ascending miner index: the winner lottery
+  // walks only the chain's members, in miner order.
   std::vector<std::vector<std::uint32_t>> members_;
   std::vector<double> mass_;                // per chain
   std::vector<double> difficulty_;          // per chain
   std::vector<double> reward_fiat_;         // per chain (hook-updated)
-  std::vector<std::uint64_t> generation_;   // legacy block-race invalidation
   RewardHook reward_hook_;                  // optional price coupling
   ChainSimResult result_;
-  // Accumulated (power-share × chain reward) prediction per miner. The
-  // legacy engine adds reward·m_i/M_c for every chain member on every
-  // block; the flat engine settles lazily from the stint integral below.
+  // Accumulated (power-share × chain reward) prediction per miner, settled
+  // lazily from the stint integral below.
   std::vector<double> predicted_rewards_;
-  // Flat engine only: reward_per_power_[c] = Σ over c's blocks of
-  // reward/M_c — the cumulative fiat a unit of hashpower parked on c would
-  // have been predicted to earn. A block then costs O(1) accrual (bump the
-  // integral) instead of O(chain members); a miner's prediction for one
-  // stint on c is m_i · (integral at leave − integral at join), with the
-  // join value kept in stint_base_[i]. Settled on every move and at the
-  // end of run(). Changes only the FP association of
-  // share_prediction_mae — see the field's note above.
+  // reward_per_power_[c] = Σ over c's blocks of reward/M_c — the cumulative
+  // fiat a unit of hashpower parked on c would have been predicted to
+  // earn. A block then costs O(1) accrual (bump the integral) instead of
+  // O(chain members); a miner's prediction for one stint on c is
+  // m_i · (integral at leave − integral at join), with the join value kept
+  // in stint_base_[i]. Settled on every move and at the end of run().
   std::vector<double> reward_per_power_;
   std::vector<double> stint_base_;
 

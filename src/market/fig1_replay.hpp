@@ -38,8 +38,6 @@ struct Fig1ReplayParams {
   /// Relative profitability margin required to switch (friction).
   double hysteresis = 0.08;
   std::uint64_t seed = 1711;
-  /// Event engine for the underlying chain simulator (legacy = reference).
-  sim::EngineKind engine = sim::EngineKind::kFlat;
   /// Decision-epoch execution mode of the underlying chain simulator
   /// (`chain::ChainSimOptions::epoch_lanes`): 0 keeps the sequential
   /// policy scan, >= 1 selects the sharded simultaneous-move epoch (a

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "dynamics/scheduler.hpp"
 #include "market/fee_market.hpp"
 #include "market/price_process.hpp"
-#include "sim/event_core.hpp"
 
 /// \file market_sim.hpp
 /// The multi-coin market simulator — the substrate for experiment E1/E2
@@ -31,19 +29,13 @@
 /// The output time series are exactly what Figure 1 plots: exchange rates
 /// (1a) and per-coin hashrate (1b).
 ///
-/// The default engine decomposes each epoch into flat `sim::EventCore`
-/// events — one kPriceTick and one kFeeUpdate per coin, then one
-/// kDecisionEpoch — dispatched by enum switch, and drives the adjustment
-/// through the zero-rebuild epoch path: an `EpochWorkspace` arena holds
-/// one `Game` whose rewards are swapped in place per epoch
-/// (`Game::reweight`) and one `BestResponseIndex` that is
+/// The run is a plain epoch loop driving the zero-rebuild adjustment: an
+/// `EpochWorkspace` arena holds one `Game` whose rewards are swapped in
+/// place per epoch (`Game::reweight`) and one `BestResponseIndex` that is
 /// reweight-invalidated instead of reconstructed, so a steady-state epoch
-/// performs no heap allocation. The legacy plain epoch loop
-/// (`sim::EngineKind::kLegacy`) is retained as the reference: it rebuilds
-/// the game and runs the schedulers' scan path every epoch. Both engines
-/// call the same per-coin sub-steps in the same order and consume the RNG
-/// identically, so the epoch records are bit-identical
-/// (`tests/test_sim.cpp`, `bench_des --compare-scan`).
+/// performs no heap allocation. Epoch records are pinned byte for byte by
+/// the committed `GOLDEN_market.gocr` recording and by the hash pins in
+/// `tests/test_sim.cpp`.
 
 namespace goc::market {
 
@@ -82,8 +74,6 @@ struct MarketOptions {
   std::uint64_t seed = 2021;
   /// Weight quantization denominator for Rational::from_double.
   std::uint64_t weight_denominator = 1u << 20;
-  /// Flat event core (default) or the legacy epoch loop (reference).
-  sim::EngineKind engine = sim::EngineKind::kFlat;
 };
 
 /// One epoch of recorded market state.
@@ -101,29 +91,30 @@ struct EpochRecord {
 /// Everything an epoch mutates lives here, sized once: the quantized
 /// weight scratch, the induced game (whose rewards are swapped *in place*
 /// by `Game::reweight` — the system, access policy and the game object's
-/// address never change), and, on the flat engine, the incremental
+/// address never change), the miners' configuration, and the incremental
 /// best-response index (reweight-invalidated per epoch, never rebuilt from
 /// scratch). After construction a steady-state epoch allocates nothing:
 /// weights are copied into the reward function's existing storage, the
 /// index rescans into its preallocated strips, and the adjustment loop
-/// runs `pick_indexed` over it. The legacy engine reuses only the weight
-/// scratch and the game *slot* (it genuinely rebuilds a `Game` per epoch —
-/// that is the reference behavior the fast path is checked against).
+/// runs `pick_indexed` over it.
+///
+/// The index keeps pointers to `game` and `config`, so the workspace lives
+/// on the heap and never moves; the simulator that owns it can.
 struct EpochWorkspace {
   std::vector<Rational> weights;  ///< this epoch's F(c), quantized
   Game game;                      ///< reweighted in place each epoch
-  /// Flat engine only: drives the schedulers' `pick_indexed` path.
-  std::optional<dynamics::BestResponseIndex> index;
+  Configuration config;           ///< the miners' current assignment
+  dynamics::BestResponseIndex index;
   std::size_t epochs_run = 0;
 
-  EpochWorkspace(std::shared_ptr<const System> system,
-                 const Configuration& config, bool build_index)
+  EpochWorkspace(std::shared_ptr<const System> system, Configuration start)
       : weights(system->num_coins(), Rational(1)),
-        game(std::move(system),
-             RewardFunction::constant(config.system().num_coins(),
-                                      Rational(1))) {
-    if (build_index) index.emplace(game, config);
-  }
+        game(system, RewardFunction::constant(system->num_coins(),
+                                              Rational(1))),
+        config(std::move(start)),
+        index(game, config) {}
+  EpochWorkspace(const EpochWorkspace&) = delete;
+  EpochWorkspace& operator=(const EpochWorkspace&) = delete;
 };
 
 class MarketSimulator {
@@ -141,7 +132,7 @@ class MarketSimulator {
   /// epoch — the manipulation lever for the whale-attack example.
   void inject_whale(std::size_t coin, double fee);
 
-  const Configuration& configuration() const noexcept { return config_; }
+  const Configuration& configuration() const noexcept { return ws_->config; }
   std::size_t num_coins() const noexcept { return coins_.size(); }
   const CoinSpec& coin(std::size_t i) const { return coins_.at(i); }
 
@@ -149,33 +140,23 @@ class MarketSimulator {
   /// at least one epoch has run (throws std::invalid_argument before
   /// that). The reference is *stable across epochs*: it aliases the
   /// workspace-owned game, which is reweighted in place rather than
-  /// reallocated, and stays valid for the simulator's lifetime (the
-  /// simulator must not be moved while the reference is held).
+  /// reallocated, and stays valid for the lifetime of the simulator, or
+  /// of the simulator it is moved into.
   const Game& current_game() const;
 
  private:
-  // One epoch = advance every coin's price, accrue its fees / derive its
-  // weight, then let the game adjust. The legacy loop calls the sub-steps
-  // inline; the flat engine dispatches them as kPriceTick / kFeeUpdate /
-  // kDecisionEpoch events — identical call order, identical RNG draws.
+  // One epoch = per coin, advance its price then accrue its fees and derive
+  // its weight; then let the game adjust.
   void step_coin_price(std::size_t c, EpochRecord& record);
-  void step_coin_fees(std::size_t c, EpochRecord& record,
-                      std::vector<Rational>& weights);
-  void finish_epoch(EpochRecord& record, std::vector<Rational>& weights);
-  EpochRecord step_epoch(double t_hours);
-  std::vector<EpochRecord> run_flat();
-  // Creates the workspace on first use. Deferred to run() rather than the
-  // constructor because scenario factories return simulators by value and
-  // the index must bind the configuration at its final address.
-  void ensure_workspace();
+  void step_coin_fees(std::size_t c, EpochRecord& record);
+  void finish_epoch(EpochRecord& record);
 
   std::shared_ptr<const System> system_;
   std::vector<CoinSpec> coins_;
   MarketOptions options_;
   Rng rng_;
   std::unique_ptr<Scheduler> scheduler_;
-  Configuration config_;
-  std::unique_ptr<EpochWorkspace> ws_;  // arena; created lazily by run()
+  std::unique_ptr<EpochWorkspace> ws_;  // arena; built by the constructor
 };
 
 }  // namespace goc::market

@@ -47,11 +47,10 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
   }
 }
 
-sim::EngineKind engine_from_cli(const Cli& cli) {
-  const std::string name = cli.get_string("engine", "flat");
-  if (name == "flat") return sim::EngineKind::kFlat;
-  if (name == "legacy") return sim::EngineKind::kLegacy;
-  throw std::invalid_argument("unknown engine '" + name + "' (flat, legacy)");
+/// Scenario parameters are checked at submit, so a bad one answers with
+/// an `err` line instead of failing (or running nothing) inside the job.
+void require_param(bool ok, const char* reason) {
+  if (!ok) throw std::invalid_argument(reason);
 }
 
 /// The shared progress vocabulary of `status` and `watch` — both render
@@ -102,7 +101,7 @@ Server::Server(ServerOptions options)
 JobTable::Work Server::make_batch_work(const Cli& cli) {
   reject_unknown(cli, with_batch_names({"scenario", "miners", "chains",
                                         "coins", "days", "epoch-lanes",
-                                        "engine", "seed"}));
+                                        "seed"}));
   sim::TrajectoryBatchOptions options;
   options.pool = &pool_;
   options.root_seed = cli.get_u64("seed", options.root_seed);
@@ -116,13 +115,15 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     params.chains = cli.get_u64("chains", params.chains);
     params.days = cli.get_double("days", params.days);
     params.epoch_lanes = sim::epoch_lanes_from_cli(cli, params.epoch_lanes);
-    const sim::EngineKind engine = engine_from_cli(cli);
-    return [options, params, engine](const engine::CancelView& cancel,
-                                     const JobTable::ProgressFn& progress) {
+    require_param(params.miners >= 1, "--miners must be at least 1");
+    require_param(params.chains >= 1, "--chains must be at least 1");
+    require_param(params.days > 0.0, "--days must be positive");
+    return [options, params](const engine::CancelView& cancel,
+                             const JobTable::ProgressFn& progress) {
       const sim::TrajectoryBatchOptions opts =
           with_progress(options, cancel, progress);
       const auto factory = [&](std::uint64_t seed) {
-        return sim::make_reference_chain(params, engine, seed);
+        return sim::make_reference_chain(params, sim::EngineKind::kFlat, seed);
       };
       return batch_outcome(sim::run_chain_batch(factory, opts),
                            "goc-serve batch chain-reference");
@@ -132,6 +133,10 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     const std::size_t miners = cli.get_u64("miners", 48);
     const std::size_t coins = cli.get_u64("coins", 3);
     const double days = cli.get_double("days", 30.0);
+    require_param(miners >= 1, "--miners must be at least 1");
+    require_param(coins >= 1, "--coins must be at least 1");
+    require_param(days * 24.0 >= 1.0,
+                  "--days must cover at least one hourly epoch");
     const std::uint64_t seed = options.root_seed;
     // market::Scenario is move-only (unique_ptr price processes), and a
     // JobTable::Work must be copyable — rebuild the prototype inside the
@@ -152,6 +157,9 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     params.miners = cli.get_u64("miners", params.miners);
     params.days = cli.get_double("days", params.days);
     params.seed = cli.get_u64("seed", params.seed);
+    require_param(params.miners >= 2, "--miners must be at least 2");
+    require_param(params.days > params.revert_day,
+                  "--days must extend past the reversal day");
     return [options, params](const engine::CancelView& cancel,
                              const JobTable::ProgressFn& progress) {
       const sim::TrajectoryBatchOptions opts =
@@ -455,7 +463,7 @@ void Server::cmd_help(std::ostream& out) {
       << "# stats [--json]  process metrics (Prometheus text or one JSON "
          "line)\n"
       << "# batch: --scenario=chain-reference|market-random|market-fork\n"
-      << "#        --miners --chains --coins --days --epoch-lanes --engine\n"
+      << "#        --miners --chains --coins --days --epoch-lanes\n"
       << "#        --seed --replicas --stop-* --checkpoint[-interval]\n"
       << "# sweep: --miners=a,b --coins=a,b --power-shapes=... --trials\n"
       << "#        --seed --max-steps\n"

@@ -19,7 +19,7 @@ struct EventMetrics {
     static EventMetrics m = [] {
       auto& reg = obs::Registry::instance();
       static constexpr const char* kTypeNames[kNumEventTypes] = {
-          "block_found", "decision_epoch", "price_tick", "fee_update"};
+          "block_found", "decision_epoch"};
       EventMetrics out{{}, {}, reg.counter("sim.events.stale_dropped")};
       for (std::size_t t = 0; t < kNumEventTypes; ++t) {
         out.dispatched[t] = &reg.counter(std::string("sim.events.dispatched.") +
@@ -53,20 +53,6 @@ void EventCore::invalidate(EventType type, std::uint32_t subject) {
   GOC_CHECK_ARG(subject < gens.size(), "undeclared event stream");
   ++gens[subject];
   EventMetrics::get().invalidated[static_cast<std::size_t>(type)]->add();
-}
-
-bool EventCore::pop(Event& out) {
-  EventMetrics& metrics = EventMetrics::get();
-  while (pop_raw(out)) {
-    if (is_stale(out)) {
-      metrics.stale_dropped.add();
-      continue;
-    }
-    now_ = out.time;
-    metrics.dispatched[static_cast<std::size_t>(out.type)]->add();
-    return true;
-  }
-  return false;
 }
 
 bool EventCore::pop_until(Event& out, double t_end) {

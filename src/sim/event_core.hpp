@@ -10,47 +10,33 @@
 /// \file event_core.hpp
 /// The flat discrete-event core — layer 1 of the `sim/` subsystem.
 ///
-/// The legacy `chain::EventQueue` stores one `std::function` per event: a
-/// heap allocation at schedule time, an indirect call at dispatch, and
-/// 48-byte items churning through `std::priority_queue`. This core replaces
-/// the callback with a type-tagged POD `Event` dispatched by enum switch at
-/// the call site, stored in an explicit binary heap over a reusable
-/// `std::vector` — zero per-event allocation once the heap has warmed up.
+/// Events are type-tagged POD `Event`s dispatched by enum switch at the
+/// call site (no stored callback, so no heap allocation at schedule time
+/// and no indirect call at dispatch), kept in an explicit binary heap over
+/// a reusable `std::vector` — zero per-event allocation once the heap has
+/// warmed up.
 ///
-/// Two facilities the simulators used to re-implement per call site live in
-/// the core itself:
+/// Two facilities live in the core itself:
 ///  * **FIFO tie-breaking** — events at equal times pop in schedule order
 ///    (a monotone sequence number participates in the heap order), so event
 ///    trajectories are deterministic without epsilon time offsets;
 ///  * **generation-counter invalidation** — each (type, subject) stream
 ///    carries a generation; `schedule` stamps the current one onto the
 ///    event and `invalidate` bumps it, so stale events (a block race whose
-///    rate changed when miners migrated) are skipped inside `pop` without
-///    ever reaching the dispatch switch. The exponential race is
+///    rate changed when miners migrated) are skipped inside `pop_until`
+///    without ever reaching the dispatch switch. The exponential race is
 ///    memoryless, so resampling after an invalidation is statistically
-///    exact — same contract as the legacy queue, now enforced centrally.
+///    exact.
 
 namespace goc::sim {
 
-/// Which simulators run on which engine. The flat core is the hot path;
-/// the legacy `chain::EventQueue` / epoch-loop path is retained as the
-/// reference implementation (same role as the `*_scan` walkers of the
-/// enumeration engine) and must produce bit-identical trajectories.
-enum class EngineKind {
-  kFlat,    ///< sim::EventCore, enum-switch dispatch (default)
-  kLegacy,  ///< std::function queue / plain epoch loop (reference)
-};
-
-/// Event vocabulary of the stochastic simulators. `subject` is the chain
-/// index for kBlockFound, the coin index for kPriceTick / kFeeUpdate, and
-/// unused (0) for kDecisionEpoch.
+/// Event vocabulary of the chain simulator. `subject` is the chain index
+/// for kBlockFound and unused (0) for kDecisionEpoch.
 enum class EventType : std::uint8_t {
   kBlockFound = 0,
   kDecisionEpoch = 1,
-  kPriceTick = 2,
-  kFeeUpdate = 3,
 };
-inline constexpr std::size_t kNumEventTypes = 4;
+inline constexpr std::size_t kNumEventTypes = 2;
 
 struct Event {
   double time = 0.0;
@@ -73,16 +59,13 @@ class EventCore {
   void schedule(double time, EventType type, std::uint32_t subject);
 
   /// Bumps the stream's generation: every pending event scheduled on it
-  /// becomes stale and will be silently dropped by `pop`.
+  /// becomes stale and will be silently dropped by `pop_until`.
   void invalidate(EventType type, std::uint32_t subject);
 
-  /// Pops the earliest *live* event into `out` and advances the clock to
-  /// its time. Stale events are skipped. Returns false when drained.
-  bool pop(Event& out);
-
-  /// Like `pop`, restricted to events with time ≤ `t_end`. When no live
-  /// event remains in the window the clock advances to `t_end` (mirroring
-  /// the legacy queue's `run_until`) and false is returned.
+  /// Pops the earliest *live* event with time ≤ `t_end` into `out` and
+  /// advances the clock to its time; stale events are skipped. When no
+  /// live event remains in the window the clock advances to `t_end` and
+  /// false is returned.
   bool pop_until(Event& out, double t_end);
 
   double now() const noexcept { return now_; }

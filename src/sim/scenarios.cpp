@@ -11,7 +11,7 @@
 namespace goc::sim {
 
 chain::MultiChainSimulator make_reference_chain(
-    const ReferenceChainParams& params, EngineKind engine,
+    const ReferenceChainParams& params, EngineKind /*unused*/,
     std::uint64_t seed) {
   const std::size_t miners = params.miners;
   const std::size_t num_chains = params.chains;
@@ -47,7 +47,6 @@ chain::MultiChainSimulator make_reference_chain(
   options.reevaluation_fraction = 0.15;
   options.seed = seed;
   options.record_timeline = false;
-  options.engine = engine;
   options.epoch_lanes = params.epoch_lanes;
   return chain::MultiChainSimulator(std::move(powers), std::move(chains),
                                     options, std::move(assignment));

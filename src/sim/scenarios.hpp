@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "chain/chain_sim.hpp"
-#include "sim/event_core.hpp"
 
 /// \file scenarios.hpp
 /// Canonical Monte Carlo reference workloads, single-sourced.
@@ -28,10 +27,12 @@ struct ReferenceChainParams {
   std::size_t epoch_lanes = 0;
 };
 
+/// Kept only for the `make_reference_chain` call signature; it has one value.
+enum class EngineKind { kFlat };
+
 /// The reference chain workload: a heavy-tailed population spread over
-/// many chains under game-semantics migration — block events dominate,
-/// and the legacy path pays a full miner scan per block. Deterministic in
-/// (params, engine, seed).
+/// many chains under game-semantics migration — block events dominate.
+/// Deterministic in (params, seed).
 chain::MultiChainSimulator make_reference_chain(
     const ReferenceChainParams& params, EngineKind engine, std::uint64_t seed);
 

@@ -435,10 +435,8 @@ std::uint64_t chain_result_hash(const chain::ChainSimResult& result) noexcept {
   for (const std::uint64_t b : result.blocks_per_chain) fnv::mix_bytes(h, b);
   for (const double r : result.miner_rewards_fiat) fnv::mix_bytes(h, r);
   for (const std::uint64_t b : result.miner_blocks) fnv::mix_bytes(h, b);
-  // share_prediction_mae is deliberately NOT hashed: the flat engine
-  // accrues it through the stint integral, the legacy engine per block, so
-  // it agrees across engines only to FP tolerance (see ChainSimResult) —
-  // every hashed field below is bit-identical.
+  // share_prediction_mae is deliberately NOT hashed: the committed goldens
+  // were recorded with this hash, and their format is frozen.
   fnv::mix_bytes(h, result.migrations);
   for (const chain::TimelinePoint& p : result.timeline) {
     fnv::mix_bytes(h, p.t_hours);

@@ -1,11 +1,36 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/assert.hpp"
 
 namespace goc {
+
+namespace {
+
+/// Parses all of `text` into `out` with the matching `std::sto*`: false
+/// when it throws or stops before the end ("12abc" is not 12).
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  try {
+    std::size_t used = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      out = std::stod(text, &used);
+    } else if constexpr (std::is_signed_v<T>) {
+      out = std::stoll(text, &used);
+    } else {
+      out = std::stoull(text, &used);
+    }
+    return used == text.size();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   GOC_CHECK_ARG(argc >= 1 && argv != nullptr, "Cli requires argv[0]");
@@ -45,36 +70,40 @@ std::string Cli::get_string(const std::string& name,
 std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
+  std::int64_t value = 0;
+  if (!parse_whole(it->second, value)) {
     throw std::invalid_argument("option --" + name + " expects an integer, got '" +
                                 it->second + "'");
   }
+  return value;
 }
 
 std::uint64_t Cli::get_u64(const std::string& name,
                            std::uint64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
+  // std::stoull accepts a sign and wraps a negative value ("-1" parses as
+  // 2^64 - 1), so any '-' is rejected up front.
+  std::uint64_t value = 0;
+  if (it->second.find('-') != std::string::npos ||
+      !parse_whole(it->second, value)) {
     throw std::invalid_argument("option --" + name +
                                 " expects an unsigned integer, got '" +
                                 it->second + "'");
   }
+  return value;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects a number, got '" +
-                                it->second + "'");
+  double value = 0.0;
+  if (!parse_whole(it->second, value) || !std::isfinite(value)) {
+    throw std::invalid_argument("option --" + name +
+                                " expects a finite number, got '" + it->second +
+                                "'");
   }
+  return value;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

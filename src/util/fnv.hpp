@@ -9,7 +9,7 @@
 /// Three hash-equality contracts in this repo ride on FNV-1a: the learning
 /// loop's `move_hash` (scan-vs-index trajectory equality), configuration
 /// hashing (equilibrium dedup buckets), and the sim layer's trajectory /
-/// value-matrix hashes (legacy-vs-flat and thread-invariance checks). Two
+/// value-matrix hashes (committed pins and thread-invariance checks). Two
 /// mixing granularities are deliberately kept:
 ///  * `mix_word`  — one xor-multiply per 64-bit word (the historical
 ///    `move_hash` / `Configuration::hash` definition; cheap, and collisions

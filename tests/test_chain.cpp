@@ -3,75 +3,10 @@
 #include <cmath>
 
 #include "chain/chain_sim.hpp"
-#include "chain/des.hpp"
 #include "chain/difficulty.hpp"
 
 namespace goc::chain {
 namespace {
-
-// ---------------------------------------------------------------------- DES
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  while (q.run_next()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueue, FifoTieBreak) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(1.0, [&] { order.push_back(2); });
-  q.schedule(1.0, [&] { order.push_back(3); });
-  while (q.run_next()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, RunUntilStopsAndAdvancesClock) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.schedule(5.0, [&] { ++fired; });
-  q.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int chain_length = 0;
-  std::function<void()> reschedule = [&] {
-    if (++chain_length < 5) q.schedule(q.now() + 1.0, reschedule);
-  };
-  q.schedule(0.5, reschedule);
-  q.run_until(100.0);
-  EXPECT_EQ(chain_length, 5);
-}
-
-TEST(EventQueue, RejectsPastAndNull) {
-  EventQueue q;
-  q.schedule(2.0, [] {});
-  q.run_until(2.0);
-  EXPECT_THROW(q.schedule(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule(3.0, nullptr), std::invalid_argument);
-}
-
-TEST(EventQueue, ClearDropsPending) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.clear();
-  q.run_until(5.0);
-  EXPECT_EQ(fired, 0);
-}
 
 // --------------------------------------------------------------- difficulty
 

@@ -185,11 +185,30 @@ TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
        {rule + "--stop-wave=0", rule + "--stop-min=1", rule + "--stop-tol=nan",
         std::string("submit batch --replicas=0"),
         std::string("submit batch --checkpoint=unused.gocr "
-                    "--checkpoint-interval=0")}) {
+                    "--checkpoint-interval=0"),
+        // Scenario parameters are checked at submit too.
+        std::string("submit batch --miners=0"),
+        std::string("submit batch --miners=-1"),
+        std::string("submit batch --chains=0"),
+        std::string("submit batch --days=0"),
+        std::string("submit batch --days=-5"),
+        std::string("submit batch --days=inf"),
+        std::string("submit batch --scenario=market-random --miners=0"),
+        std::string("submit batch --scenario=market-random --coins=0"),
+        std::string("submit batch --scenario=market-random --days=0.01"),
+        std::string("submit batch --scenario=market-fork --miners=1"),
+        std::string("submit batch --scenario=market-fork --days=10"),
+        std::string("submit batch --engine=legacy")}) {
     const std::string reply = respond(server, line);
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << line << " -> " << reply;
   }
   EXPECT_NE(respond(server, rule + "--stop-wave=0").find("wave"),
+            std::string::npos);
+  EXPECT_NE(respond(server, "submit batch --chains=0")
+                .find("--chains must be at least 1"),
+            std::string::npos);
+  EXPECT_NE(respond(server, "submit batch --engine=legacy")
+                .find(": --engine"),
             std::string::npos);
   // Nothing was queued: every request failed before reaching the table.
   EXPECT_EQ(server.jobs().size(), 0u);

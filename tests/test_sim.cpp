@@ -59,29 +59,32 @@ TEST(EventCore, PopsInTimeOrder) {
   core.schedule(2.0, EventType::kBlockFound, 2);
   Event event;
   std::vector<std::uint32_t> order;
-  while (core.pop(event)) order.push_back(event.subject);
+  while (core.pop_until(event, 3.0)) order.push_back(event.subject);
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(core.now(), 3.0);
 }
 
 TEST(EventCore, FifoTieBreakAcrossTypes) {
   EventCore core;
-  core.declare_streams(EventType::kPriceTick, 2);
-  core.declare_streams(EventType::kFeeUpdate, 2);
+  core.declare_streams(EventType::kBlockFound, 2);
   core.declare_streams(EventType::kDecisionEpoch, 1);
   // All at the same time: pop order must be schedule order.
-  core.schedule(1.0, EventType::kPriceTick, 0);
-  core.schedule(1.0, EventType::kFeeUpdate, 0);
-  core.schedule(1.0, EventType::kPriceTick, 1);
-  core.schedule(1.0, EventType::kFeeUpdate, 1);
   core.schedule(1.0, EventType::kDecisionEpoch, 0);
+  core.schedule(1.0, EventType::kBlockFound, 1);
+  core.schedule(1.0, EventType::kBlockFound, 0);
+  core.schedule(1.0, EventType::kDecisionEpoch, 0);
+  core.schedule(1.0, EventType::kBlockFound, 1);
   Event event;
-  std::vector<EventType> types;
-  while (core.pop(event)) types.push_back(event.type);
-  EXPECT_EQ(types, (std::vector<EventType>{
-                       EventType::kPriceTick, EventType::kFeeUpdate,
-                       EventType::kPriceTick, EventType::kFeeUpdate,
-                       EventType::kDecisionEpoch}));
+  std::vector<std::pair<EventType, std::uint32_t>> order;
+  while (core.pop_until(event, 1.0)) {
+    order.emplace_back(event.type, event.subject);
+  }
+  EXPECT_EQ(order, (std::vector<std::pair<EventType, std::uint32_t>>{
+                       {EventType::kDecisionEpoch, 0},
+                       {EventType::kBlockFound, 1},
+                       {EventType::kBlockFound, 0},
+                       {EventType::kDecisionEpoch, 0},
+                       {EventType::kBlockFound, 1}}));
 }
 
 TEST(EventCore, PopUntilStopsAndAdvancesClock) {
@@ -106,7 +109,7 @@ TEST(EventCore, InvalidationDropsStaleEvents) {
   core.schedule(3.0, EventType::kBlockFound, 0);  // new generation: live
   Event event;
   std::vector<double> times;
-  while (core.pop(event)) times.push_back(event.time);
+  while (core.pop_until(event, 3.0)) times.push_back(event.time);
   EXPECT_EQ(times, (std::vector<double>{2.0, 3.0}));
 }
 
@@ -118,9 +121,9 @@ TEST(EventCore, InvalidationIsPerStream) {
   core.schedule(1.5, EventType::kDecisionEpoch, 0);
   core.invalidate(EventType::kBlockFound, 1);  // unrelated stream
   Event event;
-  ASSERT_TRUE(core.pop(event));
+  ASSERT_TRUE(core.pop_until(event, 1.5));
   EXPECT_EQ(event.type, EventType::kBlockFound);
-  ASSERT_TRUE(core.pop(event));
+  ASSERT_TRUE(core.pop_until(event, 1.5));
   EXPECT_EQ(event.type, EventType::kDecisionEpoch);
 }
 
@@ -135,7 +138,7 @@ TEST(EventCore, ResetReusesCapacity) {
   EXPECT_DOUBLE_EQ(core.now(), 0.0);
   core.schedule(1.0, EventType::kBlockFound, 0);
   Event event;
-  ASSERT_TRUE(core.pop(event));
+  ASSERT_TRUE(core.pop_until(event, 1.0));
   EXPECT_EQ(event.seq, 0u);  // sequence counter rewound too
 }
 
@@ -144,14 +147,14 @@ TEST(EventCore, RejectsPastAndUndeclaredStreams) {
   core.declare_streams(EventType::kBlockFound, 1);
   core.schedule(2.0, EventType::kBlockFound, 0);
   Event event;
-  ASSERT_TRUE(core.pop(event));
+  ASSERT_TRUE(core.pop_until(event, 2.0));
   EXPECT_THROW(core.schedule(1.0, EventType::kBlockFound, 0),
                std::invalid_argument);
   EXPECT_THROW(core.schedule(3.0, EventType::kBlockFound, 7),
                std::invalid_argument);
-  EXPECT_THROW(core.schedule(3.0, EventType::kPriceTick, 0),
+  EXPECT_THROW(core.schedule(3.0, EventType::kDecisionEpoch, 0),
                std::invalid_argument);
-  EXPECT_THROW(core.invalidate(EventType::kFeeUpdate, 0),
+  EXPECT_THROW(core.invalidate(EventType::kDecisionEpoch, 0),
                std::invalid_argument);
 }
 
@@ -159,7 +162,7 @@ TEST(EventCore, RejectsPastAndUndeclaredStreams) {
 // Committed trajectory hashes. They were recorded while each simulator
 // still ran a second, independently written engine and both engines
 // produced exactly these values; the pins (with the committed GOLDEN_*.gocr
-// recordings) are now the oracle for the one remaining event path.
+// recordings) are the oracle for the one event path per simulator.
 
 chain::ChainSpec make_chain(const std::string& name, double difficulty,
                             double reward) {
@@ -199,10 +202,7 @@ void expect_chain_results_equal(const chain::ChainSimResult& a,
   for (std::size_t i = 0; i < a.miner_rewards_fiat.size(); ++i) {
     EXPECT_EQ(a.miner_rewards_fiat[i], b.miner_rewards_fiat[i]);
   }
-  // The one non-bitwise field: the flat engine accrues the prediction via
-  // the stint integral (O(1) per block), the legacy engine per member per
-  // block — mathematically equal sums, different FP association.
-  EXPECT_NEAR(a.share_prediction_mae, b.share_prediction_mae, 1e-9);
+  EXPECT_EQ(a.share_prediction_mae, b.share_prediction_mae);
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   ASSERT_EQ(a.timeline.size(), b.timeline.size());
@@ -216,9 +216,7 @@ void expect_chain_results_equal(const chain::ChainSimResult& a,
 }
 
 chain::ChainSimResult run_chain(chain::ChainSimOptions options,
-                                bool eda = false,
-                                EngineKind engine = EngineKind::kFlat) {
-  options.engine = engine;
+                                bool eda = false) {
   chain::MultiChainSimulator sim = build_chain_sim(options, eda);
   return sim.run();
 }
@@ -371,7 +369,6 @@ std::size_t flat_run_allocations(std::size_t epochs) {
   market::MarketOptions options;
   options.epochs = epochs;
   options.seed = 91;
-  options.engine = EngineKind::kFlat;
   market::MarketSimulator sim = build_market(options);
   const std::size_t before = g_new_calls.load(std::memory_order_relaxed);
   const std::vector<market::EpochRecord> records = sim.run();
@@ -405,6 +402,27 @@ TEST(MarketFlat, CurrentGameIsWorkspaceStable) {
   // further runs — the documented lifetime contract of current_game().
   sim.run();
   EXPECT_EQ(&sim.current_game(), game);
+}
+
+TEST(MarketFlat, MovedSimulatorKeepsRunning) {
+  // The workspace (game, configuration, index) lives on the heap, so the
+  // index's pointers survive moving the simulator between runs.
+  market::MarketOptions options;
+  options.epochs = 24;
+  options.seed = 56;
+  market::MarketSimulator stay = build_market(options);
+  const auto stay_first = stay.run();
+  const auto stay_second = stay.run();
+
+  market::MarketSimulator moved_from = build_market(options);
+  const auto first = moved_from.run();
+  market::MarketSimulator moved = std::move(moved_from);
+  const auto second = moved.run();
+  expect_market_records_equal(first, stay_first);
+  expect_market_records_equal(second, stay_second);
+  EXPECT_EQ(moved.current_game().num_coins(), 3u);
+  EXPECT_EQ(moved.configuration().system().num_miners(), 8u);
+  EXPECT_EQ(&moved.configuration().system(), &moved.current_game().system());
 }
 
 // ------------------------------------------------------- trajectory engine
@@ -977,16 +995,6 @@ TEST(ShardedEpoch, MyopicEdaChurnBitIdenticalAcrossLaneCounts) {
   EXPECT_GT(one.migrations, 10u);
   expect_chain_results_equal(one, four);
   expect_chain_pin(four, {13362711329755661680u, 0.0064540665717003681});
-}
-
-TEST(ShardedEpoch, FlatAndLegacyEnginesAgreeInShardedMode) {
-  // The sharded epoch is engine-agnostic: the same frozen-state decisions
-  // and apply-order replays on the legacy EventQueue path.
-  const auto options =
-      sharded_options(4, chain::MinerPolicy::kBetterResponse, 23);
-  expect_chain_results_equal(
-      run_chain(options, /*eda=*/false, EngineKind::kLegacy),
-      run_chain(options));
 }
 
 TEST(ShardedEpoch, RewardHookAndExternalPoolBitIdentical) {

@@ -302,6 +302,27 @@ TEST(Cli, TypeErrors) {
   EXPECT_THROW(cli.get_bool("b", false), std::invalid_argument);
 }
 
+TEST(Cli, StrictNumbers) {
+  const char* argv[] = {"prog",        "--neg=-1",   "--spaced= -1",
+                        "--tail=12abc", "--dtail=1.5x", "--nan=nan",
+                        "--inf=inf",    "--ninf=-inf",  "--ok=12",
+                        "--real=-2.5e3"};
+  Cli cli(10, argv);
+  // std::stoull("-1") wraps to 2^64 - 1; a sign is never an unsigned value.
+  EXPECT_THROW(cli.get_u64("neg", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_u64("spaced", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_u64("tail", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_i64("tail", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("tail", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("dtail", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("nan", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("inf", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("ninf", 0.0), std::invalid_argument);
+  EXPECT_EQ(cli.get_u64("ok", 0), 12u);
+  EXPECT_EQ(cli.get_i64("neg", 0), -1);
+  EXPECT_DOUBLE_EQ(cli.get_double("real", 0.0), -2500.0);
+}
+
 TEST(Cli, BooleanSpellings) {
   const char* argv[] = {"prog", "--t1", "--t2=true", "--t3=1",
                         "--f1=false", "--f2=0", "--f3=no"};
