@@ -1,7 +1,8 @@
 /// \file bench_des.cpp
 /// The stochastic hot path: throughput of the chain simulator's event core
-/// (`sim::EventCore`: POD events, enum switch, generation invalidation,
-/// per-chain member lists) and of the market's zero-rebuild epoch loop.
+/// (`sim::EventCore`: POD events, enum switch, one pending event per stream
+/// with in-place re-arm, per-chain member lists) and of the market's
+/// zero-rebuild epoch loop.
 /// Each row prints its trajectory hash, so a run is comparable byte for
 /// byte with the committed baseline.
 ///
@@ -44,8 +45,9 @@ chain::MultiChainSimulator make_reference_chain(std::size_t miners,
   return sim::make_reference_chain(params, sim::EngineKind::kFlat, seed);
 }
 
-/// The EDA stress: few miners, hot invalidation churn (every epoch moves
-/// hashrate, so races go stale constantly) — the queue-mechanics case.
+/// The EDA stress: few miners, hot re-arm churn (every epoch moves
+/// hashrate, so pending races are replaced constantly) — the
+/// queue-mechanics case.
 chain::MultiChainSimulator make_eda_chain(double days, std::uint64_t seed) {
   std::vector<chain::ChainSpec> chains;
   chains.push_back(chain::ChainSpec{
@@ -216,7 +218,7 @@ int run(int argc, char** argv) {
   }
   {
     const double days = quick ? 60.0 : 240.0;
-    add_row("chain 12m x 2c EDA sawtooth (invalidation churn)",
+    add_row("chain 12m x 2c EDA sawtooth (re-arm churn)",
             time_chain([&] { return make_eda_chain(days, seed0 + 1); }));
   }
   {

@@ -104,14 +104,17 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
 }
 
 void MultiChainSimulator::arm_block_race(std::size_t chain) {
-  if (mass_[chain] <= 0.0) return;  // re-armed when a miner joins
+  const auto stream = static_cast<std::uint32_t>(chain);
+  if (mass_[chain] <= 0.0) {  // re-armed when a miner joins
+    core_.cancel(sim::EventType::kBlockFound, stream);
+    return;
+  }
   // The next block faces the prospective difficulty (EDA discounts apply).
   const double difficulty =
       chains_[chain].adjuster->prospective(core_.now(), difficulty_[chain]);
   const double rate = mass_[chain] / difficulty;  // blocks per hour
   const double at = core_.now() + rng_.exponential(rate);
-  core_.schedule(at, sim::EventType::kBlockFound,
-                 static_cast<std::uint32_t>(chain));
+  core_.schedule(at, sim::EventType::kBlockFound, stream);
 }
 
 void MultiChainSimulator::on_block(std::size_t chain) {
@@ -175,11 +178,7 @@ void MultiChainSimulator::move_miner(std::size_t miner, std::size_t to_chain) {
   auto& dst = members_[to_chain];
   dst.insert(std::lower_bound(dst.begin(), dst.end(), id), id);
   // Both races now run at the wrong rate; memorylessness makes a fresh
-  // exponential draw exact. The core drops the stale races at pop time.
-  core_.invalidate(sim::EventType::kBlockFound,
-                   static_cast<std::uint32_t>(from));
-  core_.invalidate(sim::EventType::kBlockFound,
-                   static_cast<std::uint32_t>(to_chain));
+  // exponential draw exact. Re-arming replaces each pending race in place.
   arm_block_race(from);
   arm_block_race(to_chain);
 }
@@ -350,7 +349,7 @@ void MultiChainSimulator::decision_epoch_sharded() {
       });
 
   // --- Apply: replay the moves serially in miner order. --------------------
-  // Mass updates, member-list edits, race invalidation and the fresh
+  // Mass updates, member-list edits and the re-armed races' fresh
   // exponential draws all happen in ascending miner order, so the apply
   // phase is a pure function of the target vector — identical at any lane
   // count.

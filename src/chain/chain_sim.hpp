@@ -32,9 +32,12 @@
 ///    chain this produces the famous hashrate sawtooth.
 ///
 /// The simulator runs on `sim::EventCore` (POD events, enum-switch
-/// dispatch, generation invalidation in the core) and keeps a sorted member
-/// list per chain so a block costs O(miners on that chain) instead of
-/// O(all miners). Trajectories are pinned byte for byte by the committed
+/// dispatch, one pending event per stream: each chain's race and the
+/// decision clock). A migration re-schedules both affected races in place,
+/// a chain left without miners has its race cancelled, and a block re-arms
+/// its chain's race at the heap root. A sorted member list per chain makes
+/// a block cost O(miners on that chain) instead of O(all miners).
+/// Trajectories are pinned byte for byte by the committed
 /// `GOLDEN_chain.gocr` / `GOLDEN_fig1.gocr` recordings and by the hash pins
 /// in `tests/test_sim.cpp`.
 
@@ -113,8 +116,8 @@ struct ChainSimResult {
   /// because the committed golden format was recorded that way.
   double share_prediction_mae = 0.0;
   std::uint64_t migrations = 0;  ///< total miner moves across the run
-  /// Live events dispatched (blocks + decision epochs; stale races are
-  /// skipped before dispatch). The throughput denominator of `bench_des`.
+  /// Events dispatched (blocks + decision epochs). The throughput
+  /// denominator of `bench_des`.
   std::uint64_t events_dispatched = 0;
 };
 

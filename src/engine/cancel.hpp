@@ -8,12 +8,11 @@
 /// \file cancel.hpp
 /// Cooperative cancellation for long-running engine work.
 ///
-/// This is the `sim::EventCore` generation-invalidation idea lifted from
-/// events to jobs: a `CancelToken` carries a monotone generation counter,
-/// work snapshots the generation when it starts (`CancelView`), and a
-/// cancel *bumps* the counter instead of flipping a boolean — so one token
-/// can arm many successive runs, a stale view can never "un-cancel"
-/// itself, and the check is a single relaxed atomic load on the hot path.
+/// A `CancelToken` carries a monotone generation counter, work snapshots
+/// the generation when it starts (`CancelView`), and a cancel *bumps* the
+/// counter instead of flipping a boolean — so one token can arm many
+/// successive runs, a stale view can never "un-cancel" itself, and the
+/// check is a single relaxed atomic load on the hot path.
 /// Engine loops (`run_trajectory_batch`, `SweepRunner::run`, the
 /// enumeration shard fan-out) poll their view at natural boundaries
 /// (replica / task / shard) and throw `Cancelled`, which the pool's
@@ -39,9 +38,8 @@ class CancelToken {
     return generation_.load(std::memory_order_acquire);
   }
 
-  /// Cancels all outstanding views (same contract as
-  /// `EventCore::invalidate`: pending work scheduled under an older
-  /// generation becomes stale and dies at its next poll).
+  /// Cancels all outstanding views: work that snapshotted an older
+  /// generation becomes stale and dies at its next poll.
   void invalidate() noexcept {
     generation_.fetch_add(1, std::memory_order_acq_rel);
   }

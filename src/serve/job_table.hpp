@@ -26,13 +26,13 @@
 ///
 /// Completed results are retained until fetched (`fetch` hands the outcome
 /// over exactly once and erases the entry), so a client may poll `status`
-/// at leisure and collect the payload later. Cancellation rides the same
-/// generation-invalidation machinery the flat event core uses for stale
-/// races (engine/cancel.hpp): `cancel` bumps the job's `CancelToken`
-/// generation, the engines poll their `CancelView` at replica / task /
-/// shard boundaries, and the work unwinds with `engine::Cancelled`. The
-/// job is marked cancelled *immediately* — the client's `cancel` returns
-/// promptly even while the work is still draining its current replica.
+/// at leisure and collect the payload later. Cancellation rides the
+/// engines' cooperative-cancel token (engine/cancel.hpp): `cancel` bumps
+/// the job's `CancelToken` generation, the engines poll their `CancelView`
+/// at replica / task / shard boundaries, and the work unwinds with
+/// `engine::Cancelled`. The job is marked cancelled *immediately* — the
+/// client's `cancel` returns promptly even while the work is still
+/// draining its current replica.
 
 namespace goc::serve {
 

@@ -45,12 +45,12 @@ std::vector<std::size_t> parse_size_list(const std::string& text,
     const std::string item = text.substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
     if (!item.empty()) {
-      try {
-        values.push_back(static_cast<std::size_t>(std::stoull(item)));
-      } catch (const std::exception&) {
+      const auto value = parse_u64(item);
+      if (!value) {
         throw std::invalid_argument(what + " expects a comma-separated " +
                                     "integer list, got '" + text + "'");
       }
+      values.push_back(static_cast<std::size_t>(*value));
     }
     if (comma == std::string::npos) break;
     start = comma + 1;

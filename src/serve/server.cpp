@@ -39,12 +39,12 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
   if (args.empty() || args[0].rfind("--", 0) == 0) {
     throw std::invalid_argument(std::string(verb) + " expects a job id");
   }
-  try {
-    return std::stoull(args[0]);
-  } catch (const std::exception&) {
+  const auto id = parse_u64(args[0]);
+  if (!id) {
     throw std::invalid_argument(std::string(verb) + " expects a job id, got '" +
                                 args[0] + "'");
   }
+  return *id;
 }
 
 /// Scenario parameters are checked at submit, so a bad one answers with

@@ -37,8 +37,8 @@
 /// deterministic `values_hash` a one-shot CLI run of the identical
 /// workload produces (the scenario factories and batch flag grammar are
 /// single-sourced with the benches — sim/scenarios.hpp, sim/batch_cli.hpp).
-/// `cancel` rides the engines' generation-invalidation machinery
-/// (engine/cancel.hpp) and returns promptly.
+/// `cancel` bumps the job's `engine::CancelToken` (engine/cancel.hpp),
+/// which the engines poll at work boundaries, and returns promptly.
 
 namespace goc::serve {
 

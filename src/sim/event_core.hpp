@@ -2,31 +2,34 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <vector>
-
-#include "util/assert.hpp"
 
 /// \file event_core.hpp
 /// The flat discrete-event core — layer 1 of the `sim/` subsystem.
 ///
 /// Events are type-tagged POD `Event`s dispatched by enum switch at the
 /// call site (no stored callback, so no heap allocation at schedule time
-/// and no indirect call at dispatch), kept in an explicit binary heap over
-/// a reusable `std::vector` — zero per-event allocation once the heap has
-/// warmed up.
+/// and no indirect call at dispatch).
 ///
-/// Two facilities live in the core itself:
-///  * **FIFO tie-breaking** — events at equal times pop in schedule order
-///    (a monotone sequence number participates in the heap order), so event
-///    trajectories are deterministic without epsilon time offsets;
-///  * **generation-counter invalidation** — each (type, subject) stream
-///    carries a generation; `schedule` stamps the current one onto the
-///    event and `invalidate` bumps it, so stale events (a block race whose
-///    rate changed when miners migrated) are skipped inside `pop_until`
-///    without ever reaching the dispatch switch. The exponential race is
-///    memoryless, so resampling after an invalidation is statistically
-///    exact.
+/// The core holds **at most one pending event per (type, subject)
+/// stream**: an indexed binary min-heap with one slot per declared stream
+/// and a position table, sized once by `declare_streams` — no allocation
+/// and no stale events, ever.
+///  * `schedule` on a stream that already has a pending event *replaces*
+///    it in place (one sift from its current position). A block race whose
+///    rate changed when miners migrated is simply re-scheduled; the
+///    exponential race is memoryless, so the fresh draw is exact.
+///  * `cancel` removes a stream's pending event, if there is one.
+///  * `pop_until` leaves the dispatched event at the root and remembers
+///    its stream. When the handler re-arms that stream (a chain's next
+///    block race) the root is re-keyed with a single `sift_down` instead of
+///    a pop plus a push; otherwise the next `pop_until` removes it first.
+///
+/// Order is (time, seq) with `seq` assigned once per `schedule`, so events
+/// at equal times pop in schedule order (FIFO tie-breaking) and
+/// trajectories are deterministic without epsilon time offsets.
 
 namespace goc::sim {
 
@@ -40,62 +43,78 @@ inline constexpr std::size_t kNumEventTypes = 2;
 
 struct Event {
   double time = 0.0;
-  std::uint64_t seq = 0;         ///< schedule order; breaks time ties FIFO
-  std::uint32_t subject = 0;     ///< stream index within the type
-  std::uint32_t generation = 0;  ///< stream generation at schedule time
+  std::uint64_t seq = 0;      ///< schedule order; breaks time ties FIFO
+  std::uint32_t subject = 0;  ///< stream index within the type
   EventType type = EventType::kBlockFound;
 };
-static_assert(std::is_trivially_copyable_v<Event>,
-              "events must stay POD — the heap moves them by plain copy");
+static_assert(std::is_trivially_copyable_v<Event>, "events must stay POD");
 
 class EventCore {
  public:
-  /// Declares `count` subject streams for `type` (resets their
-  /// generations). Scheduling on an undeclared stream is an error.
+  /// Declares `count` subject streams for `type`. Scheduling on an
+  /// undeclared stream is an error. Re-declaring changes the slot layout,
+  /// so it drops every pending event (clock and sequence unchanged).
   void declare_streams(EventType type, std::size_t count);
 
-  /// Schedules an event at absolute `time` (must be ≥ now()), stamped with
-  /// the stream's current generation.
+  /// Schedules the stream's event at absolute `time` (must be ≥ now()),
+  /// replacing its pending event if it has one.
   void schedule(double time, EventType type, std::uint32_t subject);
 
-  /// Bumps the stream's generation: every pending event scheduled on it
-  /// becomes stale and will be silently dropped by `pop_until`.
-  void invalidate(EventType type, std::uint32_t subject);
+  /// Removes the stream's pending event; a no-op when it has none.
+  void cancel(EventType type, std::uint32_t subject);
 
-  /// Pops the earliest *live* event with time ≤ `t_end` into `out` and
-  /// advances the clock to its time; stale events are skipped. When no
-  /// live event remains in the window the clock advances to `t_end` and
-  /// false is returned.
+  /// Pops the earliest pending event with time ≤ `t_end` into `out` and
+  /// advances the clock to its time. When no event remains in the window
+  /// the clock advances to `t_end` and false is returned.
   bool pop_until(Event& out, double t_end);
 
   double now() const noexcept { return now_; }
-  /// Pending events, stale ones included.
-  std::size_t pending() const noexcept { return heap_.size(); }
-  bool empty() const noexcept { return heap_.empty(); }
+  /// Pending events: at most one per declared stream.
+  std::size_t pending() const noexcept {
+    return heap_.size() - (dispatched_ != kNoSlot ? 1 : 0);
+  }
+  bool empty() const noexcept { return pending() == 0; }
 
-  /// Drops all pending events (clock and generations unchanged, capacity
-  /// retained — reuse across replicas does not reallocate).
-  void clear() noexcept { heap_.clear(); }
-
-  /// Clears events, rewinds the clock to `now`, and resets the sequence
-  /// counter; stream declarations and capacity survive.
+  /// Drops pending events, rewinds the clock to `now`, and resets the
+  /// sequence counter; stream declarations and capacity survive.
   void reset(double now = 0.0);
 
  private:
-  static bool earlier(const Event& a, const Event& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-  void sift_up(std::size_t i) noexcept;
-  void sift_down(std::size_t i) noexcept;
-  bool pop_raw(Event& out) noexcept;  ///< heap pop, no staleness check
-  bool is_stale(const Event& e) const noexcept {
-    return generations_[static_cast<std::size_t>(e.type)][e.subject] !=
-           e.generation;
-  }
+  /// A heap node: the time plus `seq << kSlotBits | slot`. Sequence
+  /// numbers are unique, so comparing keys compares seqs.
+  struct Node {
+    double time;
+    std::uint64_t key;
+  };
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
 
-  std::vector<Event> heap_;  ///< explicit binary min-heap by (time, seq)
-  std::array<std::vector<std::uint32_t>, kNumEventTypes> generations_;
+  static bool earlier(const Node& a, const Node& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.key < b.key;
+  }
+  static std::uint32_t slot_of(const Node& n) noexcept {
+    return static_cast<std::uint32_t>(n.key & kSlotMask);
+  }
+  std::uint32_t slot(EventType type, std::uint32_t subject) const;
+  void place(std::size_t i, const Node& n) noexcept {
+    heap_[i] = n;
+    pos_[slot_of(n)] = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i, Node moving) noexcept;
+  void sift_down(std::size_t i, Node moving) noexcept;
+  void remove_at(std::size_t i) noexcept;
+
+  std::vector<Node> heap_;           ///< binary min-heap by (time, seq)
+  std::vector<std::uint32_t> pos_;   ///< slot → heap index, or kNoSlot
+  std::array<std::uint32_t, kNumEventTypes> first_slot_{};
+  std::array<std::uint32_t, kNumEventTypes> num_streams_{};
+  /// Slot of the dispatched event still sitting at the root, or kNoSlot.
+  std::uint32_t dispatched_ = kNoSlot;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

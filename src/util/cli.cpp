@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
@@ -19,10 +20,8 @@ bool parse_whole(const std::string& text, T& out) {
     std::size_t used = 0;
     if constexpr (std::is_floating_point_v<T>) {
       out = std::stod(text, &used);
-    } else if constexpr (std::is_signed_v<T>) {
-      out = std::stoll(text, &used);
     } else {
-      out = std::stoull(text, &used);
+      out = std::stoll(text, &used);
     }
     return used == text.size();
   } catch (const std::exception&) {
@@ -31,6 +30,16 @@ bool parse_whole(const std::string& text, T& out) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
+  // std::from_chars takes no sign, whitespace or base prefix for an
+  // unsigned type and reports overflow instead of wrapping.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   GOC_CHECK_ARG(argc >= 1 && argv != nullptr, "Cli requires argv[0]");
@@ -82,16 +91,13 @@ std::uint64_t Cli::get_u64(const std::string& name,
                            std::uint64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  // std::stoull accepts a sign and wraps a negative value ("-1" parses as
-  // 2^64 - 1), so any '-' is rejected up front.
-  std::uint64_t value = 0;
-  if (it->second.find('-') != std::string::npos ||
-      !parse_whole(it->second, value)) {
+  const auto value = parse_u64(it->second);
+  if (!value) {
     throw std::invalid_argument("option --" + name +
                                 " expects an unsigned integer, got '" +
                                 it->second + "'");
   }
-  return value;
+  return *value;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// \file cli.hpp
@@ -14,6 +16,12 @@
 /// with a usage string instead of silently ignoring a typo.
 
 namespace goc {
+
+/// Strict unsigned decimal: all of `text` must be digits (no sign, no
+/// whitespace, no trailing characters) and the value must fit in 64 bits.
+/// Every unsigned number read from a command line or a daemon request goes
+/// through here, so "-1" never wraps to 2^64 - 1 and "7x" is never 7.
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
 class Cli {
  public:

@@ -177,6 +177,27 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
   EXPECT_EQ(server.jobs().size(), 0u);
 }
 
+TEST(Server, RejectsSignedAndTrailingNumbers) {
+  Server server(ServerOptions{2});
+  for (const std::string& line :
+       {std::string("submit sweep --miners=-1,4 --coins=2"),
+        std::string("submit sweep --miners=4 --coins=2,+3"),
+        std::string("submit sweep --miners=4x --coins=2"),
+        std::string("submit sweep --miners=18446744073709551616 --coins=2"),
+        std::string("status 1x"), std::string("status -0"),
+        std::string("status +1"), std::string("cancel -1"),
+        std::string("result 1.0")}) {
+    const std::string reply = respond(server, line);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << line << " -> " << reply;
+  }
+  EXPECT_NE(respond(server, "submit sweep --miners=-1,4 --coins=2")
+                .find("--miners expects a comma-separated integer list"),
+            std::string::npos);
+  EXPECT_NE(respond(server, "status 1x").find("expects a job id, got '1x'"),
+            std::string::npos);
+  EXPECT_EQ(server.jobs().size(), 0u);
+}
+
 TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
   Server server(ServerOptions{2});
   const std::string rule =

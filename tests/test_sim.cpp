@@ -7,7 +7,10 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "replay/replay.hpp"
 #include "sim/event_core.hpp"
 #include "sim/trajectory.hpp"
+#include "util/rng.hpp"
 
 // ------------------------------------------- allocation-counting operator new
 // Counts every heap allocation in the binary so the zero-allocation claim of
@@ -66,65 +70,190 @@ TEST(EventCore, PopsInTimeOrder) {
 
 TEST(EventCore, FifoTieBreakAcrossTypes) {
   EventCore core;
-  core.declare_streams(EventType::kBlockFound, 2);
+  core.declare_streams(EventType::kBlockFound, 4);
   core.declare_streams(EventType::kDecisionEpoch, 1);
-  // All at the same time: pop order must be schedule order.
-  core.schedule(1.0, EventType::kDecisionEpoch, 0);
+  // All at the same time on distinct streams: pop order is schedule order.
   core.schedule(1.0, EventType::kBlockFound, 1);
+  core.schedule(1.0, EventType::kDecisionEpoch, 0);
   core.schedule(1.0, EventType::kBlockFound, 0);
-  core.schedule(1.0, EventType::kDecisionEpoch, 0);
-  core.schedule(1.0, EventType::kBlockFound, 1);
+  core.schedule(1.0, EventType::kBlockFound, 3);
+  core.schedule(1.0, EventType::kBlockFound, 2);
   Event event;
   std::vector<std::pair<EventType, std::uint32_t>> order;
   while (core.pop_until(event, 1.0)) {
     order.emplace_back(event.type, event.subject);
   }
   EXPECT_EQ(order, (std::vector<std::pair<EventType, std::uint32_t>>{
-                       {EventType::kDecisionEpoch, 0},
                        {EventType::kBlockFound, 1},
-                       {EventType::kBlockFound, 0},
                        {EventType::kDecisionEpoch, 0},
-                       {EventType::kBlockFound, 1}}));
+                       {EventType::kBlockFound, 0},
+                       {EventType::kBlockFound, 3},
+                       {EventType::kBlockFound, 2}}));
 }
 
 TEST(EventCore, PopUntilStopsAndAdvancesClock) {
   EventCore core;
-  core.declare_streams(EventType::kBlockFound, 1);
+  core.declare_streams(EventType::kBlockFound, 2);
   core.schedule(1.0, EventType::kBlockFound, 0);
-  core.schedule(5.0, EventType::kBlockFound, 0);
+  core.schedule(5.0, EventType::kBlockFound, 1);
+  EXPECT_EQ(core.pending(), 2u);
   Event event;
   EXPECT_TRUE(core.pop_until(event, 2.0));
   EXPECT_DOUBLE_EQ(event.time, 1.0);
+  EXPECT_DOUBLE_EQ(core.now(), 1.0);
+  EXPECT_EQ(core.pending(), 1u);
   EXPECT_FALSE(core.pop_until(event, 2.0));
   EXPECT_DOUBLE_EQ(core.now(), 2.0);
   EXPECT_EQ(core.pending(), 1u);
 }
 
-TEST(EventCore, InvalidationDropsStaleEvents) {
+TEST(EventCore, ScheduleReplacesPendingEvent) {
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, 3);
+  core.schedule(1.0, EventType::kBlockFound, 0);
+  core.schedule(2.0, EventType::kBlockFound, 1);
+  core.schedule(4.0, EventType::kBlockFound, 2);
+  core.schedule(3.0, EventType::kBlockFound, 0);  // later: sifts down
+  core.schedule(0.5, EventType::kBlockFound, 2);  // earlier: sifts up
+  EXPECT_EQ(core.pending(), 3u);
+  Event event;
+  std::vector<std::pair<double, std::uint32_t>> order;
+  while (core.pop_until(event, 10.0)) {
+    order.emplace_back(event.time, event.subject);
+    // Re-arm the dispatched stream once, like a chain's next block race.
+    if (event.time == 2.0) core.schedule(3.0, EventType::kBlockFound, 1);
+  }
+  // Stream 1's re-armed race ties stream 0 at 3.0 but was scheduled later.
+  EXPECT_EQ(order, (std::vector<std::pair<double, std::uint32_t>>{
+                       {0.5, 2}, {2.0, 1}, {3.0, 0}, {3.0, 1}}));
+  EXPECT_TRUE(core.empty());
+}
+
+TEST(EventCore, CancelRemovesPendingEvent) {
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, 3);
+  core.declare_streams(EventType::kDecisionEpoch, 1);
+  core.schedule(1.0, EventType::kBlockFound, 0);
+  core.schedule(1.2, EventType::kBlockFound, 1);
+  core.schedule(1.5, EventType::kDecisionEpoch, 0);
+  core.cancel(EventType::kBlockFound, 1);
+  EXPECT_EQ(core.pending(), 2u);
+  core.cancel(EventType::kBlockFound, 1);  // nothing pending: no-op
+  core.cancel(EventType::kBlockFound, 2);  // never scheduled: no-op
+  EXPECT_EQ(core.pending(), 2u);
+  Event event;
+  ASSERT_TRUE(core.pop_until(event, 1.5));
+  EXPECT_EQ(event.type, EventType::kBlockFound);
+  EXPECT_EQ(event.subject, 0u);
+  ASSERT_TRUE(core.pop_until(event, 1.5));
+  EXPECT_EQ(event.type, EventType::kDecisionEpoch);
+  EXPECT_FALSE(core.pop_until(event, 1.5));
+  EXPECT_TRUE(core.empty());
+}
+
+TEST(EventCore, CancelOfDispatchedStreamIsNoop) {
   EventCore core;
   core.declare_streams(EventType::kBlockFound, 2);
   core.schedule(1.0, EventType::kBlockFound, 0);
   core.schedule(2.0, EventType::kBlockFound, 1);
-  core.invalidate(EventType::kBlockFound, 0);
-  core.schedule(3.0, EventType::kBlockFound, 0);  // new generation: live
   Event event;
-  std::vector<double> times;
-  while (core.pop_until(event, 3.0)) times.push_back(event.time);
-  EXPECT_EQ(times, (std::vector<double>{2.0, 3.0}));
+  ASSERT_TRUE(core.pop_until(event, 5.0));
+  EXPECT_EQ(event.subject, 0u);
+  EXPECT_EQ(core.pending(), 1u);
+  core.cancel(EventType::kBlockFound, 0);  // already dispatched
+  EXPECT_EQ(core.pending(), 1u);
+  ASSERT_TRUE(core.pop_until(event, 5.0));
+  EXPECT_EQ(event.subject, 1u);
+  EXPECT_DOUBLE_EQ(event.time, 2.0);
+  // A cancelled-then-rescheduled dispatched stream is armed afresh.
+  core.cancel(EventType::kBlockFound, 1);
+  core.schedule(3.0, EventType::kBlockFound, 1);
+  EXPECT_EQ(core.pending(), 1u);
+  ASSERT_TRUE(core.pop_until(event, 5.0));
+  EXPECT_EQ(event.subject, 1u);
+  EXPECT_DOUBLE_EQ(event.time, 3.0);
+  EXPECT_FALSE(core.pop_until(event, 5.0));
+  EXPECT_TRUE(core.empty());
 }
 
-TEST(EventCore, InvalidationIsPerStream) {
+TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
+  // Reference: every pending event in one ordered set, at most one per
+  // stream. Times come from a coarse grid so ties are common and the FIFO
+  // tie-break is exercised.
+  using Key = std::tuple<double, std::uint64_t, EventType, std::uint32_t>;
+  constexpr std::uint32_t kBlocks = 6;
+  constexpr std::uint32_t kStreams = kBlocks + 1;
   EventCore core;
-  core.declare_streams(EventType::kBlockFound, 2);
+  core.declare_streams(EventType::kBlockFound, kBlocks);
   core.declare_streams(EventType::kDecisionEpoch, 1);
-  core.schedule(1.0, EventType::kBlockFound, 0);
-  core.schedule(1.5, EventType::kDecisionEpoch, 0);
-  core.invalidate(EventType::kBlockFound, 1);  // unrelated stream
-  Event event;
-  ASSERT_TRUE(core.pop_until(event, 1.5));
-  EXPECT_EQ(event.type, EventType::kBlockFound);
-  ASSERT_TRUE(core.pop_until(event, 1.5));
-  EXPECT_EQ(event.type, EventType::kDecisionEpoch);
+  std::set<Key> ref;
+  std::vector<std::optional<Key>> ref_pending(kStreams);
+  std::uint64_t ref_seq = 0;
+  double ref_now = 0.0;
+  const auto stream_of = [](std::uint32_t s) {
+    return s < kBlocks ? std::pair{EventType::kBlockFound, s}
+                       : std::pair{EventType::kDecisionEpoch, 0u};
+  };
+  const auto ref_cancel = [&](std::uint32_t s) {
+    if (ref_pending[s]) ref.erase(*ref_pending[s]);
+    ref_pending[s].reset();
+  };
+  const auto schedule = [&](std::uint32_t s, double time) {
+    const auto [type, subject] = stream_of(s);
+    core.schedule(time, type, subject);
+    ref_cancel(s);
+    ref_pending[s] = Key{time, ref_seq++, type, subject};
+    ref.insert(*ref_pending[s]);
+  };
+  const auto grid = [](Rng& rng) {
+    return 0.25 * static_cast<double>(rng.next_below(6));
+  };
+
+  Rng rng(20211);
+  std::size_t pops = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const auto s = static_cast<std::uint32_t>(rng.next_below(kStreams));
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 45) {
+      schedule(s, core.now() + grid(rng));
+    } else if (kind < 60) {
+      const auto [type, subject] = stream_of(s);
+      core.cancel(type, subject);
+      ref_cancel(s);
+    } else if (kind < 99) {
+      const double t_end = core.now() + grid(rng);
+      Event event;
+      const bool popped = core.pop_until(event, t_end);
+      const bool ref_popped =
+          !ref.empty() && std::get<0>(*ref.begin()) <= t_end;
+      ASSERT_EQ(popped, ref_popped) << "op " << op;
+      if (ref_popped) {
+        const Key head = *ref.begin();
+        ASSERT_EQ(Key(event.time, event.seq, event.type, event.subject), head)
+            << "op " << op;
+        const std::uint32_t hs = event.type == EventType::kBlockFound
+                                     ? event.subject
+                                     : kBlocks;
+        ref_cancel(hs);
+        ref_now = event.time;
+        ++pops;
+        // Half the time re-arm the dispatched stream, as a block handler
+        // re-arms its chain's race.
+        if (rng.bernoulli(0.5)) schedule(hs, core.now() + grid(rng));
+      } else {
+        ref_now = t_end;
+      }
+    } else {
+      core.reset();
+      ref.clear();
+      for (auto& p : ref_pending) p.reset();
+      ref_seq = 0;
+      ref_now = 0.0;
+    }
+    ASSERT_EQ(core.now(), ref_now) << "op " << op;
+    ASSERT_EQ(core.pending(), ref.size()) << "op " << op;
+  }
+  EXPECT_GT(pops, 50000u);
 }
 
 TEST(EventCore, ResetReusesCapacity) {
@@ -154,8 +283,14 @@ TEST(EventCore, RejectsPastAndUndeclaredStreams) {
                std::invalid_argument);
   EXPECT_THROW(core.schedule(3.0, EventType::kDecisionEpoch, 0),
                std::invalid_argument);
-  EXPECT_THROW(core.invalidate(EventType::kDecisionEpoch, 0),
+  EXPECT_THROW(core.cancel(EventType::kDecisionEpoch, 0),
                std::invalid_argument);
+  // Streams of all types together must fit the node key's 24-bit slot.
+  EXPECT_THROW(core.declare_streams(EventType::kDecisionEpoch, 1u << 24),
+               std::invalid_argument);
+  EXPECT_EQ(core.pending(), 0u);
+  core.schedule(3.0, EventType::kBlockFound, 0);  // layout survived
+  EXPECT_EQ(core.pending(), 1u);
 }
 
 // ---------------------------------------------------- trajectory pins
@@ -245,8 +380,8 @@ TEST(ChainPin, StaticPolicy) {
 }
 
 TEST(ChainPin, BetterResponseWithMidRaceInvalidation) {
-  // Migrations invalidate in-flight block races; the core must drop
-  // exactly the stale races.
+  // Migrations re-schedule in-flight block races in place; every
+  // replacement must land exactly where the resampled race belongs.
   chain::ChainSimOptions options;
   options.duration_hours = 24.0 * 15;
   options.policy = chain::MinerPolicy::kBetterResponse;

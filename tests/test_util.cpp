@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/cli.hpp"
@@ -321,6 +323,18 @@ TEST(Cli, StrictNumbers) {
   EXPECT_EQ(cli.get_u64("ok", 0), 12u);
   EXPECT_EQ(cli.get_i64("neg", 0), -1);
   EXPECT_DOUBLE_EQ(cli.get_double("real", 0.0), -2500.0);
+}
+
+TEST(Cli, ParseU64IsStrict) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("12"), 12u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "-0", "+5", " 5", "5 ", "1x", "0x10",
+                          "1.0", "1e3", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(Cli, BooleanSpellings) {
