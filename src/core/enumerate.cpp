@@ -317,23 +317,14 @@ ShardPlan plan_shards(const System& system, const SymmetryClasses& classes,
   ShardPlan plan;
   std::vector<std::uint32_t> digits(n, 0);
   std::uint64_t rank = 0;
-  for (;;) {
+  do {
     const std::uint64_t size = shard_size(system, classes, free_miners, digits);
     plan.starts.push_back(digits);
     plan.sizes.push_back(size);
     plan.start_ranks.push_back(rank);
     rank += size;
-    std::size_t pos = free_miners;
-    while (pos < n) {
-      if (digits[pos] < canonical_cap(classes, digits, pos, coins)) {
-        ++digits[pos];
-        break;
-      }
-      digits[pos] = 0;
-      ++pos;
-    }
-    if (pos == n) break;
-  }
+  } while (canonical_step(classes, digits, free_miners, coins,
+                          [](std::size_t, std::uint32_t, std::uint32_t) {}));
 
   // Phase 2: prefix sizes can be wildly uneven (one big symmetry class
   // puts ~the whole space under a single top digit). Split every prefix
@@ -387,6 +378,20 @@ IntegerGameView integer_game_view(const Game& game) {
   return view;
 }
 
+IntegerWalkState integer_walk_state(const IntegerGameView& view,
+                                    const std::vector<std::uint32_t>& digits) {
+  IntegerWalkState st;
+  st.view = &view;
+  st.digits = digits;
+  st.mass.assign(view.reward.size(), 0);
+  st.population.assign(view.reward.size(), 0);
+  for (std::size_t i = 0; i < digits.size(); ++i) {
+    st.mass[digits[i]] += view.power[i];
+    ++st.population[digits[i]];
+  }
+  return st;
+}
+
 Configuration materialize_configuration(const std::shared_ptr<const System>& system,
                                         const std::vector<std::uint32_t>& digits) {
   std::vector<CoinId> assignment;
@@ -395,9 +400,17 @@ Configuration materialize_configuration(const std::shared_ptr<const System>& sys
   return Configuration(system, std::move(assignment));
 }
 
+namespace {
+
+/// Shards per lane, so uneven per-shard cost still load-balances across
+/// the pool.
+constexpr std::size_t kShardsPerLane = 8;
+
+/// Lane count for `opts` over `load` weighted configurations: the pool's
+/// lanes (or `opts.threads`), clamped to 1 below the serial cutoff.
 std::size_t enumeration_lanes(const EnumerationOptions& opts,
-                              std::optional<std::uint64_t> canonical) {
-  if (canonical.has_value() && *canonical < opts.serial_cutoff) return 1;
+                              std::optional<std::uint64_t> load) {
+  if (load.has_value() && *load < opts.serial_cutoff) return 1;
   // An explicitly provided pool is the caller's deliberate lane choice.
   if (opts.pool != nullptr) return opts.pool->num_threads() + 1;
   // Otherwise cap at hardware: a CPU-bound walk never benefits from more
@@ -409,16 +422,36 @@ std::size_t enumeration_lanes(const EnumerationOptions& opts,
 }
 
 std::size_t shard_target(const EnumerationOptions& opts, std::size_t lanes,
-                         std::optional<std::uint64_t> canonical) {
+                         std::optional<std::uint64_t> load) {
   if (lanes == 1) return 1;
-  std::size_t target = lanes * opts.shards_per_lane;
-  if (canonical.has_value() && opts.min_shard_configs > 0) {
-    const std::uint64_t fit = *canonical / opts.min_shard_configs;
+  std::size_t target = lanes * kShardsPerLane;
+  if (load.has_value() && opts.min_shard_configs > 0) {
+    const std::uint64_t fit = *load / opts.min_shard_configs;
     if (fit < target) {
       target = static_cast<std::size_t>(fit < lanes ? lanes : fit);
     }
   }
   return target;
+}
+
+}  // namespace
+
+EnumerationPlan plan_enumeration(const System& system,
+                                 const SymmetryClasses& classes,
+                                 const EnumerationOptions& opts,
+                                 std::uint64_t weight) {
+  std::optional<std::uint64_t> load = canonical_count(system, classes);
+  if (load.has_value()) {
+    if (weight != 0 && *load > UINT64_MAX / weight) {
+      load.reset();  // overflow: a space this heavy is never serial
+    } else {
+      *load *= weight;
+    }
+  }
+  EnumerationPlan plan;
+  plan.lanes = enumeration_lanes(opts, load);
+  plan.shards = plan_shards(system, classes, shard_target(opts, plan.lanes, load));
+  return plan;
 }
 
 // ---------------------------------------------------------------- access

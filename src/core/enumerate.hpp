@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/configuration.hpp"
@@ -24,16 +23,22 @@
 /// configuration space S = C^n for equilibrium enumeration, Assumption 1
 /// checking, and exact-potential verification.
 ///
-/// Four stacked mechanisms (mirroring the learning hot loop of PR 2):
+/// One walk serves every consumer. `canonical_step` is the canonical
+/// odometer's increment-and-carry, written once; `walk_canonical_range`
+/// runs it over a rank range, templated on the walk state; `plan_enumeration`
+/// and `enumerate_planned` are the one planner and the one driver. Around
+/// that walk:
 ///
-///  * **De-virtualized incremental walk** — `walk_canonical_shard` is a
-///    template over its visitor (no `std::function` dispatch) and advances
-///    an odometer one `Configuration::move` at a time, so per-coin masses
-///    update in O(1) per visited configuration.
+///  * **Incremental walk states** — the walker is a template over its
+///    visitor (no `std::function` dispatch) and hands each digit hop to the
+///    walk state: a `Configuration` applies one `move` (exact masses,
+///    restricted access), an `IntegerWalkState` applies raw i128 mass and
+///    population deltas (integer games with unrestricted access). Either
+///    way a step costs O(1).
 ///  * **Symmetry reduction** — miners with identical power and identical
 ///    access rights are interchangeable: permuting them is a game
 ///    automorphism, so equilibrium-ness, never-alone violations, and
-///    4-cycle obstructions are orbit-invariant. The walker enumerates only
+///    4-cycle obstructions are orbit-invariant. The walk visits only
 ///    *canonical representatives* (coin ids non-decreasing in miner-id
 ///    order within each class), shrinking |C|^n toward the multiset count;
 ///    `expand_orbit` recovers the full orbit on demand.
@@ -44,8 +49,8 @@
 ///    (`ShardPlan::sizes` / `start_ranks`), so per-shard results
 ///    concatenate into a result that is bit-identical at any thread count.
 ///  * **i128 predicates** — consumers check equilibrium/stability inside
-///    the walk with `MoveComparator` (core/move_compare.hpp) instead of
-///    exact `Rational` payoff scans.
+///    the walk with `MoveComparator` (core/move_compare.hpp) or raw integer
+///    cross-multiplication instead of exact `Rational` payoff scans.
 ///
 /// The legacy `for_each_configuration` callback walker is kept verbatim as
 /// the validation reference (`--compare-scan` paths and golden tests).
@@ -121,8 +126,8 @@ std::uint64_t odometer_rank(const std::vector<CoinId>& assignment,
 
 /// Canonical cap of miner `pos`'s digit: its next classmate's current
 /// digit (the non-decreasing-within-class constraint), else the largest
-/// coin. The one definition of the canonical form, shared by both walkers
-/// and the shard planner.
+/// coin. The one definition of the canonical form, shared by
+/// `canonical_step` and canonical unranking.
 inline std::uint32_t canonical_cap(const SymmetryClasses& classes,
                                    const std::vector<std::uint32_t>& digits,
                                    std::size_t pos, std::uint32_t coins) {
@@ -144,20 +149,16 @@ struct EnumerationOptions {
   /// std::invalid_argument above it even when the canonical space is
   /// smaller).
   std::uint64_t max_configs = 1u << 22;
-  /// Shard granularity: aim for this many shards per lane so uneven
-  /// per-shard cost still load-balances across the pool.
-  std::size_t shards_per_lane = 8;
-  /// …but never shards smaller than this many configurations (dispatch
-  /// overhead would exceed the walk): the shard count is capped at
+  /// Shards hold at least this many (weighted) configurations — dispatch
+  /// overhead would exceed a smaller walk: the shard count is capped at
   /// canonical/min_shard_configs (floored at one shard per lane).
   std::uint64_t min_shard_configs = 1024;
   /// Canonical spaces smaller than this run serially in one shard —
   /// fan-out overhead would swamp the walk (results are identical either
   /// way; this is purely a scheduling decision). Consumers with heavy
   /// per-configuration work compare a *weighted* count against this
-  /// cutoff instead of lowering it (the 4-cycle scanners multiply the
-  /// base count by cycles-per-base; see `weighted_bases` in
-  /// exact_potential.cpp).
+  /// cutoff instead of lowering it (`plan_enumeration`'s `weight`; the
+  /// 4-cycle scanners pass cycles per base).
   std::uint64_t serial_cutoff = 4096;
   /// Reuse an existing pool instead of spawning one per call (spawning
   /// costs more than walking a small game). Non-owning; lanes =
@@ -205,178 +206,33 @@ std::vector<std::uint32_t> canonical_digits_at_rank(
 
 // ------------------------------------------------------------ the walk
 
-/// Visits every canonical configuration of one shard in canonical odometer
-/// order, advancing via `Configuration::move` (one miner hop per step).
-/// `visit(const Configuration&)` returns false to abort the shard; the
-/// function returns false iff aborted. `prefix` pins the digits of miners
-/// [free_miners, n) — pass free_miners == n (empty prefix) for the whole
-/// space.
-template <typename Visit>
-bool walk_canonical_shard(const std::shared_ptr<const System>& system,
-                          const SymmetryClasses& classes,
-                          std::size_t free_miners,
-                          const std::vector<std::uint32_t>& prefix,
-                          Visit&& visit) {
-  const std::size_t n = system->num_miners();
-  const std::uint32_t coins = static_cast<std::uint32_t>(system->num_coins());
-  std::vector<std::uint32_t> digits(n, 0);
-  for (std::size_t j = free_miners; j < n; ++j) digits[j] = prefix[j - free_miners];
-  std::vector<CoinId> assignment;
-  assignment.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) assignment.emplace_back(digits[i]);
-  Configuration config(system, std::move(assignment));
-  for (;;) {
-    if (!visit(static_cast<const Configuration&>(config))) return false;
-    std::size_t pos = 0;
-    while (pos < free_miners) {
-      if (digits[pos] < canonical_cap(classes, digits, pos, coins)) {
-        ++digits[pos];
-        config.move(MinerId(static_cast<std::uint32_t>(pos)), CoinId(digits[pos]));
-        break;
-      }
-      if (digits[pos] != 0) {
-        digits[pos] = 0;
-        config.move(MinerId(static_cast<std::uint32_t>(pos)), CoinId(0));
-      }
-      ++pos;
+/// The canonical odometer step — the one place the canonical form's
+/// increment-and-carry is written. Advances `digits` to the next canonical
+/// assignment using positions [first, n) only (miner `first` is the
+/// least-significant digit; positions below it never change) and calls
+/// `hop(miner, from, to)` for every digit that changes: the carry resets
+/// first, lowest position first, then the one increment. Returns false when
+/// the odometer wraps (every digit in [first, n) back at 0).
+template <typename Hop>
+bool canonical_step(const SymmetryClasses& classes,
+                    std::vector<std::uint32_t>& digits, std::size_t first,
+                    std::uint32_t coins, Hop&& hop) {
+  for (std::size_t pos = first; pos < digits.size(); ++pos) {
+    const std::uint32_t from = digits[pos];
+    if (from < canonical_cap(classes, digits, pos, coins)) {
+      digits[pos] = from + 1;
+      hop(pos, from, from + 1);
+      return true;
     }
-    if (pos == free_miners) return true;  // shard odometer wrapped
-  }
-}
-
-/// Rank-range walker: visits `count` consecutive canonical configurations
-/// starting at `start` (a full digit vector that must itself be
-/// canonical), advancing the global canonical odometer one
-/// `Configuration::move` at a time. This is the walker behind `ShardPlan`;
-/// `walk_canonical_shard` stays as the prefix-pinned reference. Returns
-/// false iff `visit` aborted.
-template <typename Visit>
-bool walk_canonical_range(const std::shared_ptr<const System>& system,
-                          const SymmetryClasses& classes,
-                          const std::vector<std::uint32_t>& start,
-                          std::uint64_t count, Visit&& visit) {
-  if (count == 0) return true;
-  const std::size_t n = system->num_miners();
-  const std::uint32_t coins = static_cast<std::uint32_t>(system->num_coins());
-  std::vector<std::uint32_t> digits = start;
-  std::vector<CoinId> assignment;
-  assignment.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) assignment.emplace_back(digits[i]);
-  Configuration config(system, std::move(assignment));
-  for (;;) {
-    if (!visit(static_cast<const Configuration&>(config))) return false;
-    if (--count == 0) return true;
-    std::size_t pos = 0;
-    while (pos < n) {
-      if (digits[pos] < canonical_cap(classes, digits, pos, coins)) {
-        ++digits[pos];
-        config.move(MinerId(static_cast<std::uint32_t>(pos)), CoinId(digits[pos]));
-        break;
-      }
-      if (digits[pos] != 0) {
-        digits[pos] = 0;
-        config.move(MinerId(static_cast<std::uint32_t>(pos)), CoinId(0));
-      }
-      ++pos;
+    if (from != 0) {
+      digits[pos] = 0;
+      hop(pos, from, std::uint32_t{0});
     }
-    GOC_ASSERT(pos < n, "rank range ran past the canonical space");
   }
+  return false;
 }
 
-/// Effective lane count for `opts` over a canonical space of `canonical`
-/// configurations: the pool's lanes (or `opts.threads`), clamped to 1
-/// below the serial cutoff.
-std::size_t enumeration_lanes(const EnumerationOptions& opts,
-                              std::optional<std::uint64_t> canonical);
-
-/// Shard target for a lane count over a canonical space (1 lane = 1
-/// shard; otherwise shards_per_lane per lane, capped so shards hold at
-/// least `min_shard_configs` configurations each).
-std::size_t shard_target(const EnumerationOptions& opts, std::size_t lanes,
-                         std::optional<std::uint64_t> canonical);
-
-/// Fans a precomputed `ShardPlan` across the pool (the caller's
-/// `opts.pool`, or a freshly spawned one). One state per shard
-/// (`make_state(shard_index)`), created on the calling thread in shard
-/// order; `visit(state, config, shard_index)` runs inside the walk
-/// (return false to abort that shard). The returned states are in shard
-/// (= global odometer) order regardless of thread count.
-namespace enumeration_detail {
-
-/// Shared fan-out: one per-shard state (created on the calling thread in
-/// shard order), `walk_shard(state, shard_index)` dispatched across the
-/// caller's pool (or a freshly spawned one). Both walkers' drivers funnel
-/// through here so the scheduling policy exists exactly once.
-template <typename MakeState, typename WalkShard>
-auto run_shards(const ShardPlan& plan, const EnumerationOptions& opts,
-                std::size_t lanes, MakeState&& make_state, WalkShard&& walk_shard)
-    -> std::vector<std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>> {
-  using State = std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>;
-  std::vector<State> states;
-  states.reserve(plan.sizes.size());
-  for (std::size_t i = 0; i < plan.sizes.size(); ++i) {
-    states.push_back(make_state(i));
-  }
-  static obs::Counter& kShardsWalked =
-      obs::Registry::instance().counter("enum.shards_walked");
-  static obs::Histogram& kShardWalkNs =
-      obs::Registry::instance().histogram("enum.shard_walk_ns");
-  const auto run = [&](engine::ThreadPool& pool) {
-    pool.parallel_for(plan.sizes.size(), [&](std::size_t i) {
-      opts.cancel.throw_if_stale("enumeration cancelled");
-      obs::Span span(kShardWalkNs);
-      walk_shard(states[i], i);
-      kShardsWalked.add();
-    });
-  };
-  if (opts.pool != nullptr && lanes > 1) {
-    run(*opts.pool);
-  } else {
-    engine::ThreadPool local(engine::ThreadPool::workers_for(lanes));
-    run(local);
-  }
-  return states;
-}
-
-}  // namespace enumeration_detail
-
-template <typename MakeState, typename Visit>
-auto enumerate_planned(const std::shared_ptr<const System>& system,
-                       const SymmetryClasses& classes, const ShardPlan& plan,
-                       const EnumerationOptions& opts, std::size_t lanes,
-                       MakeState&& make_state, Visit&& visit)
-    -> std::vector<std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>> {
-  return enumeration_detail::run_shards(
-      plan, opts, lanes, std::forward<MakeState>(make_state),
-      [&](auto& state, std::size_t i) {
-        walk_canonical_range(system, classes, plan.starts[i], plan.sizes[i],
-                             [&](const Configuration& s) {
-                               return visit(state, s, i);
-                             });
-      });
-}
-
-/// Convenience driver: plans shards from `opts` and runs
-/// `enumerate_planned`. Consumers that need shard ranks (deterministic
-/// visit budgets) call `plan_shards` themselves.
-template <typename MakeState, typename Visit>
-auto enumerate_states(const std::shared_ptr<const System>& system,
-                      const SymmetryClasses& classes,
-                      const EnumerationOptions& opts, MakeState&& make_state,
-                      Visit&& visit)
-    -> std::vector<std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>> {
-  const auto canonical = canonical_count(*system, classes);
-  const std::size_t lanes = enumeration_lanes(opts, canonical);
-  const ShardPlan plan =
-      plan_shards(*system, classes, shard_target(opts, lanes, canonical));
-  return enumerate_planned(system, classes, plan, opts, lanes,
-                           std::forward<MakeState>(make_state),
-                           std::forward<Visit>(visit));
-}
-
-// ------------------------------------------------------------ integer walk
-
-/// Precomputed raw numerators for the integer fast path (valid only when
+/// Precomputed raw numerators for the integer walk state (valid only when
 /// every power and reward is an integer — `MoveComparator::integer_mode` —
 /// where numerators ARE the values).
 struct IntegerGameView {
@@ -386,147 +242,133 @@ struct IntegerGameView {
 
 IntegerGameView integer_game_view(const Game& game);
 
-/// The integer walker's state: the plain odometer plus incrementally
+/// The integer walk state: the plain odometer plus incrementally
 /// maintained raw masses and populations — what `Configuration` tracks,
 /// without a `Rational` (or a heap object) anywhere near the hot loop.
+/// Consumers materialize a `Configuration` only on hits
+/// (`materialize_configuration`).
 struct IntegerWalkState {
+  const IntegerGameView* view = nullptr;
   std::vector<std::uint32_t> digits;      ///< miner -> coin
   std::vector<i128> mass;                 ///< coin -> M_c
   std::vector<std::uint32_t> population;  ///< coin -> |P_c|
 };
 
-/// `walk_canonical_shard` on raw integers: same canonical odometer, same
-/// order, ~4 i128 adds per step. `visit(const IntegerWalkState&)` returns
-/// false to abort. Consumers materialize a `Configuration` only on hits
-/// (`materialize_configuration`).
-template <typename Visit>
-bool walk_canonical_shard_integer(const IntegerGameView& view,
-                                  const SymmetryClasses& classes,
-                                  std::size_t num_coins, std::size_t free_miners,
-                                  const std::vector<std::uint32_t>& prefix,
-                                  Visit&& visit) {
-  const std::size_t n = view.power.size();
-  const std::uint32_t coins = static_cast<std::uint32_t>(num_coins);
-  IntegerWalkState st;
-  st.digits.assign(n, 0);
-  for (std::size_t j = free_miners; j < n; ++j) st.digits[j] = prefix[j - free_miners];
-  st.mass.assign(coins, 0);
-  st.population.assign(coins, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.mass[st.digits[i]] += view.power[i];
-    ++st.population[st.digits[i]];
-  }
-  for (;;) {
-    if (!visit(static_cast<const IntegerWalkState&>(st))) return false;
-    std::size_t pos = 0;
-    while (pos < free_miners) {
-      const std::uint32_t from = st.digits[pos];
-      if (from < canonical_cap(classes, st.digits, pos, coins)) {
-        st.mass[from] -= view.power[pos];
-        --st.population[from];
-        st.digits[pos] = from + 1;
-        st.mass[from + 1] += view.power[pos];
-        ++st.population[from + 1];
-        break;
-      }
-      if (from != 0) {
-        st.mass[from] -= view.power[pos];
-        --st.population[from];
-        st.digits[pos] = 0;
-        st.mass[0] += view.power[pos];
-        ++st.population[0];
-      }
-      ++pos;
-    }
-    if (pos == free_miners) return true;  // shard odometer wrapped
-  }
-}
+/// An integer walk state sitting at `digits`.
+IntegerWalkState integer_walk_state(const IntegerGameView& view,
+                                    const std::vector<std::uint32_t>& digits);
 
-/// `walk_canonical_range` on raw integers: same global canonical odometer,
-/// same order, countdown instead of prefix pinning.
-template <typename Visit>
-bool walk_canonical_range_integer(const IntegerGameView& view,
-                                  const SymmetryClasses& classes,
-                                  std::size_t num_coins,
-                                  const std::vector<std::uint32_t>& start,
-                                  std::uint64_t count, Visit&& visit) {
-  if (count == 0) return true;
-  const std::size_t n = view.power.size();
-  const std::uint32_t coins = static_cast<std::uint32_t>(num_coins);
-  IntegerWalkState st;
-  st.digits = start;
-  st.mass.assign(coins, 0);
-  st.population.assign(coins, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.mass[st.digits[i]] += view.power[i];
-    ++st.population[st.digits[i]];
-  }
-  for (;;) {
-    if (!visit(static_cast<const IntegerWalkState&>(st))) return false;
-    if (--count == 0) return true;
-    std::size_t pos = 0;
-    while (pos < n) {
-      const std::uint32_t from = st.digits[pos];
-      if (from < canonical_cap(classes, st.digits, pos, coins)) {
-        st.mass[from] -= view.power[pos];
-        --st.population[from];
-        st.digits[pos] = from + 1;
-        st.mass[from + 1] += view.power[pos];
-        ++st.population[from + 1];
-        break;
-      }
-      if (from != 0) {
-        st.mass[from] -= view.power[pos];
-        --st.population[from];
-        st.digits[pos] = 0;
-        st.mass[0] += view.power[pos];
-        ++st.population[0];
-      }
-      ++pos;
-    }
-    GOC_ASSERT(pos < n, "rank range ran past the canonical space");
-  }
-}
-
-/// `enumerate_planned` over the integer walker.
-template <typename MakeState, typename Visit>
-auto enumerate_planned_integer(const IntegerGameView& view,
-                               const SymmetryClasses& classes,
-                               std::size_t num_coins, const ShardPlan& plan,
-                               const EnumerationOptions& opts, std::size_t lanes,
-                               MakeState&& make_state, Visit&& visit)
-    -> std::vector<std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>> {
-  return enumeration_detail::run_shards(
-      plan, opts, lanes, std::forward<MakeState>(make_state),
-      [&](auto& state, std::size_t i) {
-        walk_canonical_range_integer(view, classes, num_coins, plan.starts[i],
-                                     plan.sizes[i],
-                                     [&](const IntegerWalkState& st) {
-                                       return visit(state, st, i);
-                                     });
-      });
-}
-
-/// `enumerate_states` over the integer walker: resolves lanes and plans
-/// shards from `opts`, then fans out `walk_canonical_shard_integer`.
-template <typename MakeState, typename Visit>
-auto enumerate_states_integer(const Game& game, const IntegerGameView& view,
-                              const SymmetryClasses& classes,
-                              const EnumerationOptions& opts,
-                              MakeState&& make_state, Visit&& visit)
-    -> std::vector<std::decay_t<std::invoke_result_t<MakeState&, std::size_t>>> {
-  const auto canonical = canonical_count(game.system(), classes);
-  const std::size_t lanes = enumeration_lanes(opts, canonical);
-  const ShardPlan plan =
-      plan_shards(game.system(), classes, shard_target(opts, lanes, canonical));
-  return enumerate_planned_integer(view, classes, game.num_coins(), plan, opts,
-                                   lanes, std::forward<MakeState>(make_state),
-                                   std::forward<Visit>(visit));
-}
-
-/// A `Configuration` with the walker's current assignment (hit path only).
+/// A `Configuration` with the given assignment: the start of a
+/// `Configuration` walk, and the integer walk's hit path.
 Configuration materialize_configuration(const std::shared_ptr<const System>& system,
                                         const std::vector<std::uint32_t>& digits);
+
+/// Walk states follow the odometer through `apply_hop`. A `Configuration`
+/// applies `move` (exact masses; needed for rational powers and for
+/// restricted access, which `AccessTracker` follows through the move
+/// epoch); an `IntegerWalkState` applies ~4 i128 and population deltas.
+inline void apply_hop(Configuration& s, std::size_t miner, std::uint32_t,
+                      std::uint32_t to) {
+  s.move(MinerId(static_cast<std::uint32_t>(miner)), CoinId(to));
+}
+
+inline void apply_hop(IntegerWalkState& st, std::size_t miner,
+                      std::uint32_t from, std::uint32_t to) {
+  const i128 m = st.view->power[miner];
+  st.digits[miner] = to;
+  st.mass[from] -= m;
+  --st.population[from];
+  st.mass[to] += m;
+  ++st.population[to];
+}
+
+/// The rank-range walker: visits `count` consecutive canonical
+/// configurations starting at the canonical digit vector `start`, where
+/// `state` must already sit, advancing `state` one `canonical_step` at a
+/// time. `visit(const State&)` returns false to stop; the function returns
+/// false iff it stopped early.
+template <typename State, typename Visit>
+bool walk_canonical_range(State& state, const SymmetryClasses& classes,
+                          std::uint32_t coins, std::vector<std::uint32_t> start,
+                          std::uint64_t count, Visit&& visit) {
+  if (count == 0) return true;
+  const auto hop = [&state](std::size_t miner, std::uint32_t from,
+                            std::uint32_t to) { apply_hop(state, miner, from, to); };
+  for (;;) {
+    if (!visit(static_cast<const State&>(state))) return false;
+    if (--count == 0) return true;
+    const bool advanced = canonical_step(classes, start, 0, coins, hop);
+    GOC_ASSERT(advanced, "rank range ran past the canonical space");
+  }
+}
+
+// ------------------------------------------------------------ the driver
+
+/// How one enumeration runs: its lane count and the shard plan sized for
+/// those lanes.
+struct EnumerationPlan {
+  std::size_t lanes = 1;
+  ShardPlan shards;
+};
+
+/// The one scheduling decision of every engine consumer. Lanes come from
+/// `opts` against the canonical count times `weight`, the relative cost of
+/// one configuration (1 for a predicate check; cycles per base for the
+/// 4-cycle search, so the serial cutoff compares like with like). Spaces
+/// below `opts.serial_cutoff` get one lane and one shard; otherwise ~8
+/// shards per lane, capped so shards hold at least `min_shard_configs`
+/// weighted configurations (floored at one shard per lane).
+EnumerationPlan plan_enumeration(const System& system,
+                                 const SymmetryClasses& classes,
+                                 const EnumerationOptions& opts,
+                                 std::uint64_t weight = 1);
+
+/// The one driver: fans `plan` across the pool (the caller's `opts.pool`,
+/// or a freshly spawned one). One result per shard (`make_shard(i)`),
+/// created on the calling thread in shard order. Shard i starts its walk
+/// state with `start(plan.shards.starts[i])` — a `Configuration` or an
+/// `IntegerWalkState` — and walks its rank range, calling
+/// `visit(result, state, i)` per configuration (false ends that shard).
+/// The results come back in shard (= global odometer) order at any
+/// thread count.
+template <typename Start, typename MakeShard, typename Visit>
+auto enumerate_planned(const EnumerationPlan& plan,
+                       const SymmetryClasses& classes, std::size_t num_coins,
+                       const EnumerationOptions& opts, Start&& start,
+                       MakeShard&& make_shard, Visit&& visit)
+    -> std::vector<std::decay_t<std::invoke_result_t<MakeShard&, std::size_t>>> {
+  using Result = std::decay_t<std::invoke_result_t<MakeShard&, std::size_t>>;
+  const ShardPlan& shards = plan.shards;
+  std::vector<Result> results;
+  results.reserve(shards.sizes.size());
+  for (std::size_t i = 0; i < shards.sizes.size(); ++i) {
+    results.push_back(make_shard(i));
+  }
+  static obs::Counter& kShardsWalked =
+      obs::Registry::instance().counter("enum.shards_walked");
+  static obs::Histogram& kShardWalkNs =
+      obs::Registry::instance().histogram("enum.shard_walk_ns");
+  const auto coins = static_cast<std::uint32_t>(num_coins);
+  const auto run = [&](engine::ThreadPool& pool) {
+    pool.parallel_for(shards.sizes.size(), [&](std::size_t i) {
+      opts.cancel.throw_if_stale("enumeration cancelled");
+      obs::Span span(kShardWalkNs);
+      auto state = start(shards.starts[i]);
+      walk_canonical_range(state, classes, coins, shards.starts[i],
+                           shards.sizes[i], [&](const auto& s) {
+                             return visit(results[i], s, i);
+                           });
+      kShardsWalked.add();
+    });
+  };
+  if (opts.pool != nullptr && plan.lanes > 1) {
+    run(*opts.pool);
+  } else {
+    engine::ThreadPool local(engine::ThreadPool::workers_for(plan.lanes));
+    run(local);
+  }
+  return results;
+}
 
 /// Lock-free fetch-min: records `value` in `slot` iff smaller. The
 /// cross-shard witness-priority primitive — a shard that finds a witness

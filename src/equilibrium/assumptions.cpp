@@ -107,12 +107,19 @@ std::optional<NeverAloneViolation> find_never_alone_violation(
     atomic_store_min(found_shard, shard);
   };
 
+  const EnumerationPlan plan = plan_enumeration(game.system(), classes, opts);
+  const auto no_witness = [](std::size_t) {
+    return std::optional<NeverAloneViolation>();
+  };
   std::vector<std::optional<NeverAloneViolation>> states;
   if (cmp.integer_mode() && game.access().is_unrestricted()) {
     const IntegerGameView view = integer_game_view(game);
-    states = enumerate_states_integer(
-        game, view, classes, opts,
-        [](std::size_t) { return std::optional<NeverAloneViolation>(); },
+    states = enumerate_planned(
+        plan, classes, game.num_coins(), opts,
+        [&](const std::vector<std::uint32_t>& start) {
+          return integer_walk_state(view, start);
+        },
+        no_witness,
         [&](std::optional<NeverAloneViolation>& witness, const IntegerWalkState& st,
             std::size_t shard) {
           if (found_shard.load(std::memory_order_relaxed) < shard) return false;
@@ -127,9 +134,12 @@ std::optional<NeverAloneViolation> find_never_alone_violation(
           return true;
         });
   } else {
-    states = enumerate_states(
-        game.system_ptr(), classes, opts,
-        [](std::size_t) { return std::optional<NeverAloneViolation>(); },
+    states = enumerate_planned(
+        plan, classes, game.num_coins(), opts,
+        [&](const std::vector<std::uint32_t>& start) {
+          return materialize_configuration(game.system_ptr(), start);
+        },
+        no_witness,
         [&](std::optional<NeverAloneViolation>& witness, const Configuration& s,
             std::size_t shard) {
           if (found_shard.load(std::memory_order_relaxed) < shard) return false;

@@ -55,12 +55,16 @@ CanonicalEquilibria enumerate_canonical_with(const Game& game,
                 "configuration space too large to enumerate");
   const MoveComparator cmp(game);
 
+  const EnumerationPlan plan = plan_enumeration(game.system(), classes, opts);
   std::vector<std::vector<Configuration>> found_per_shard;
   if (cmp.integer_mode() && game.access().is_unrestricted()) {
-    // Integer fast path: raw-i128 odometer, materialize hits only.
+    // Integer walk state: raw-i128 masses, materialize hits only.
     const IntegerGameView view = integer_game_view(game);
-    found_per_shard = enumerate_states_integer(
-        game, view, classes, opts,
+    found_per_shard = enumerate_planned(
+        plan, classes, game.num_coins(), opts,
+        [&](const std::vector<std::uint32_t>& start) {
+          return integer_walk_state(view, start);
+        },
         [](std::size_t) { return std::vector<Configuration>(); },
         [&](std::vector<Configuration>& found, const IntegerWalkState& st,
             std::size_t) {
@@ -74,8 +78,11 @@ CanonicalEquilibria enumerate_canonical_with(const Game& game,
       AccessTracker tracker;
       std::vector<Configuration> found;
     };
-    auto states = enumerate_states(
-        game.system_ptr(), classes, opts,
+    auto states = enumerate_planned(
+        plan, classes, game.num_coins(), opts,
+        [&](const std::vector<std::uint32_t>& start) {
+          return materialize_configuration(game.system_ptr(), start);
+        },
         [&](std::size_t) { return ShardState{AccessTracker(game), {}}; },
         [&](ShardState& st, const Configuration& s, std::size_t) {
           if (st.tracker.respects(s) && cmp.equilibrium(s)) st.found.push_back(s);

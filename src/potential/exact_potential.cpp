@@ -158,33 +158,10 @@ class CycleScanner {
 
 /// Scheduling weight: cycles per base, so the serial cutoff compares like
 /// with like (a base costs ~n²|C|² cycle sums, not one equilibrium check).
-std::optional<std::uint64_t> weighted_bases(const Game& game,
-                                            std::optional<std::uint64_t> bases) {
-  if (!bases.has_value()) return std::nullopt;
+std::uint64_t cycles_per_base(const Game& game) {
   const std::uint64_t n = game.num_miners();
   const std::uint64_t c = game.num_coins() - 1;
-  const std::uint64_t per_base = n * (n - 1) / 2 * c * c;
-  if (per_base != 0 && *bases > UINT64_MAX / per_base) return std::nullopt;
-  return *bases * per_base;
-}
-
-/// The shared scheduling preamble of both cycle consumers: classes, lanes
-/// resolved against the *weighted* base count, and the shard plan.
-struct CyclePlan {
-  SymmetryClasses classes;
-  std::size_t lanes;
-  ShardPlan plan;
-};
-
-CyclePlan plan_cycles(const Game& game, const EnumerationOptions& opts) {
-  CyclePlan out;
-  out.classes = classes_for(game, opts);
-  const auto weighted =
-      weighted_bases(game, canonical_count(game.system(), out.classes));
-  out.lanes = enumeration_lanes(opts, weighted);
-  out.plan = plan_shards(game.system(), out.classes,
-                         shard_target(opts, out.lanes, weighted));
-  return out;
+  return n * (n - 1) / 2 * c * c;
 }
 
 }  // namespace
@@ -194,7 +171,9 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle(
   if (game.num_miners() < 2 || game.num_coins() < 2) return std::nullopt;
   GOC_CHECK_ARG(configuration_count(game.system()).has_value(),
                 "configuration space too large to enumerate");
-  const auto [classes, lanes, plan] = plan_cycles(game, opts);
+  const SymmetryClasses classes = classes_for(game, opts);
+  const EnumerationPlan plan =
+      plan_enumeration(game.system(), classes, opts, cycles_per_base(game));
 
   struct ShardState {
     CycleScanner scanner;
@@ -203,11 +182,14 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle(
   };
   std::atomic<std::size_t> found_shard{SIZE_MAX};
   auto states = enumerate_planned(
-      game.system_ptr(), classes, plan, opts, lanes,
+      plan, classes, game.num_coins(), opts,
+      [&](const std::vector<std::uint32_t>& start) {
+        return materialize_configuration(game.system_ptr(), start);
+      },
       [&](std::size_t i) {
         // The `max_bases` cap applies to the first canonical bases in
         // global rank order — a deterministic per-shard budget.
-        const std::uint64_t start = plan.start_ranks[i];
+        const std::uint64_t start = plan.shards.start_ranks[i];
         return ShardState{CycleScanner(game),
                           start >= max_bases ? 0 : max_bases - start,
                           std::nullopt};
@@ -262,10 +244,15 @@ bool has_exact_potential(const Game& game, const EnumerationOptions& opts) {
   GOC_CHECK_ARG(count.has_value() && *count <= opts.max_configs,
                 "game too large for exhaustive exact-potential check");
   if (game.num_miners() < 2 || game.num_coins() < 2) return true;
-  const auto [classes, lanes, plan] = plan_cycles(game, opts);
+  const SymmetryClasses classes = classes_for(game, opts);
+  const EnumerationPlan plan =
+      plan_enumeration(game.system(), classes, opts, cycles_per_base(game));
   std::atomic<bool> nonzero{false};
   enumerate_planned(
-      game.system_ptr(), classes, plan, opts, lanes,
+      plan, classes, game.num_coins(), opts,
+      [&](const std::vector<std::uint32_t>& start) {
+        return materialize_configuration(game.system_ptr(), start);
+      },
       [&](std::size_t) { return CycleScanner(game); },
       [&](CycleScanner& scanner, const Configuration& base, std::size_t) {
         if (nonzero.load(std::memory_order_relaxed)) return false;

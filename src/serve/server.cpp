@@ -1,6 +1,8 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <istream>
 #include <ostream>
@@ -259,6 +261,22 @@ JobTable::Work Server::make_enumerate_work(const Cli& cli) {
   options.pool = &pool_;
   options.max_configs = cli.get_u64("max-configs", options.max_configs);
   options.symmetry = cli.get_bool("symmetry", options.symmetry);
+  // Checked before any game is built: a space the engine would refuse is
+  // an `err` at submit. Two or more coins under a u64 bound never allow
+  // more than 63 miners; the cap also stops `--coins=1` from passing a
+  // huge miner count to `random_game`.
+  require_param(spec.num_miners >= 1, "--miners must be at least 1");
+  require_param(spec.num_miners <= 64, "--miners must be at most 64");
+  require_param(spec.num_coins >= 1, "--coins must be at least 1");
+  // The engine also refuses spaces above 2^63 - 1 (configuration_count).
+  const std::uint64_t bound =
+      std::min<std::uint64_t>(options.max_configs, INT64_MAX);
+  std::uint64_t configs = 1;
+  for (std::size_t i = 0; i < spec.num_miners; ++i) {
+    require_param(configs <= bound / spec.num_coins,
+                  "--coins^--miners exceeds --max-configs");
+    configs *= spec.num_coins;
+  }
 
   return [spec, seed, options](const engine::CancelView& cancel,
                                const JobTable::ProgressFn&) {
@@ -468,7 +486,8 @@ void Server::cmd_help(std::ostream& out) {
       << "# sweep: --miners=a,b --coins=a,b --power-shapes=... --trials\n"
       << "#        --seed --max-steps\n"
       << "# enumerate: --miners --coins --power-shape --reward-shape --seed\n"
-      << "#            --max-configs --symmetry\n"
+      << "#            --max-configs --symmetry  (1 <= miners <= 64,\n"
+      << "#            coins >= 1, coins^miners <= max-configs)\n"
       << "ok help\n";
 }
 

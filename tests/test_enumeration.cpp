@@ -82,6 +82,57 @@ std::vector<Game> golden_games() {
   return games;
 }
 
+/// Independent oracle for the canonical walk: the full odometer
+/// (`for_each_configuration`) filtered to canonical assignments — digits
+/// non-decreasing in miner-id order within each symmetry class. It shares
+/// no code with `canonical_step`, so the walk tests below compare the
+/// engine against the definition rather than against another walker.
+template <typename Visit>
+void for_each_canonical_oracle(const std::shared_ptr<const System>& system,
+                               const SymmetryClasses& classes, Visit&& visit) {
+  for_each_configuration(system, UINT64_MAX, [&](const Configuration& s) {
+    for (const auto& members : classes.classes) {
+      for (std::size_t k = 1; k < members.size(); ++k) {
+        if (s.of(members[k - 1]).value > s.of(members[k]).value) return true;
+      }
+    }
+    visit(s);
+    return true;
+  });
+}
+
+std::vector<std::vector<CoinId>> canonical_oracle(
+    const std::shared_ptr<const System>& system, const SymmetryClasses& classes) {
+  std::vector<std::vector<CoinId>> out;
+  for_each_canonical_oracle(system, classes, [&](const Configuration& s) {
+    out.push_back(s.assignment());
+  });
+  return out;
+}
+
+/// The engine walk over one rank range on a `Configuration` walk state.
+std::vector<std::vector<CoinId>> walk_range(
+    const std::shared_ptr<const System>& system, const SymmetryClasses& classes,
+    const std::vector<std::uint32_t>& start, std::uint64_t count) {
+  std::vector<std::vector<CoinId>> out;
+  Configuration state = materialize_configuration(system, start);
+  walk_canonical_range(state, classes,
+                       static_cast<std::uint32_t>(system->num_coins()), start,
+                       count, [&](const Configuration& s) {
+                         out.push_back(s.assignment());
+                         return true;
+                       });
+  return out;
+}
+
+/// The engine walk over the whole canonical space.
+std::vector<std::vector<CoinId>> walk_all(const std::shared_ptr<const System>& system,
+                                          const SymmetryClasses& classes) {
+  return walk_range(system, classes,
+                    std::vector<std::uint32_t>(system->num_miners(), 0),
+                    canonical_count(*system, classes).value());
+}
+
 // ------------------------------------------------------------ classes
 
 TEST(SymmetryClasses, DistinctPowersAreTrivial) {
@@ -126,13 +177,7 @@ TEST(SymmetryClasses, CanonicalCountMatchesWalk) {
   const auto count = canonical_count(g.system(), classes);
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(*count, 8u);
-  std::size_t visited = 0;
-  walk_canonical_shard(g.system_ptr(), classes, g.num_miners(), {},
-                       [&](const Configuration&) {
-                         ++visited;
-                         return true;
-                       });
-  EXPECT_EQ(visited, 8u);
+  EXPECT_EQ(canonical_oracle(g.system_ptr(), classes).size(), 8u);
 }
 
 // ------------------------------------------------------------ the walk
@@ -145,25 +190,15 @@ TEST(CanonicalWalk, MatchesLegacyOrderWithoutSymmetry) {
     legacy.push_back(s.assignment());
     return true;
   });
-  std::vector<std::vector<CoinId>> engine;
-  walk_canonical_shard(system, singleton_classes(3), 3, {},
-                       [&](const Configuration& s) {
-                         engine.push_back(s.assignment());
-                         return true;
-                       });
-  EXPECT_EQ(engine, legacy);
+  EXPECT_EQ(walk_all(system, singleton_classes(3)), legacy);
 }
 
 TEST(CanonicalWalk, VisitsExactlyTheCanonicalRepresentatives) {
   Game g(System::from_integer_powers({2, 2, 2, 9}, 3),
          RewardFunction::from_integers({4, 5, 6}));
   const SymmetryClasses classes = symmetry_classes(g);
-  std::vector<std::vector<CoinId>> seen;
-  walk_canonical_shard(g.system_ptr(), classes, 4, {},
-                       [&](const Configuration& s) {
-                         seen.push_back(s.assignment());
-                         return true;
-                       });
+  std::vector<std::vector<CoinId>> seen = walk_all(g.system_ptr(), classes);
+  EXPECT_EQ(seen, canonical_oracle(g.system_ptr(), classes));
   const auto count = canonical_count(g.system(), classes);
   ASSERT_TRUE(count.has_value());
   EXPECT_EQ(seen.size(), *count);
@@ -183,30 +218,20 @@ TEST(CanonicalWalk, VisitsExactlyTheCanonicalRepresentatives) {
 /// Replays `plan` through the rank-range walker and checks the shards
 /// partition the canonical space exactly: start ranks are the running
 /// prefix sum, each shard visits exactly `sizes[i]` configurations, and
-/// the index-order concatenation reproduces the serial walk bit-for-bit.
+/// the index-order concatenation reproduces the oracle bit-for-bit.
 void expect_plan_partitions(const Game& g, const SymmetryClasses& classes,
                             const ShardPlan& plan) {
-  std::vector<std::vector<CoinId>> serial;
-  walk_canonical_shard(g.system_ptr(), classes, g.num_miners(), {},
-                       [&](const Configuration& s) {
-                         serial.push_back(s.assignment());
-                         return true;
-                       });
   std::vector<std::vector<CoinId>> sharded;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < plan.sizes.size(); ++i) {
     EXPECT_EQ(plan.start_ranks[i], total) << "shard " << i;
-    std::uint64_t in_shard = 0;
-    walk_canonical_range(g.system_ptr(), classes, plan.starts[i],
-                         plan.sizes[i], [&](const Configuration& s) {
-                           sharded.push_back(s.assignment());
-                           ++in_shard;
-                           return true;
-                         });
-    EXPECT_EQ(in_shard, plan.sizes[i]) << "shard " << i;
-    total += in_shard;
+    const auto shard =
+        walk_range(g.system_ptr(), classes, plan.starts[i], plan.sizes[i]);
+    EXPECT_EQ(shard.size(), plan.sizes[i]) << "shard " << i;
+    sharded.insert(sharded.end(), shard.begin(), shard.end());
+    total += shard.size();
   }
-  EXPECT_EQ(sharded, serial);
+  EXPECT_EQ(sharded, canonical_oracle(g.system_ptr(), classes));
 }
 
 TEST(ShardPlan, ShardsPartitionTheCanonicalSpace) {
@@ -247,17 +272,14 @@ TEST(ShardPlan, CanonicalUnrankingMatchesWalkOrder) {
          RewardFunction::from_integers({4, 5, 6}));
   const SymmetryClasses classes = symmetry_classes(g);
   std::uint64_t rank = 0;
-  walk_canonical_shard(g.system_ptr(), classes, g.num_miners(), {},
-                       [&](const Configuration& s) {
-                         const auto digits =
-                             canonical_digits_at_rank(g.system(), classes, rank);
-                         for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
-                           EXPECT_EQ(digits[p], s.of(MinerId(p)).value)
-                               << "rank " << rank << " miner " << p;
-                         }
-                         ++rank;
-                         return true;
-                       });
+  for_each_canonical_oracle(g.system_ptr(), classes, [&](const Configuration& s) {
+    const auto digits = canonical_digits_at_rank(g.system(), classes, rank);
+    for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+      EXPECT_EQ(digits[p], s.of(MinerId(p)).value)
+          << "rank " << rank << " miner " << p;
+    }
+    ++rank;
+  });
 }
 
 TEST(Orbits, SizesPartitionTheFullSpace) {
@@ -265,23 +287,69 @@ TEST(Orbits, SizesPartitionTheFullSpace) {
          RewardFunction::from_integers({4, 5, 6}));
   const SymmetryClasses classes = symmetry_classes(g);
   std::uint64_t covered = 0;
-  walk_canonical_shard(g.system_ptr(), classes, 4, {},
-                       [&](const Configuration& s) {
-                         const auto orbit = expand_orbit(s, classes);
-                         EXPECT_EQ(orbit.size(), orbit_size(s.assignment(), classes));
-                         // Orbit members are distinct and share the canonical
-                         // representative's per-class digit multiset.
-                         for (const auto& member : orbit) {
-                           for (std::uint32_t p = 0; p < 4; ++p) {
-                             EXPECT_EQ(member.of(MinerId(p)) == s.of(MinerId(p)) ||
-                                           classes.classes[classes.class_of[p]].size() > 1,
-                                       true);
-                           }
-                         }
-                         covered += orbit.size();
-                         return true;
-                       });
+  for_each_canonical_oracle(g.system_ptr(), classes, [&](const Configuration& s) {
+    const auto orbit = expand_orbit(s, classes);
+    EXPECT_EQ(orbit.size(), orbit_size(s.assignment(), classes));
+    // Orbit members are distinct and share the canonical
+    // representative's per-class digit multiset.
+    for (const auto& member : orbit) {
+      for (std::uint32_t p = 0; p < 4; ++p) {
+        EXPECT_EQ(member.of(MinerId(p)) == s.of(MinerId(p)) ||
+                      classes.classes[classes.class_of[p]].size() > 1,
+                  true);
+      }
+    }
+    covered += orbit.size();
+  });
   EXPECT_EQ(covered, configuration_count(g.system()).value());
+}
+
+/// Both walk states behind one walk, so every hop reaches both.
+struct LockstepState {
+  Configuration config;
+  IntegerWalkState integer;
+};
+
+void apply_hop(LockstepState& st, std::size_t miner, std::uint32_t from,
+               std::uint32_t to) {
+  apply_hop(st.config, miner, from, to);
+  apply_hop(st.integer, miner, from, to);
+}
+
+TEST(WalkStates, IntegerStateMatchesConfigurationInLockstep) {
+  const Game g(System::from_integer_powers({5, 2, 2, 2, 1, 1}, 3),
+               RewardFunction::from_integers({100, 40, 1}));
+  const IntegerGameView view = integer_game_view(g);
+  const std::uint32_t coins = static_cast<std::uint32_t>(g.num_coins());
+  for (const SymmetryClasses& classes :
+       {symmetry_classes(g), singleton_classes(g.num_miners())}) {
+    const ShardPlan plan = plan_shards(g.system(), classes, 8);
+    ASSERT_GE(plan.sizes.size(), 8u);
+    std::uint64_t steps = 0;
+    for (std::size_t i = 0; i < plan.sizes.size(); ++i) {
+      LockstepState state{materialize_configuration(g.system_ptr(), plan.starts[i]),
+                          integer_walk_state(view, plan.starts[i])};
+      walk_canonical_range(
+          state, classes, coins, plan.starts[i], plan.sizes[i],
+          [&](const LockstepState& st) {
+            for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+              EXPECT_EQ(st.integer.digits[p], st.config.of(MinerId(p)).value)
+                  << "step " << steps << " miner " << p;
+            }
+            for (std::uint32_t c = 0; c < coins; ++c) {
+              const CoinId coin(c);
+              EXPECT_TRUE(Rational::from_parts(st.integer.mass[c], 1) ==
+                          st.config.mass(coin))
+                  << "step " << steps << " coin " << c;
+              EXPECT_EQ(st.integer.population[c], st.config.population(coin))
+                  << "step " << steps << " coin " << c;
+            }
+            ++steps;
+            return true;
+          });
+    }
+    EXPECT_EQ(steps, canonical_count(g.system(), classes).value());
+  }
 }
 
 // ------------------------------------------------------------ equilibria
@@ -328,6 +396,9 @@ TEST(EnumerationEngine, RefusesHugeSpaces) {
   Game g(System::from_integer_powers(std::vector<std::int64_t>(40, 1), 10),
          RewardFunction::from_integers(std::vector<std::int64_t>(10, 1)));
   EXPECT_THROW(enumerate_equilibria(g), std::invalid_argument);
+  EXPECT_THROW(enumerate_canonical_equilibria(g, EnumerationOptions{}),
+               std::invalid_argument);
+  EXPECT_THROW(find_never_alone_violation(g), std::invalid_argument);
   EXPECT_THROW(has_exact_potential(g), std::invalid_argument);
 }
 

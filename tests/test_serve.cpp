@@ -219,7 +219,16 @@ TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
         std::string("submit batch --scenario=market-random --days=0.01"),
         std::string("submit batch --scenario=market-fork --miners=1"),
         std::string("submit batch --scenario=market-fork --days=10"),
-        std::string("submit batch --engine=legacy")}) {
+        std::string("submit batch --engine=legacy"),
+        // Enumerate spaces are bounded at submit, before any game is built.
+        std::string("submit enumerate --miners=0"),
+        std::string("submit enumerate --coins=0"),
+        std::string("submit enumerate --miners=40 --coins=10"),
+        std::string("submit enumerate --miners=65 --coins=1"),
+        std::string("submit enumerate --miners=3 --coins=2 --max-configs=7"),
+        // 2^63 is past the engine's own 2^63 - 1 ceiling.
+        std::string("submit enumerate --miners=63 --coins=2 "
+                    "--max-configs=18446744073709551615")}) {
     const std::string reply = respond(server, line);
     EXPECT_EQ(reply.rfind("err ", 0), 0u) << line << " -> " << reply;
   }
@@ -231,9 +240,16 @@ TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
   EXPECT_NE(respond(server, "submit batch --engine=legacy")
                 .find(": --engine"),
             std::string::npos);
+  EXPECT_NE(respond(server, "submit enumerate --miners=40 --coins=10")
+                .find("--coins^--miners exceeds --max-configs"),
+            std::string::npos);
   // Nothing was queued: every request failed before reaching the table.
   EXPECT_EQ(server.jobs().size(), 0u);
   EXPECT_EQ(respond(server, "jobs"), "ok jobs=0\n");
+  // The enumerate bound is inclusive: 2^3 == --max-configs is accepted.
+  EXPECT_EQ(respond(server, "submit enumerate --miners=3 --coins=2 --max-configs=8")
+                .rfind("ok id=", 0),
+            0u);
 }
 
 /// The acceptance criterion: a daemon-submitted trajectory batch produces
