@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "chain/chain_sim.hpp"
 #include "chain/difficulty.hpp"
+#include "sim/batch_cli.hpp"
 #include "sim/trajectory.hpp"
 
 namespace {
@@ -81,7 +82,7 @@ int run(int argc, char** argv) {
     // --stop-* / --checkpoint override the --adaptive preset; the horizon
     // suffix keeps the four studies from sharing one checkpoint file
     // (their root seeds differ, so a shared file would refuse to resume).
-    bench::apply_batch_cli(cli, batch);
+    sim::apply_batch_cli(cli, batch);
     if (batch.checkpoint.has_value()) {
       batch.checkpoint->path +=
           "." + std::to_string(static_cast<int>(days)) + "d";

@@ -10,7 +10,6 @@
 
 #include "io/serialize.hpp"
 #include "obs/registry.hpp"
-#include "sim/batch_cli.hpp"
 #include "sim/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -18,14 +17,13 @@
 /// \file bench_common.hpp
 /// Conventions shared by the experiment harnesses: a wall-clock stopwatch,
 /// a uniform header/CSV/JSON-export treatment so every binary prints the
-/// paper-style rows and can optionally persist them, and the shared Monte
-/// Carlo batch flags (`apply_batch_cli`). The JSON mode (`--json=<base>`)
-/// emits machine-readable result files for trajectory tracking
-/// (`BENCH_*.json`) alongside the human-readable tables — atomically, so
-/// an interrupted bench never leaves a torn baseline behind. Every JSON
-/// file additionally carries `peak_rss_bytes` and `total_wall_ms` so a
-/// perf regression in memory or startup shows up in the same artifact as
-/// the timing rows.
+/// paper-style rows and can optionally persist them. The JSON mode
+/// (`--json=<base>`) emits machine-readable result files for trajectory
+/// tracking (`BENCH_*.json`) alongside the human-readable tables —
+/// atomically, so an interrupted bench never leaves a torn baseline behind.
+/// Every JSON file additionally carries `peak_rss_bytes` and
+/// `total_wall_ms` so a perf regression in memory or startup shows up in
+/// the same artifact as the timing rows.
 
 namespace goc::bench {
 
@@ -106,23 +104,6 @@ inline void emit(const Cli& cli, const Table& table, const std::string& title,
     };
     io::atomic_write_file(io::table_to_json(table, title, extras), path);
   });
-}
-
-/// The shared Monte Carlo batch flags, uniform across every bench that
-/// fans replicas (`bench_des --adaptive`, `bench_chain_validation`,
-/// `bench_fig1_market`, `sweep_demo`). The grammar and the pre-seeding
-/// contract live with the implementation in `sim/batch_cli.hpp`, which
-/// the serve daemon's request parser shares — these wrappers only keep
-/// the historical `bench::` spelling alive.
-inline void apply_batch_cli(const Cli& cli,
-                            sim::TrajectoryBatchOptions& options) {
-  sim::apply_batch_cli(cli, options);
-}
-
-/// See `sim::epoch_lanes_from_cli` (the `--epoch-lanes` flag).
-inline std::size_t epoch_lanes_from_cli(const Cli& cli,
-                                        std::size_t fallback = 0) {
-  return sim::epoch_lanes_from_cli(cli, fallback);
 }
 
 }  // namespace goc::bench

@@ -21,6 +21,7 @@
 #include "market/fee_market.hpp"
 #include "market/market_sim.hpp"
 #include "market/price_process.hpp"
+#include "sim/batch_cli.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/trajectory.hpp"
 #include "util/rng.hpp"
@@ -232,7 +233,7 @@ int run(int argc, char** argv) {
   batch.replicas = quick ? 16 : 48;
   batch.root_seed = seed0;
   batch.threads = threads;
-  bench::apply_batch_cli(cli, batch);  // --replicas/--stop-*/--checkpoint
+  sim::apply_batch_cli(cli, batch);  // --replicas/--stop-*/--checkpoint
   const std::size_t replicas = batch.replicas;
   const auto chain_factory = [&](std::uint64_t seed) {
     return make_reference_chain(quick ? 128 : 256, 8, quick ? 10.0 : 20.0,

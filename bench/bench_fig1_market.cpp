@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "market/fig1_replay.hpp"
 #include "market/scenario.hpp"
+#include "sim/batch_cli.hpp"
 #include "sim/trajectory.hpp"
 
 namespace {
@@ -99,7 +100,7 @@ int run(int argc, char** argv) {
   replay_params.seed = params.seed;
   // --epoch-lanes=N runs the replay's decision rounds as sharded
   // simultaneous-move epochs (0 keeps the sequential scan default).
-  replay_params.epoch_lanes = bench::epoch_lanes_from_cli(cli);
+  replay_params.epoch_lanes = sim::epoch_lanes_from_cli(cli);
   sim::TrajectoryBatchOptions batch;
   batch.replicas = replicas;
   batch.root_seed = params.seed;
@@ -113,7 +114,7 @@ int run(int argc, char** argv) {
     rule.wave = std::max<std::size_t>(2, replicas);
     batch.stopping = rule;
   }
-  bench::apply_batch_cli(cli, batch);  // --stop-*/--checkpoint override
+  sim::apply_batch_cli(cli, batch);  // --stop-*/--checkpoint override
   const sim::TrajectoryBatchResult replay =
       run_fig1_replay_batch(replay_params, batch);
   if (adaptive) {

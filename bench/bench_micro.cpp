@@ -15,6 +15,8 @@
 /// `--compare-scan=false`.
 
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/generators.hpp"
@@ -131,6 +133,33 @@ int run(int argc, char** argv) {
     time_op(ops, "rational_cmp_huge", base_iters / 10, [&] {
       volatile bool sink = big_a < big_b;
       (void)sink;
+    });
+  }
+  {
+    // 64-bit operand pairs sharing a random odd factor below 2^24: the
+    // GCD under every `Rational` normalization, bare and through
+    // `from_parts`.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs(1024);
+    Rng rng(seed);
+    for (auto& [x, y] : pairs) {
+      const std::uint64_t common = (rng.next() >> 40) | 1;
+      x = (rng.next() >> 24) * common;
+      y = ((rng.next() >> 24) | 1) * common;
+    }
+    std::size_t i = 0;
+    time_op(ops, "gcd64", base_iters, [&] {
+      volatile std::uint64_t sink = gcd64(pairs[i].first, pairs[i].second);
+      (void)sink;
+      i = (i + 1) % pairs.size();
+    });
+    i = 0;
+    time_op(ops, "rational_normalize", base_iters, [&] {
+      volatile bool sink =
+          Rational::from_parts(static_cast<i128>(pairs[i].first),
+                               static_cast<i128>(pairs[i].second))
+              .is_integer();
+      (void)sink;
+      i = (i + 1) % pairs.size();
     });
   }
   bench::emit(cli, ops, "Core operations", "ops");

@@ -29,6 +29,7 @@
 #include "chain/difficulty.hpp"
 #include "engine/sweep.hpp"
 #include "io/serialize.hpp"
+#include "sim/batch_cli.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -75,15 +76,15 @@ int main(int argc, char** argv) {
   }
 
   // Monte Carlo trajectory batch, wired through the shared flags:
-  // --replicas/--stop-*/--checkpoint (bench::apply_batch_cli) and
+  // --replicas/--stop-*/--checkpoint (sim::apply_batch_cli) and
   // --epoch-lanes (sharded simultaneous-move decision epochs; 0 keeps
   // the sequential policy scan).
-  const std::size_t epoch_lanes = bench::epoch_lanes_from_cli(cli);
+  const std::size_t epoch_lanes = sim::epoch_lanes_from_cli(cli);
   sim::TrajectoryBatchOptions batch;
   batch.replicas = 4;
   batch.root_seed = seed;
   batch.threads = threads;
-  bench::apply_batch_cli(cli, batch);
+  sim::apply_batch_cli(cli, batch);
   const auto chain_factory = [&](std::uint64_t task_seed) {
     std::vector<chain::ChainSpec> chains;
     chains.push_back(chain::ChainSpec{

@@ -5,12 +5,6 @@
 
 namespace goc {
 
-std::strong_ordering compare_fractions_exact(i128 a_num, i128 a_den, i128 b_num,
-                                             i128 b_den) {
-  return Rational::from_parts(a_num, a_den) <=>
-         Rational::from_parts(b_num, b_den);
-}
-
 MoveComparator::MoveComparator(const Game& game)
     : game_(&game), unrestricted_(game.access().is_unrestricted()) {
   scaled_rewards_.resize(game.num_coins());

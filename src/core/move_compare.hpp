@@ -18,7 +18,7 @@
 /// F(b)/(M_b + m_p) — a cross-multiplication. When every power and reward
 /// is an integer (the overwhelmingly common workload: all generators emit
 /// integers), masses are integers too and the whole comparison is two raw
-/// `i128` multiplies with no `Rational` construction and no GCD.
+/// 128-bit multiplies with no `Rational` construction and no GCD.
 ///
 /// Rewards need not be integers for that to work: orderings are invariant
 /// under scaling all rewards by one positive constant, so any reward set
@@ -27,31 +27,25 @@
 /// K_c = F(c)·L. This is what keeps the market epoch engine on the i128
 /// path — its weights are `Rational::from_double` quantizations whose
 /// denominators all divide the quantization denominator. Overflowing
-/// products, non-integer powers, and reward sets whose rescaling would
-/// overflow fall back to the exact `Rational` path, so the ordering
+/// products take the exact GCD-reduced fallback of `compare_fractions`;
+/// non-integer powers and reward sets whose rescaling would overflow fall
+/// back to the exact `Rational` path, so the ordering
 /// returned is always exact — bit-for-bit the same decision the reference
 /// scan makes.
 
 namespace goc {
 
-/// Slow path of `compare_positive_fractions`: exact comparison through
-/// `Rational` (whose <=> never overflows).
-std::strong_ordering compare_fractions_exact(i128 a_num, i128 a_den, i128 b_num,
-                                             i128 b_den);
-
 /// Exact comparison of a_num/a_den vs b_num/b_den for nonnegative
-/// numerators and positive denominators: two raw i128 multiplies on the
-/// fast path (inline — this sits in every engine inner loop), exact
-/// `Rational` fallback when a cross product overflows. The shared
-/// primitive of the comparator and the enumeration engine's integer-mode
-/// checks.
+/// numerators and positive denominators: the shared primitive of the
+/// comparator and the enumeration engine's integer-mode checks. It is
+/// `compare_fractions` on the magnitudes (inline — this sits in every
+/// engine inner loop): two raw 128-bit multiplies, and the GCD-reduced and
+/// continued-fraction fallbacks only when a cross product overflows.
 inline std::strong_ordering compare_positive_fractions(i128 a_num, i128 a_den,
-                                                       i128 b_num, i128 b_den) {
-  i128 lhs, rhs;
-  if (!mul_overflow(a_num, b_den, &lhs) && !mul_overflow(b_num, a_den, &rhs)) {
-    return lhs <=> rhs;
-  }
-  return compare_fractions_exact(a_num, a_den, b_num, b_den);
+                                                       i128 b_num,
+                                                       i128 b_den) noexcept {
+  return compare_fractions(static_cast<u128>(a_num), static_cast<u128>(a_den),
+                           static_cast<u128>(b_num), static_cast<u128>(b_den));
 }
 
 /// Exact post-move payoff comparisons for a fixed game, with an integer

@@ -4,6 +4,7 @@
 
 #include "core/moves.hpp"
 #include "dynamics/best_response_index.hpp"
+#include "obs/span.hpp"
 #include "potential/list_potential.hpp"
 #include "potential/observations.hpp"
 #include "util/assert.hpp"
@@ -18,6 +19,14 @@ void hash_move(std::uint64_t& h, const Move& move) {
   fnv::mix_word(h, move.miner.value);
   fnv::mix_word(h, move.from.value);
   fnv::mix_word(h, move.to.value);
+}
+
+/// Wall time of one step's audit block (the Theorem 1 potential check and
+/// `BestResponseIndex::audit`), recorded only when the audit is on.
+obs::Histogram& audit_ns() {
+  static obs::Histogram& histogram =
+      obs::Registry::instance().histogram("learn.audit_ns");
+  return histogram;
 }
 
 }  // namespace
@@ -68,6 +77,7 @@ LearningResult run_learning(const Game& game, Configuration start,
           *move, options.record_configurations ? &s : nullptr);
     }
     if (options.audit_potential) {
+      const obs::Span span(audit_ns());
       PotentialKey key = potential_key(game, s);
       GOC_ASSERT(prev_key < key,
                  "Theorem 1 violated: ordinal potential did not increase");
@@ -115,7 +125,10 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
           best_relative = relative;
         }
       }
-      if (options.audit_potential) index->audit();
+      if (options.audit_potential) {
+        const obs::Span span(audit_ns());
+        index->audit();
+      }
     } else {
       for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
         const MinerId miner(p);

@@ -77,7 +77,8 @@ struct SweepSpec {
   /// rescans each miner's best and better responses in exact `Rational`
   /// arithmetic (`BestResponseIndex::audit`, O(n·|C|) gain evaluations) on
   /// top of the O(|C| log |C|) potential key, and that rescan dominates
-  /// the E3 wall time.
+  /// the E3 wall time even though its comparisons cross-multiply without
+  /// a GCD. `learn.audit_ns` records each audited step's audit block.
   std::size_t audit_max_miners = 0;
 
   /// Optional predicate: tasks for which it returns false are dropped from

@@ -10,11 +10,10 @@
 /// \file batch_cli.hpp
 /// The shared Monte Carlo batch flags, single-sourced.
 ///
-/// Every surface that fans replicas — the bench harnesses
-/// (`bench::apply_batch_cli` in bench_common.hpp forwards here), the
-/// examples, and the serve daemon's request parser — accepts the same
-/// flag vocabulary and maps it onto `sim::TrajectoryBatchOptions` through
-/// this one function:
+/// Every surface that fans replicas — the bench harnesses, the examples,
+/// and the serve daemon's request parser — accepts the same flag
+/// vocabulary and maps it onto `sim::TrajectoryBatchOptions` through this
+/// one function:
 ///
 /// ```
 /// --replicas=N --threads=N

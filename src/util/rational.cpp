@@ -4,6 +4,8 @@
 #include <limits>
 #include <ostream>
 
+#include "obs/registry.hpp"
+
 namespace goc {
 namespace {
 
@@ -38,10 +40,6 @@ std::strong_ordering compare_cf(u128 a, u128 b, u128 c, u128 d) noexcept {
     d = r2;
     flipped = !flipped;
   }
-}
-
-bool mul_overflow_u128(u128 x, u128 y, u128* out) noexcept {
-  return __builtin_mul_overflow(x, y, out);
 }
 
 /// Small-operand predicate for the arithmetic fast paths: when every
@@ -95,6 +93,36 @@ void Rational::normalize() {
   }
 }
 
+namespace detail {
+
+std::strong_ordering compare_fractions_overflowed(u128 a_num, u128 a_den,
+                                                  u128 b_num,
+                                                  u128 b_den) noexcept {
+  static obs::Counter& kReduced =
+      obs::Registry::instance().counter("arith.compare.reduced");
+  static obs::Counter& kContinuedFraction =
+      obs::Registry::instance().counter("arith.compare.cf");
+  kReduced.add();
+  // A zero numerator never overflows a product, so at most one of a_num,
+  // b_num is zero here and neither GCD is zero.
+  const u128 g_num = gcd128(a_num, b_num);
+  const u128 g_den = gcd128(a_den, b_den);
+  a_num /= g_num;
+  b_num /= g_num;
+  a_den /= g_den;
+  b_den /= g_den;
+  u128 lhs;
+  u128 rhs;
+  if (!__builtin_mul_overflow(a_num, b_den, &lhs) &&
+      !__builtin_mul_overflow(b_num, a_den, &rhs)) {
+    return lhs <=> rhs;
+  }
+  kContinuedFraction.add();
+  return compare_cf(a_num, a_den, b_num, b_den);
+}
+
+}  // namespace detail
+
 std::strong_ordering Rational::operator<=>(const Rational& other) const noexcept {
   // Fast sign-based discrimination.
   const int s1 = num_ < 0 ? -1 : (num_ > 0 ? 1 : 0);
@@ -103,32 +131,11 @@ std::strong_ordering Rational::operator<=>(const Rational& other) const noexcept
   if (s1 == 0) return std::strong_ordering::equal;
 
   // Same strict sign: compare magnitudes |a|/b vs |c|/d, flipping for
-  // negatives. Try reduced cross-multiplication first.
-  u128 a = uabs128(num_);
-  u128 b = static_cast<u128>(den_);
-  u128 c = uabs128(other.num_);
-  u128 d = static_cast<u128>(other.den_);
-  const u128 g1 = gcd128(a, c);
-  const u128 g2 = gcd128(b, d);
-  a /= g1;
-  c /= g1;
-  b /= g2;
-  d /= g2;
-
-  std::strong_ordering mag = std::strong_ordering::equal;
-  u128 lhs = 0;
-  u128 rhs = 0;
-  if (!mul_overflow_u128(a, d, &lhs) && !mul_overflow_u128(c, b, &rhs)) {
-    mag = lhs <=> rhs;
-  } else {
-    mag = compare_cf(a, b, c, d);
-  }
-  if (s1 < 0) {
-    if (mag == std::strong_ordering::less) return std::strong_ordering::greater;
-    if (mag == std::strong_ordering::greater) return std::strong_ordering::less;
-    return std::strong_ordering::equal;
-  }
-  return mag;
+  // negatives.
+  const std::strong_ordering mag =
+      compare_fractions(uabs128(num_), static_cast<u128>(den_),
+                        uabs128(other.num_), static_cast<u128>(other.den_));
+  return s1 < 0 ? 0 <=> mag : mag;
 }
 
 Rational Rational::operator-() const noexcept {

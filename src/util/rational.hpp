@@ -24,10 +24,41 @@
 /// Representation: normalized `num/den` with `den > 0`,
 /// `gcd(|num|, den) == 1`, both stored as 128-bit integers. Operations that
 /// would exceed 128-bit intermediates throw `goc::OverflowError`;
-/// comparisons never overflow (they reduce by GCD first and fall back to a
-/// continued-fraction walk).
+/// comparisons never overflow. They all go through `compare_fractions`,
+/// which cross-multiplies first, reduces by GCD only when a product
+/// overflows and then falls back to a continued-fraction walk.
 
 namespace goc {
+
+namespace detail {
+
+/// The overflow branch of `compare_fractions`, out of line: reduces the
+/// cross products by GCD (counted as `arith.compare.reduced`) and, if 128
+/// bits still do not suffice, compares continued-fraction expansions term
+/// by term (counted as `arith.compare.cf`).
+std::strong_ordering compare_fractions_overflowed(u128 a_num, u128 a_den,
+                                                  u128 b_num,
+                                                  u128 b_den) noexcept;
+
+}  // namespace detail
+
+/// Exact comparison of a_num/a_den vs b_num/b_den for nonnegative
+/// numerators and positive denominators — the one fraction comparison of
+/// the arithmetic layer (`Rational::operator<=>` and
+/// `compare_positive_fractions` are thin adapters over it). Cross-multiplies
+/// the raw magnitudes first: two 128-bit multiplies, no GCD and no
+/// counter. Only when a product overflows does it take the out-of-line
+/// GCD-reduction and continued-fraction fallbacks. Never overflows.
+inline std::strong_ordering compare_fractions(u128 a_num, u128 a_den,
+                                              u128 b_num, u128 b_den) noexcept {
+  u128 lhs;
+  u128 rhs;
+  if (!__builtin_mul_overflow(a_num, b_den, &lhs) &&
+      !__builtin_mul_overflow(b_num, a_den, &rhs)) [[likely]] {
+    return lhs <=> rhs;
+  }
+  return detail::compare_fractions_overflowed(a_num, a_den, b_num, b_den);
+}
 
 class Rational {
  public:
@@ -60,9 +91,9 @@ class Rational {
   bool is_positive() const noexcept { return num_ > 0; }
   bool is_integer() const noexcept { return den_ == 1; }
 
-  /// Exact three-way comparison. Never throws and never overflows: reduces
-  /// the cross products by GCD and, if 128 bits still do not suffice,
-  /// compares continued-fraction expansions term by term.
+  /// Exact three-way comparison. Never throws and never overflows: signs
+  /// first, then the magnitudes through `compare_fractions` (raw cross
+  /// products; GCD reduction and continued fractions only on overflow).
   std::strong_ordering operator<=>(const Rational& other) const noexcept;
   bool operator==(const Rational& other) const noexcept {
     return num_ == other.num_ && den_ == other.den_;

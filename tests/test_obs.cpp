@@ -11,6 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/generators.hpp"
+#include "dynamics/learning.hpp"
+#include "dynamics/scheduler.hpp"
 #include "market/scenario.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -338,6 +341,47 @@ TEST(Parity, MarketBatchHashUnchangedWithObsOff) {
     without_obs = run_parity_market_batch().values_hash();
   }
   EXPECT_EQ(with_obs, without_obs);
+}
+
+/// One audited E3-style run: Pareto powers, integer rewards, 3 coins, the
+/// Theorem 1 potential check and the index audit on every step.
+LearningResult run_audited_learning() {
+  Rng rng(2021);
+  GameSpec spec;
+  spec.num_miners = 40;
+  spec.num_coins = 3;
+  spec.power_shape = PowerShape::kPareto;
+  spec.power_lo = 10;
+  spec.reward_lo = 100;
+  spec.reward_hi = 100000;
+  const Game game = random_game(spec, rng);
+  const Configuration start = random_configuration(game, rng);
+  auto scheduler = make_scheduler(SchedulerKind::kRandomMove, 7);
+  LearningOptions options;
+  options.audit_potential = true;
+  return run_learning(game, start, *scheduler, options);
+}
+
+TEST(Parity, AuditedLearningMoveHashUnchangedWithObsOff) {
+  Histogram& audit_ns = Registry::instance().histogram("learn.audit_ns");
+  Counter& cf = Registry::instance().counter("arith.compare.cf");
+  audit_ns.reset();
+  cf.reset();
+  const LearningResult with_obs = run_audited_learning();
+  ASSERT_TRUE(with_obs.converged);
+  ASSERT_GT(with_obs.steps, 0u);
+  // One audit span per step; a small integer game never needs the
+  // continued-fraction fallback of the exact comparison.
+  EXPECT_EQ(audit_ns.count(), with_obs.steps);
+  EXPECT_EQ(cf.total(), 0u);
+
+  const LearningResult without_obs = [] {
+    EnabledGuard off(false);
+    return run_audited_learning();
+  }();
+  EXPECT_EQ(with_obs.steps, without_obs.steps);
+  EXPECT_EQ(with_obs.move_hash, without_obs.move_hash);
+  EXPECT_EQ(with_obs.final_configuration, without_obs.final_configuration);
 }
 
 // ------------------------------------------------------- batch progress

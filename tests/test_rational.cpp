@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <unordered_set>
 
+#include "core/move_compare.hpp"
+#include "obs/registry.hpp"
+#include "util/rng.hpp"
 #include "util/xrational.hpp"
 
 namespace goc {
@@ -221,6 +225,162 @@ TEST(Rational, SumOfManySmallFractionsStaysExact) {
   EXPECT_NEAR(sum.to_double(), 4.4992053383, 1e-9);
   // Exactness probe: (sum − 1/2) + 1/2 == sum.
   EXPECT_EQ((sum - Rational(1, 2)) + Rational(1, 2), sum);
+}
+
+// ------------------------------------------- comparison differential
+// `compare_fractions` (behind `operator<=>` and `compare_positive_fractions`)
+// against an oracle that never needs a fallback: the cross products
+// computed exactly on 256 bits.
+
+/// 256-bit unsigned value; the defaulted <=> is lexicographic on
+/// (high, low), which is numeric order.
+struct U256 {
+  u128 high;
+  u128 low;
+  auto operator<=>(const U256&) const = default;
+};
+
+/// Full 128 x 128 -> 256-bit product from four 64 x 64 partial products.
+U256 wide_mul(u128 x, u128 y) {
+  const u128 mask = ~std::uint64_t{0};
+  const u128 x0 = x & mask;
+  const u128 x1 = x >> 64;
+  const u128 y0 = y & mask;
+  const u128 y1 = y >> 64;
+  const u128 p00 = x0 * y0;
+  const u128 p01 = x0 * y1;
+  const u128 p10 = x1 * y0;
+  const u128 mid = (p00 >> 64) + (p01 & mask) + (p10 & mask);
+  return U256{x1 * y1 + (p01 >> 64) + (p10 >> 64) + (mid >> 64),
+              (p00 & mask) | (mid << 64)};
+}
+
+std::strong_ordering oracle_compare(u128 a_num, u128 a_den, u128 b_num,
+                                    u128 b_den) {
+  return wide_mul(a_num, b_den) <=> wide_mul(b_num, a_den);
+}
+
+std::strong_ordering oracle_compare(const Rational& a, const Rational& b) {
+  const int sa = a.is_negative() ? -1 : (a.is_positive() ? 1 : 0);
+  const int sb = b.is_negative() ? -1 : (b.is_positive() ? 1 : 0);
+  if (sa != sb) return sa <=> sb;
+  const std::strong_ordering mag = oracle_compare(
+      uabs128(a.numerator()), static_cast<u128>(a.denominator()),
+      uabs128(b.numerator()), static_cast<u128>(b.denominator()));
+  return sa < 0 ? 0 <=> mag : mag;
+}
+
+/// A uniformly random value of exactly `bits` bits (1 <= bits <= 127).
+i128 random_bits(Rng& rng, unsigned bits) {
+  const u128 raw = (static_cast<u128>(rng.next()) << 64) | rng.next();
+  const u128 top = static_cast<u128>(1) << (bits - 1);
+  return static_cast<i128>((raw >> (128 - bits)) | top);
+}
+
+std::uint64_t counter_total(const char* name) {
+  return obs::Registry::instance().counter(name).total();
+}
+
+void expect_matches_oracle(const Rational& a, const Rational& b) {
+  EXPECT_EQ(a <=> b, oracle_compare(a, b)) << a << " vs " << b;
+  EXPECT_EQ(b <=> a, oracle_compare(b, a)) << b << " vs " << a;
+}
+
+TEST(Rational, ComparisonMatchesWideProductOracle) {
+  Rng rng(0xc0ffee);
+  const auto random_rational = [&](unsigned num_bits, unsigned den_bits) {
+    const i128 num = random_bits(rng, num_bits);
+    return Rational::from_parts(rng.next_below(2) == 0 ? num : -num,
+                                random_bits(rng, den_bits));
+  };
+  const auto random_width = [&] {  // magnitudes from 2^30 to 2^126
+    return 31 + static_cast<unsigned>(rng.next_below(97));
+  };
+
+  // Mixed widths and signs; the wide ones overflow the raw products.
+  for (int i = 0; i < 4000; ++i) {
+    const Rational a = random_rational(random_width(), random_width());
+    const Rational b = random_rational(random_width(), random_width());
+    expect_matches_oracle(a, b);
+    EXPECT_EQ(a <=> a, std::strong_ordering::equal);
+    // Neighbours that differ in the last unit of both parts.
+    const Rational c = Rational::from_parts(a.numerator() + 1,
+                                            a.denominator() + 1);
+    expect_matches_oracle(a, c);
+  }
+
+  // Raw products overflow but the GCD-reduced ones fit: numerators share
+  // 2^70, denominators are odd 62-bit values (so the Rationals stay
+  // normalized), and a_num·b_den >= 2^70·2^61 > 2^128.
+  const std::uint64_t reduced_before = counter_total("arith.compare.reduced");
+  const std::uint64_t cf_before = counter_total("arith.compare.cf");
+  constexpr int kReducedPairs = 2000;
+  for (int i = 0; i < kReducedPairs; ++i) {
+    const i128 shared = static_cast<i128>(1) << 70;
+    const i128 x = random_bits(rng, 20) | 1;
+    const i128 y = random_bits(rng, 20) | 1;
+    const Rational a =
+        Rational::from_parts(shared * x, random_bits(rng, 62) | 1);
+    const Rational b = Rational::from_parts(
+        i % 2 == 0 ? shared * y : -shared * y, random_bits(rng, 62) | 1);
+    expect_matches_oracle(a, b);
+    expect_matches_oracle(-a, -b);
+  }
+  if (obs::enabled()) {
+    EXPECT_GE(counter_total("arith.compare.reduced") - reduced_before,
+              static_cast<std::uint64_t>(kReducedPairs));
+    EXPECT_EQ(counter_total("arith.compare.cf"), cf_before);
+  }
+
+  // Reduced products still overflow: the continued-fraction walk decides.
+  for (int i = 0; i < 2000; ++i) {
+    const unsigned bits = 100 + static_cast<unsigned>(rng.next_below(28));
+    const Rational a = random_rational(bits, bits);
+    const Rational b = random_rational(bits, bits);
+    expect_matches_oracle(a, b);
+    expect_matches_oracle(a, -b);
+  }
+  if (obs::enabled()) {
+    EXPECT_GT(counter_total("arith.compare.cf"), cf_before);
+  }
+}
+
+TEST(Rational, PositiveFractionComparisonSurvivesI128Overflow) {
+  const i128 two63 = static_cast<i128>(1) << 63;
+  const i128 two100 = static_cast<i128>(1) << 100;
+  // Products in [2^127, 2^128): overflow i128, fit u128.
+  const std::pair<i128, i128> wide[] = {{two63 + 5, two63 + 3},
+                                        {two63 + 4, two63 + 2},
+                                        {two63 * 2 - 1, two63 + 1},
+                                        {two63 * 2 - 3, two63 - 1}};
+  for (const auto& [an, ad] : wide) {
+    for (const auto& [bn, bd] : wide) {
+      EXPECT_EQ(compare_positive_fractions(an, ad, bn, bd),
+                oracle_compare(an, ad, bn, bd));
+      EXPECT_EQ(compare_positive_fractions(an, bd, bn, ad),
+                oracle_compare(an, bd, bn, ad));
+    }
+  }
+  // Products past 2^128 that the GCD reduction brings back: 3·2^100/7 vs
+  // 2^100/(2^40 + 1) is 3/7 vs 1/(2^40 + 1).
+  EXPECT_EQ(compare_positive_fractions(3 * two100, 7, two100,
+                                       (static_cast<i128>(1) << 40) + 1),
+            std::strong_ordering::greater);
+  // Unreduced equal values whose reduced products still overflow, so the
+  // continued-fraction walk must report equality: k·x/(k·y) vs m·x/(m·y).
+  const i128 k = (static_cast<i128>(1) << 65) + 1;
+  const i128 m = (static_cast<i128>(1) << 65) + 3;
+  const i128 x = (static_cast<i128>(1) << 60) + 7;
+  const i128 y = (static_cast<i128>(1) << 60) + 9;
+  EXPECT_EQ(compare_positive_fractions(k * x, k * y, m * x, m * y),
+            std::strong_ordering::equal);
+  EXPECT_EQ(compare_positive_fractions(k * x, k * y, m * x + 1, m * y),
+            std::strong_ordering::less);
+  // A zero numerator against an overflowing cross product.
+  EXPECT_EQ(compare_positive_fractions(0, two100, two100, 1),
+            std::strong_ordering::less);
+  EXPECT_EQ(compare_positive_fractions(two100, 1, 0, two100),
+            std::strong_ordering::greater);
 }
 
 TEST(XRational, InfinityOrdering) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/int128.hpp"
@@ -33,6 +35,59 @@ TEST(Int128, Gcd) {
   EXPECT_EQ(gcd128(17, 13), 1u);
   const u128 big = static_cast<u128>(1) << 100;
   EXPECT_EQ(gcd128(big, big >> 3), big >> 3);
+}
+
+/// Textbook Euclid: the reference the binary `gcd64` must agree with.
+std::uint64_t euclid_gcd(std::uint64_t a, std::uint64_t b) {
+  while (b != 0) {
+    const std::uint64_t t = a % b;
+    a = b;
+    b = t;
+  }
+  return a;
+}
+
+TEST(Int128, Gcd64MatchesEuclidReference) {
+  static_assert(gcd64(12, 18) == 6);
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs = {
+      {0, 0}, {0, 1}, {1, 0}, {0, kMax}, {kMax, 0}, {1, 1}, {1, kMax},
+      {kMax, kMax}, {kMax, kMax - 1}, {kMax, 3}, {kMax, 1ULL << 63},
+      {12, 18}, {17, 13}, {1ULL << 63, 1ULL << 62}, {3ULL << 40, 5ULL << 41}};
+  for (int i = 0; i < 64; ++i) {
+    for (int j = 0; j < 64; ++j) pairs.emplace_back(1ULL << i, 1ULL << j);
+    pairs.emplace_back(1ULL << i, kMax);
+  }
+  // Consecutive Fibonacci numbers: Euclid's worst case (every quotient 1).
+  std::uint64_t f0 = 1;
+  std::uint64_t f1 = 2;
+  while (f1 > f0) {  // up to F(93), the last one below 2^64
+    pairs.emplace_back(f0, f1);
+    pairs.emplace_back(f1, f0);
+    pairs.emplace_back(f1, f1);
+    const std::uint64_t next = f0 + f1;
+    f0 = f1;
+    f1 = next;
+  }
+  // Seeded random pairs: full-width, mixed widths, and shared factors of
+  // two and of a random odd value, so nontrivial GCDs are common.
+  Rng rng(0x6cd64);
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t a = rng.next() >> rng.next_below(64);
+    std::uint64_t b = rng.next() >> rng.next_below(64);
+    if (i % 3 == 1) {
+      const unsigned shift = static_cast<unsigned>(rng.next_below(20));
+      const std::uint64_t common = (rng.next() >> 44) | 1;
+      a = ((a >> 40) * common) << shift;
+      b = ((b >> 40) * common) << shift;
+    }
+    pairs.emplace_back(a, b);
+  }
+  for (const auto& [a, b] : pairs) {
+    const std::uint64_t expected = euclid_gcd(a, b);
+    ASSERT_EQ(gcd64(a, b), expected) << a << ", " << b;
+    ASSERT_EQ(gcd128(a, b), static_cast<u128>(expected)) << a << ", " << b;
+  }
 }
 
 TEST(Int128, CheckedOpsThrowOnOverflow) {
