@@ -120,6 +120,16 @@ int run(int argc, char** argv) {
     });
   }
   {
+    // One full index audit on an E3-shaped game: the per-step check of an
+    // audited e3-sweep task.
+    const Game game = make_game(100, 3, seed);
+    Rng rng(2);
+    const Configuration s = random_configuration(game, rng);
+    const dynamics::BestResponseIndex index(game, s);
+    time_op(ops, "index_audit(n=100,|C|=3)", base_iters / 100,
+            [&] { index.audit(); });
+  }
+  {
     const Rational a(123456789, 987654321);
     const Rational b(123456788, 987654321);
     time_op(ops, "rational_cmp_fast", base_iters, [&] {
@@ -133,6 +143,26 @@ int run(int argc, char** argv) {
     time_op(ops, "rational_cmp_huge", base_iters / 10, [&] {
       volatile bool sink = big_a < big_b;
       (void)sink;
+    });
+    // Products of operands at or above 2^31 whose parts share cross
+    // factors: the cross-reduced branch of `operator*`.
+    std::vector<std::pair<Rational, Rational>> factors;
+    Rng rng(seed);
+    const auto part = [&] {  // odd, 36 bits, top bit set
+      return static_cast<i128>((rng.next() >> 28) | (std::uint64_t{1} << 35) |
+                               1);
+    };
+    for (int i = 0; i < 1024; ++i) {
+      const i128 f = static_cast<i128>((rng.next() >> 52) | 1);
+      const i128 g = static_cast<i128>((rng.next() >> 52) | 1);
+      factors.emplace_back(Rational::from_parts(part() * f, part() * g),
+                           Rational::from_parts(part() * g, part() * f));
+    }
+    std::size_t i = 0;
+    time_op(ops, "rational_mul_cross", base_iters, [&] {
+      volatile bool sink = (factors[i].first * factors[i].second).is_integer();
+      (void)sink;
+      i = (i + 1) % factors.size();
     });
   }
   {

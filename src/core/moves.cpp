@@ -25,49 +25,73 @@ bool is_better_response(const Game& game, const Configuration& s, MinerId p,
   return game.payoff_if_move(s, p, c) > game.payoff(s, p);
 }
 
-std::vector<CoinId> better_responses(const Game& game, const Configuration& s,
-                                     MinerId p) {
-  std::vector<CoinId> out;
+namespace {
+
+/// One allowed unilateral move of p, as the payoff loop hands it out.
+struct Candidate {
+  CoinId coin;
+  const Rational& payoff;   // u_p((s_{-p}, coin))
+  const Rational& current;  // u_p(s)
+  bool improves() const { return payoff > current; }
+};
+
+/// The one payoff loop of the reference layer: computes u_p(s) once, then
+/// u_p((s_{-p}, c)) once for each coin c ≠ s.p that p may mine, in coin-id
+/// order, until `visit` returns false. Returns u_p(s). Each query below is
+/// a visitor making only the comparisons it needs.
+template <typename Visit>
+Rational for_each_move(const Game& game, const Configuration& s, MinerId p,
+                       Visit&& visit) {
   const Rational current = game.payoff(s, p);
   const CoinId here = s.of(p);
   for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
     const CoinId coin(c);
-    if (coin == here) continue;
-    if (!game.can_mine(p, coin)) continue;
-    if (game.payoff_if_move(s, p, coin) > current) out.push_back(coin);
+    if (coin == here || !game.can_mine(p, coin)) continue;
+    const Rational after = game.payoff_if_move(s, p, coin);
+    if (!visit(Candidate{coin, after, current})) break;
   }
+  return current;
+}
+
+}  // namespace
+
+MoveScan scan_moves(const Game& game, const Configuration& s, MinerId p,
+                    std::vector<CoinId>* improving) {
+  if (improving) improving->clear();
+  MoveScan scan;
+  scan.current = for_each_move(game, s, p, [&](const Candidate& m) {
+    if (improving) {
+      if (!m.improves()) return true;
+      improving->push_back(m.coin);
+    }
+    // Strict: ties keep the lowest coin id.
+    if (m.payoff > (scan.best ? scan.best_payoff : m.current)) {
+      scan.best = m.coin;
+      scan.best_payoff = m.payoff;
+    }
+    return true;
+  });
+  if (!scan.best) scan.best_payoff = scan.current;
+  return scan;
+}
+
+std::vector<CoinId> better_responses(const Game& game, const Configuration& s,
+                                     MinerId p) {
+  std::vector<CoinId> out;
+  scan_moves(game, s, p, &out);
   return out;
 }
 
 std::optional<CoinId> best_response(const Game& game, const Configuration& s,
                                     MinerId p) {
-  const Rational current = game.payoff(s, p);
-  const CoinId here = s.of(p);
-  std::optional<CoinId> best;
-  Rational best_payoff = current;
-  for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-    const CoinId coin(c);
-    if (coin == here) continue;
-    if (!game.can_mine(p, coin)) continue;
-    const Rational after = game.payoff_if_move(s, p, coin);
-    if (after > best_payoff) {
-      best_payoff = after;
-      best = coin;
-    }
-  }
-  return best;
+  return scan_moves(game, s, p).best;
 }
 
 bool is_stable(const Game& game, const Configuration& s, MinerId p) {
-  const Rational current = game.payoff(s, p);
-  const CoinId here = s.of(p);
-  for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-    const CoinId coin(c);
-    if (coin == here) continue;
-    if (!game.can_mine(p, coin)) continue;
-    if (game.payoff_if_move(s, p, coin) > current) return false;
-  }
-  return true;
+  bool stable = true;
+  for_each_move(game, s, p,
+                [&](const Candidate& m) { return stable = !m.improves(); });
+  return stable;
 }
 
 bool is_equilibrium(const Game& game, const Configuration& s) {
@@ -88,16 +112,9 @@ std::vector<MinerId> unstable_miners(const Game& game, const Configuration& s) {
 bool is_epsilon_stable(const Game& game, const Configuration& s, MinerId p,
                        const Rational& epsilon) {
   GOC_CHECK_ARG(!epsilon.is_negative(), "epsilon must be nonnegative");
-  const Rational current = game.payoff(s, p);
-  const Rational threshold = current + current * epsilon;
-  const CoinId here = s.of(p);
-  for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-    const CoinId coin(c);
-    if (coin == here) continue;
-    if (!game.can_mine(p, coin)) continue;
-    if (game.payoff_if_move(s, p, coin) > threshold) return false;
-  }
-  return true;
+  // The threshold is at least u_p(s), so the best response decides.
+  const MoveScan scan = scan_moves(game, s, p);
+  return !(scan.best_payoff > scan.current + scan.current * epsilon);
 }
 
 bool is_epsilon_equilibrium(const Game& game, const Configuration& s,
@@ -111,14 +128,10 @@ bool is_epsilon_equilibrium(const Game& game, const Configuration& s,
 std::size_t count_better_responses(const Game& game, const Configuration& s,
                                    MinerId p) {
   std::size_t count = 0;
-  const Rational current = game.payoff(s, p);
-  const CoinId here = s.of(p);
-  for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-    const CoinId coin(c);
-    if (coin == here) continue;
-    if (!game.can_mine(p, coin)) continue;
-    if (game.payoff_if_move(s, p, coin) > current) ++count;
-  }
+  for_each_move(game, s, p, [&](const Candidate& m) {
+    count += m.improves() ? 1 : 0;
+    return true;
+  });
   return count;
 }
 
@@ -134,22 +147,16 @@ std::size_t count_all_better_response_moves(const Game& game,
 std::optional<Move> nth_better_response_move(const Game& game,
                                              const Configuration& s,
                                              std::size_t n) {
-  for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
+  std::optional<Move> move;
+  for (std::uint32_t p = 0; p < game.num_miners() && !move; ++p) {
     const MinerId miner(p);
-    const Rational current = game.payoff(s, miner);
-    const CoinId here = s.of(miner);
-    for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-      const CoinId coin(c);
-      if (coin == here) continue;
-      if (!game.can_mine(miner, coin)) continue;
-      const Rational after = game.payoff_if_move(s, miner, coin);
-      if (after > current) {
-        if (n == 0) return Move{miner, here, coin, after - current};
-        --n;
-      }
-    }
+    for_each_move(game, s, miner, [&](const Candidate& m) {
+      if (!m.improves() || n-- > 0) return true;  // not yet the n-th
+      move = Move{miner, s.of(miner), m.coin, m.payoff - m.current};
+      return false;
+    });
   }
-  return std::nullopt;
+  return move;
 }
 
 std::vector<Move> all_better_response_moves(const Game& game,
@@ -157,17 +164,12 @@ std::vector<Move> all_better_response_moves(const Game& game,
   std::vector<Move> out;
   for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
     const MinerId miner(p);
-    const Rational current = game.payoff(s, miner);
-    const CoinId here = s.of(miner);
-    for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-      const CoinId coin(c);
-      if (coin == here) continue;
-      if (!game.can_mine(miner, coin)) continue;
-      const Rational after = game.payoff_if_move(s, miner, coin);
-      if (after > current) {
-        out.push_back(Move{miner, here, coin, after - current});
+    for_each_move(game, s, miner, [&](const Candidate& m) {
+      if (m.improves()) {
+        out.push_back(Move{miner, s.of(miner), m.coin, m.payoff - m.current});
       }
-    }
+      return true;
+    });
   }
   return out;
 }

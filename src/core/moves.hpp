@@ -14,10 +14,10 @@
 /// stable is a pure equilibrium.
 ///
 /// Everything here is the *scan-based reference implementation*: from
-/// scratch, exact `Rational` payoffs, O(|C|) per miner. The learning hot
-/// loop uses `dynamics::BestResponseIndex` (built on the `MoveComparator`
-/// fast path in core/move_compare.hpp) instead, and the reference scans
-/// double as its audit oracle.
+/// scratch, exact `Rational` payoffs, O(|C|) per miner, all through one
+/// payoff loop in moves.cpp. The learning hot loop uses
+/// `dynamics::BestResponseIndex` (built on the `MoveComparator` fast path
+/// in core/move_compare.hpp) instead, and `scan_moves` is its audit oracle.
 
 namespace goc {
 
@@ -31,6 +31,21 @@ struct Move {
   std::string to_string() const;
 };
 
+/// What one scan of miner p's unilateral moves in s finds.
+struct MoveScan {
+  Rational current;            ///< u_p(s)
+  std::optional<CoinId> best;  ///< best response; nullopt iff p is stable
+  Rational best_payoff;        ///< payoff after `best` (`current` if stable)
+  Rational best_gain() const { return best_payoff - current; }
+};
+
+/// p's best response (ties toward the lowest coin id) and payoffs, from
+/// one pass that reads each payoff once. A non-null `improving` is cleared
+/// and filled with p's better responses in coin-id order (callers reuse
+/// its capacity).
+MoveScan scan_moves(const Game& game, const Configuration& s, MinerId p,
+                    std::vector<CoinId>* improving = nullptr);
+
 /// u_p((s_{-p}, c)) − u_p(s); positive iff moving to c is a better response.
 Rational move_gain(const Game& game, const Configuration& s, MinerId p, CoinId c);
 
@@ -42,9 +57,8 @@ bool is_better_response(const Game& game, const Configuration& s, MinerId p,
 std::vector<CoinId> better_responses(const Game& game, const Configuration& s,
                                      MinerId p);
 
-/// The best response for p (maximum post-move payoff), or nullopt when p is
-/// stable. Ties break toward the lowest coin id, making schedulers built on
-/// this deterministic.
+/// `scan_moves(game, s, p).best`: the lowest-id argmax of p's post-move
+/// payoff, or nullopt when p is stable (keeps schedulers deterministic).
 std::optional<CoinId> best_response(const Game& game, const Configuration& s,
                                     MinerId p);
 

@@ -70,20 +70,6 @@ System System::sorted_by_power_desc(std::vector<MinerId>* out_permutation) const
   return System(std::move(sorted), num_coins_);
 }
 
-std::vector<MinerId> System::miner_ids() const {
-  std::vector<MinerId> ids;
-  ids.reserve(num_miners());
-  for (std::uint32_t i = 0; i < num_miners(); ++i) ids.emplace_back(i);
-  return ids;
-}
-
-std::vector<CoinId> System::coin_ids() const {
-  std::vector<CoinId> ids;
-  ids.reserve(num_coins());
-  for (std::uint32_t i = 0; i < num_coins(); ++i) ids.emplace_back(i);
-  return ids;
-}
-
 std::string System::to_string() const {
   std::ostringstream os;
   os << "System{n=" << num_miners() << ", coins=" << num_coins() << ", powers=[";

@@ -49,11 +49,6 @@ class System {
   /// order. `out_permutation[new_index] = old MinerId` when non-null.
   System sorted_by_power_desc(std::vector<MinerId>* out_permutation = nullptr) const;
 
-  /// All miner ids, in index order.
-  std::vector<MinerId> miner_ids() const;
-  /// All coin ids, in index order.
-  std::vector<CoinId> coin_ids() const;
-
   bool valid_miner(MinerId p) const noexcept {
     return p.value < powers_.size();
   }

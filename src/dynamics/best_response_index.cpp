@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "obs/registry.hpp"
 #include "util/assert.hpp"
 
 namespace goc::dynamics {
@@ -74,6 +75,7 @@ void BestResponseIndex::apply_delta(const MoveDelta& delta) {
   const CoinId heavier = delta.to;    // gained m_p: strictly less attractive
   const std::int32_t heavier_id = static_cast<std::int32_t>(heavier.value);
   const std::size_t n = game_->num_miners();
+  std::uint64_t rescanned = 0;
   for (std::uint32_t q = 0; q < n; ++q) {
     const CoinId here = s.of(MinerId(q));
     // Dirty miners: own payoff changed (on a touched coin — this covers the
@@ -81,10 +83,14 @@ void BestResponseIndex::apply_delta(const MoveDelta& delta) {
     // worsened (== to) so the runner-up is unknown.
     if (here == lighter || here == heavier || best_[q] == heavier_id) {
       rescan(MinerId(q));
+      ++rescanned;
     } else {
       update_spectator(MinerId(q), lighter, heavier);
     }
   }
+  static obs::Counter& rescans =
+      obs::Registry::instance().counter("index.rescans");
+  rescans.add(rescanned);
 }
 
 void BestResponseIndex::rescan(MinerId q) {
@@ -273,26 +279,27 @@ Move BestResponseIndex::move_to(MinerId p, CoinId c) const {
 void BestResponseIndex::audit() const {
   const Configuration& s = *tracked_;
   GOC_ASSERT(epoch_ == s.move_epoch(), "index out of sync with configuration");
+  std::vector<CoinId> improving;
+  improving.reserve(game_->num_coins());
   std::size_t total = 0;
   for (std::uint32_t q = 0; q < game_->num_miners(); ++q) {
     const MinerId miner(q);
-    const auto reference = best_response(*game_, s, miner);
-    const auto cached = best_of(miner);
-    GOC_ASSERT(reference == cached, "index best response diverged from scan");
-    if (reference) {
-      GOC_ASSERT(best_gain(miner) == move_gain(*game_, s, miner, *reference),
+    const MoveScan reference = scan_moves(*game_, s, miner, &improving);
+    GOC_ASSERT(reference.best == best_of(miner),
+               "index best response diverged from scan");
+    if (reference.best) {
+      GOC_ASSERT(best_gain(miner) == reference.best_gain(),
                  "index gain diverged from scan");
     }
-    const auto options = better_responses(*game_, s, miner);
-    GOC_ASSERT(options.size() == count_[q],
+    GOC_ASSERT(improving.size() == count_[q],
                "index improving count diverged from scan");
-    for (std::size_t i = 0; i < options.size(); ++i) {
-      GOC_ASSERT(nth_improving(miner, i) == options[i],
+    for (std::size_t i = 0; i < improving.size(); ++i) {
+      GOC_ASSERT(nth_improving(miner, i) == improving[i],
                  "index improving set diverged from scan");
     }
-    GOC_ASSERT(static_cast<bool>(unstable_flag_[q]) == !options.empty(),
+    GOC_ASSERT(static_cast<bool>(unstable_flag_[q]) == !improving.empty(),
                "index stability flag diverged from scan");
-    total += options.size();
+    total += improving.size();
   }
   GOC_ASSERT(total == total_improving_,
              "index total improving count diverged from scan");

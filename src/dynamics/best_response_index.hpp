@@ -121,8 +121,8 @@ class BestResponseIndex {
   /// The full Move record for p moving to improving coin `c`.
   Move move_to(MinerId p, CoinId c) const;
 
-  /// Cross-checks every cached fact against the scan-based reference in
-  /// core/moves.*; throws goc::InvariantError on any mismatch. O(n·|C|)
+  /// Cross-checks every cached fact against one `scan_moves` per miner
+  /// (core/moves.*); throws goc::InvariantError on any mismatch. O(n·|C|)
   /// exact arithmetic — the audit path, wired to
   /// `LearningOptions::audit_potential`.
   void audit() const;

@@ -29,19 +29,41 @@ obs::Histogram& audit_ns() {
   return histogram;
 }
 
-}  // namespace
-
-LearningResult run_learning(const Game& game, Configuration start,
-                            Scheduler& scheduler, const LearningOptions& options) {
+/// Checks `start` and opens the result both drivers fill in.
+LearningResult open_run(const Game& game, Configuration start,
+                        const LearningOptions& options) {
   GOC_CHECK_ARG(&start.system() == &game.system(),
                 "configuration belongs to a different system");
   GOC_CHECK_ARG(game.respects_access(start),
                 "start configuration violates the game's access policy");
   LearningResult result{std::move(start), 0, false, Trace{}};
-  Configuration& s = result.final_configuration;
+  if (options.record_configurations) {
+    result.trace.set_start(result.final_configuration);
+  }
+  return result;
+}
 
-  const bool keep_moves = options.record_moves || options.record_configurations;
-  if (options.record_configurations) result.trace.set_start(s);
+/// Books one applied move: the step count (and `learn.steps`), the move
+/// hash and, when asked for, the trace.
+void record_step(LearningResult& result, const Move& move,
+                 const LearningOptions& options) {
+  static obs::Counter& steps = obs::Registry::instance().counter("learn.steps");
+  steps.add();
+  ++result.steps;
+  hash_move(result.move_hash, move);
+  if (options.record_moves || options.record_configurations) {
+    result.trace.add_step(move, options.record_configurations
+                                    ? &result.final_configuration
+                                    : nullptr);
+  }
+}
+
+}  // namespace
+
+LearningResult run_learning(const Game& game, Configuration start,
+                            Scheduler& scheduler, const LearningOptions& options) {
+  LearningResult result = open_run(game, std::move(start), options);
+  Configuration& s = result.final_configuration;
 
   PotentialKey prev_key;
   if (options.audit_potential) prev_key = potential_key(game, s);
@@ -70,12 +92,7 @@ LearningResult run_learning(const Game& game, Configuration start,
     }
     s.move(move->miner, move->to);
     if (index) index->sync(s);
-    ++result.steps;
-    hash_move(result.move_hash, *move);
-    if (keep_moves) {
-      result.trace.add_step(
-          *move, options.record_configurations ? &s : nullptr);
-    }
+    record_step(result, *move, options);
     if (options.audit_potential) {
       const obs::Span span(audit_ns());
       PotentialKey key = potential_key(game, s);
@@ -96,34 +113,31 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
                                        const Rational& epsilon,
                                        const LearningOptions& options) {
   GOC_CHECK_ARG(!epsilon.is_negative(), "epsilon must be nonnegative");
-  GOC_CHECK_ARG(&start.system() == &game.system(),
-                "configuration belongs to a different system");
-  GOC_CHECK_ARG(game.respects_access(start),
-                "start configuration violates the game's access policy");
-  LearningResult result{std::move(start), 0, false, Trace{}};
+  LearningResult result = open_run(game, std::move(start), options);
   Configuration& s = result.final_configuration;
-  const bool keep_moves = options.record_moves || options.record_configurations;
-  if (options.record_configurations) result.trace.set_start(s);
 
   std::optional<dynamics::BestResponseIndex> index;
   if (options.use_index) index.emplace(game, s);
 
   while (result.steps < options.max_steps) {
-    // Globally maximal relative gain; ties toward lower miner/coin ids.
+    // Globally maximal relative gain; ties toward lower miner/coin ids. A
+    // miner's maximal-relative-gain move is its best response (its current
+    // payoff is fixed), so only best responses compete, and the strict `>`
+    // over miners in id order keeps the lowest-miner tie-break.
     std::optional<Move> best;
     Rational best_relative(0);
+    const auto consider = [&](MinerId miner, CoinId to, const Rational& gain,
+                              const Rational& current) {
+      const Rational relative = gain / current;
+      if (!best || relative > best_relative) {
+        best = Move{miner, s.of(miner), to, gain};
+        best_relative = relative;
+      }
+    };
     if (index) {
-      // The maximal-relative-gain move of a miner is its best response
-      // (current payoff is fixed per miner), so only unstable miners'
-      // cached bests compete. The strict `>` over the id-ordered unstable
-      // set reproduces the scan's lowest-miner tie-break.
       for (const MinerId miner : index->unstable()) {
-        const Rational relative =
-            index->best_gain(miner) / game.payoff(s, miner);
-        if (!best || relative > best_relative) {
-          best = index->best_move(miner);
-          best_relative = relative;
-        }
+        consider(miner, *index->best_of(miner), index->best_gain(miner),
+                 game.payoff(s, miner));
       }
       if (options.audit_potential) {
         const obs::Span span(audit_ns());
@@ -131,19 +145,9 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
       }
     } else {
       for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-        const MinerId miner(p);
-        const Rational current = game.payoff(s, miner);
-        const CoinId here = s.of(miner);
-        for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-          const CoinId coin(c);
-          if (coin == here || !game.can_mine(miner, coin)) continue;
-          const Rational after = game.payoff_if_move(s, miner, coin);
-          if (after <= current) continue;
-          const Rational relative = (after - current) / current;
-          if (!best || relative > best_relative) {
-            best = Move{miner, here, coin, after - current};
-            best_relative = relative;
-          }
+        const MoveScan scan = scan_moves(game, s, MinerId(p));
+        if (scan.best) {
+          consider(MinerId(p), *scan.best, scan.best_gain(), scan.current);
         }
       }
     }
@@ -153,12 +157,7 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
     }
     s.move(best->miner, best->to);
     if (index) index->sync(s);
-    ++result.steps;
-    hash_move(result.move_hash, *best);
-    if (keep_moves) {
-      result.trace.add_step(*best,
-                            options.record_configurations ? &s : nullptr);
-    }
+    record_step(result, *best, options);
   }
   if (!result.converged) {
     result.converged = is_epsilon_equilibrium(game, s, epsilon);

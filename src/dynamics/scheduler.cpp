@@ -13,9 +13,9 @@ using dynamics::BestResponseIndex;
 /// Builds the Move record for miner p moving to its best response.
 std::optional<Move> best_response_move(const Game& game, const Configuration& s,
                                        MinerId p) {
-  const auto target = best_response(game, s, p);
-  if (!target) return std::nullopt;
-  return Move{p, s.of(p), *target, move_gain(game, s, p, *target)};
+  const MoveScan scan = scan_moves(game, s, p);
+  if (!scan.best) return std::nullopt;
+  return Move{p, s.of(p), *scan.best, scan.best_gain()};
 }
 
 class RandomMoveScheduler final : public Scheduler {
@@ -206,15 +206,8 @@ class PowerOrderedScheduler final : public Scheduler {
 class LexicographicScheduler final : public Scheduler {
  public:
   std::optional<Move> pick(const Game& game, const Configuration& s) override {
-    for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-      const MinerId miner(p);
-      const std::vector<CoinId> options = better_responses(game, s, miner);
-      if (!options.empty()) {
-        const CoinId to = options.front();
-        return Move{miner, s.of(miner), to, move_gain(game, s, miner, to)};
-      }
-    }
-    return std::nullopt;
+    // The first improving move in (miner id, coin id) order.
+    return nth_better_response_move(game, s, 0);
   }
 
   std::optional<Move> pick_indexed(const Game& game, const Configuration& s,

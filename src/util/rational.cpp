@@ -176,7 +176,9 @@ Rational Rational::operator*(const Rational& other) const {
     return Rational(num_ * other.num_, den_ * other.den_,
                     /*already_normalized=*/false);
   }
-  // Reduce cross factors before multiplying to delay overflow.
+  // Reduce cross factors before multiplying to delay overflow. Then
+  // gcd(a, d) = gcd(c, b) = 1 on top of the operands' own gcd(a, b) =
+  // gcd(c, d) = 1, so (a·c)/(b·d) is in lowest terms (zero comes out 0/1).
   const u128 g1 = gcd128(uabs128(num_), static_cast<u128>(other.den_));
   const u128 g2 = gcd128(uabs128(other.num_), static_cast<u128>(den_));
   const i128 a = num_ / static_cast<i128>(g1);
@@ -184,7 +186,7 @@ Rational Rational::operator*(const Rational& other) const {
   const i128 c = other.num_ / static_cast<i128>(g2);
   const i128 b = den_ / static_cast<i128>(g2);
   return Rational(checked_mul(a, c), checked_mul(b, d),
-                  /*already_normalized=*/false);
+                  /*already_normalized=*/true);
 }
 
 Rational Rational::operator/(const Rational& other) const {

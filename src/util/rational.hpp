@@ -22,7 +22,8 @@
 /// `double` and quantize at the boundary via `Rational::from_double`.
 ///
 /// Representation: normalized `num/den` with `den > 0`,
-/// `gcd(|num|, den) == 1`, both stored as 128-bit integers. Operations that
+/// `gcd(|num|, den) == 1`, both stored as 128-bit integers (a cross-reduced
+/// product is already in lowest terms). Operations that
 /// would exceed 128-bit intermediates throw `goc::OverflowError`;
 /// comparisons never overflow. They all go through `compare_fractions`,
 /// which cross-multiplies first, reduces by GCD only when a product

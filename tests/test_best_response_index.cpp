@@ -54,8 +54,119 @@ Game tie_game(std::size_t miners, std::size_t coins) {
               RewardFunction::constant(coins, Rational(12)));
 }
 
+/// 12 miners × 5 coins, each miner allowed on a random half of the coins.
+Game restricted_game() {
+  Rng rng(31);
+  GameSpec spec;
+  spec.num_miners = 12;
+  spec.num_coins = 5;
+  const Game base = random_game(spec, rng);
+  AccessPolicy policy = AccessPolicy::random(12, 5, 0.5, rng);
+  return Game(base.system_ptr(), base.rewards(), policy);
+}
+
+/// Every miner on its lowest allowed coin.
+Configuration allowed_start(const Game& g) {
+  std::vector<CoinId> assignment;
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    assignment.push_back(g.allowed_coins(MinerId(p)).front());
+  }
+  return Configuration(g.system_ptr(), assignment);
+}
+
+/// The paper's definitions as a plain double loop over `payoff` and
+/// `payoff_if_move`, independent of `scan_moves`: every improving move in
+/// (miner, coin) order, and each miner's first maximal post-move payoff.
+struct DoubleLoop {
+  std::vector<Move> moves;
+  std::vector<Rational> current;
+  std::vector<std::optional<CoinId>> best;
+  std::vector<Rational> best_payoff;  // current payoff when stable
+};
+
+DoubleLoop double_loop(const Game& g, const Configuration& s) {
+  DoubleLoop out;
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    const MinerId miner(p);
+    const Rational current = g.payoff(s, miner);
+    std::optional<CoinId> best;
+    Rational best_payoff = current;
+    for (std::uint32_t c = 0; c < g.num_coins(); ++c) {
+      const CoinId coin(c);
+      if (coin == s.of(miner) || !g.can_mine(miner, coin)) continue;
+      const Rational after = g.payoff_if_move(s, miner, coin);
+      if (after > current) {
+        out.moves.push_back(Move{miner, s.of(miner), coin, after - current});
+      }
+      if (after > best_payoff) {
+        best = coin;
+        best_payoff = after;
+      }
+    }
+    out.current.push_back(current);
+    out.best.push_back(best);
+    out.best_payoff.push_back(best_payoff);
+  }
+  return out;
+}
+
+/// Every `core/moves` query against the double loop.
+void expect_moves_match_double_loop(const Game& g, const Configuration& s) {
+  const DoubleLoop ref = double_loop(g, s);
+  const auto moves = all_better_response_moves(g, s);
+  ASSERT_EQ(moves.size(), ref.moves.size());
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    EXPECT_EQ(moves[i].miner, ref.moves[i].miner);
+    EXPECT_EQ(moves[i].from, ref.moves[i].from);
+    EXPECT_EQ(moves[i].to, ref.moves[i].to);
+    EXPECT_EQ(moves[i].gain, ref.moves[i].gain);
+  }
+  EXPECT_EQ(count_all_better_response_moves(g, s), ref.moves.size());
+  if (!ref.moves.empty()) {
+    for (const std::size_t i :
+         {std::size_t{0}, ref.moves.size() / 2, ref.moves.size() - 1}) {
+      const auto nth = nth_better_response_move(g, s, i);
+      ASSERT_TRUE(nth.has_value());
+      EXPECT_EQ(nth->miner, ref.moves[i].miner);
+      EXPECT_EQ(nth->to, ref.moves[i].to);
+      EXPECT_EQ(nth->gain, ref.moves[i].gain);
+    }
+  }
+  EXPECT_FALSE(nth_better_response_move(g, s, ref.moves.size()).has_value());
+
+  std::vector<MinerId> unstable;
+  std::vector<CoinId> improving;
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    const MinerId miner(p);
+    std::vector<CoinId> coins;
+    for (const Move& m : ref.moves) {
+      if (m.miner == miner) coins.push_back(m.to);
+    }
+    if (!coins.empty()) unstable.push_back(miner);
+    const MoveScan scan = scan_moves(g, s, miner, &improving);
+    EXPECT_EQ(scan.current, ref.current[p]);
+    EXPECT_EQ(scan.best, ref.best[p]);
+    EXPECT_EQ(scan.best_payoff, ref.best_payoff[p]);
+    EXPECT_EQ(improving, coins);
+    EXPECT_EQ(scan_moves(g, s, miner).best, ref.best[p]);
+    EXPECT_EQ(better_responses(g, s, miner), coins);
+    EXPECT_EQ(best_response(g, s, miner), ref.best[p]);
+    EXPECT_EQ(is_stable(g, s, miner), coins.empty());
+    EXPECT_EQ(count_better_responses(g, s, miner), coins.size());
+    for (const Rational& eps :
+         {Rational(0), Rational(1, 100), Rational(1, 4)}) {
+      const Rational threshold = ref.current[p] + ref.current[p] * eps;
+      EXPECT_EQ(is_epsilon_stable(g, s, miner, eps),
+                !(ref.best_payoff[p] > threshold));
+    }
+  }
+  EXPECT_EQ(unstable_miners(g, s), unstable);
+  EXPECT_EQ(is_equilibrium(g, s), unstable.empty());
+}
+
 void expect_index_matches_scan(const Game& g, const Configuration& s,
                                const BestResponseIndex& index) {
+  expect_moves_match_double_loop(g, s);
   ASSERT_NO_THROW(index.audit());
   EXPECT_EQ(index.unstable(), unstable_miners(g, s));
   EXPECT_EQ(index.total_improving(), all_better_response_moves(g, s).size());
@@ -275,6 +386,29 @@ TEST(BestResponseIndex, InvalidationStressUnderAdversarialMassTies) {
   }
 }
 
+TEST(BestResponseIndex, SpectatorExactTieBreaksTowardLowerCoin) {
+  // Masses 3/2/2/5 miners on coins 0..3 (equal powers and rewards). The
+  // miners on coin 3 prefer the lightest other coin: coin 1, the lower id
+  // of the tied coins 1 and 2. Moving a miner from coin 0 to coin 2 ties
+  // coin 0 with coin 1 for those spectators, so their best response must
+  // become coin 0 without a rescan.
+  const Game g = tie_game(12, 4);
+  std::vector<CoinId> assignment;
+  for (const auto& [coin, miners] :
+       {std::pair{0u, 3}, std::pair{1u, 2}, std::pair{2u, 2},
+        std::pair{3u, 5}}) {
+    assignment.insert(assignment.end(), miners, CoinId(coin));
+  }
+  Configuration s(g.system_ptr(), assignment);
+  BestResponseIndex index(g, s);
+  const MinerId spectator(11);
+  ASSERT_EQ(index.best_of(spectator), CoinId(1));
+  s.move(MinerId(0), CoinId(2));
+  index.sync(s);
+  EXPECT_EQ(index.best_of(spectator), CoinId(0));
+  expect_index_matches_scan(g, s, index);
+}
+
 TEST(BestResponseIndex, SyncRebuildsAfterBatchedForeignMoves) {
   const Game g = tie_game(8, 3);
   Rng rng(5);
@@ -420,19 +554,9 @@ TEST(IndexedScheduler, RestrictedAccessTrajectoriesMatch) {
   for (const SchedulerKind kind :
        {SchedulerKind::kRandomMove, SchedulerKind::kMaxGain,
         SchedulerKind::kMinGain, SchedulerKind::kLexicographic}) {
-    Rng rng(31);
-    GameSpec spec;
-    spec.num_miners = 12;
-    spec.num_coins = 5;
-    Game base = random_game(spec, rng);
-    AccessPolicy policy = AccessPolicy::random(12, 5, 0.5, rng);
-    const Game g(base.system_ptr(), base.rewards(), policy);
-    // Start everyone on an allowed coin.
-    std::vector<CoinId> assignment;
-    for (std::uint32_t p = 0; p < 12; ++p) {
-      assignment.push_back(g.allowed_coins(MinerId(p)).front());
-    }
-    const Configuration start(g.system_ptr(), assignment);
+    const Game g = restricted_game();
+    const Configuration start = allowed_start(g);
+    expect_index_matches_scan(g, start, BestResponseIndex(g, start));
     LearningOptions scan_opts;
     scan_opts.use_index = false;
     LearningOptions index_opts;
@@ -452,6 +576,7 @@ TEST(IndexedScheduler, NonIntegerGameTrajectoriesMatch) {
     const Game g = rational_game();
     Rng rng(41);
     const Configuration start = random_configuration(g, rng);
+    expect_index_matches_scan(g, start, BestResponseIndex(g, start));
     LearningOptions scan_opts;
     scan_opts.use_index = false;
     LearningOptions index_opts;
@@ -471,9 +596,20 @@ TEST(IndexedScheduler, NonIntegerGameTrajectoriesMatch) {
 
 TEST(IndexedEpsilon, ScanAndIndexPathsAgree) {
   Rng rng(53);
+  std::vector<std::pair<Game, Configuration>> cases;
   for (int trial = 0; trial < 4; ++trial) {
-    const Game g = random_integer_game(rng);
-    const Configuration start = random_configuration(g, rng);
+    Game g = random_integer_game(rng);
+    Configuration start = random_configuration(g, rng);
+    cases.emplace_back(std::move(g), std::move(start));
+  }
+  for (Game g : {rational_game(), tie_game(10, 3)}) {
+    Configuration start = random_configuration(g, rng);
+    cases.emplace_back(std::move(g), std::move(start));
+  }
+  Game restricted = restricted_game();
+  Configuration restricted_start = allowed_start(restricted);
+  cases.emplace_back(std::move(restricted), std::move(restricted_start));
+  for (const auto& [g, start] : cases) {
     for (const Rational& eps :
          {Rational(0), Rational(1, 100), Rational(1, 4)}) {
       LearningOptions scan_opts;

@@ -260,6 +260,34 @@ TEST(Moves, BestResponsePicksMaxGain) {
   const auto br = best_response(g, s, MinerId(0));
   ASSERT_TRUE(br.has_value());
   EXPECT_EQ(*br, CoinId(2));
+  // The one scan behind it sees both better responses, in coin-id order.
+  std::vector<CoinId> improving;
+  const MoveScan scan = scan_moves(g, s, MinerId(0), &improving);
+  EXPECT_EQ(scan.current, Rational(1));
+  EXPECT_EQ(scan.best, CoinId(2));
+  EXPECT_EQ(scan.best_payoff, Rational(5));
+  EXPECT_EQ(scan.best_gain(), Rational(4));
+  EXPECT_EQ(improving, (std::vector<CoinId>{CoinId(1), CoinId(2)}));
+  EXPECT_EQ(count_better_responses(g, s, MinerId(0)), 2u);
+  // ε-stability is decided by the best response: gain 4 against payoff 1.
+  EXPECT_FALSE(is_epsilon_stable(g, s, MinerId(0), Rational(3)));
+  EXPECT_TRUE(is_epsilon_stable(g, s, MinerId(0), Rational(4)));
+
+  // A lone miner on coin 0 (reward 1) facing coins 1 and 2 that both pay
+  // 3: the exact tie goes to the lower coin id, with or without the list.
+  Game tie(System::from_integer_powers({1}, 3),
+           RewardFunction::from_integers({1, 3, 3}));
+  const Configuration alone(tie.system_ptr(), {CoinId(0)});
+  EXPECT_EQ(scan_moves(tie, alone, MinerId(0), &improving).best, CoinId(1));
+  EXPECT_EQ(improving.size(), 2u);
+  EXPECT_EQ(best_response(tie, alone, MinerId(0)), CoinId(1));
+  // The buffer is cleared on reuse: a stable miner leaves it empty.
+  const Configuration settled(tie.system_ptr(), {CoinId(1)});
+  const MoveScan stable = scan_moves(tie, settled, MinerId(0), &improving);
+  EXPECT_FALSE(stable.best.has_value());
+  EXPECT_EQ(stable.best_payoff, stable.current);
+  EXPECT_TRUE(improving.empty());
+  EXPECT_TRUE(is_stable(tie, settled, MinerId(0)));
 }
 
 TEST(Moves, AllBetterResponseMovesComplete) {
@@ -272,6 +300,17 @@ TEST(Moves, AllBetterResponseMovesComplete) {
     EXPECT_EQ(m.to, CoinId(1));
     EXPECT_TRUE(m.gain.is_positive());
   }
+  // The count and positional queries walk the same (miner, coin) order.
+  EXPECT_EQ(count_all_better_response_moves(g, s), 2u);
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const auto nth = nth_better_response_move(g, s, i);
+    ASSERT_TRUE(nth.has_value());
+    EXPECT_EQ(nth->miner, moves[i].miner);
+    EXPECT_EQ(nth->gain, moves[i].gain);
+  }
+  EXPECT_EQ(moves[0].gain, Rational(1, 3));
+  EXPECT_EQ(moves[1].gain, Rational(2, 3));
+  EXPECT_FALSE(nth_better_response_move(g, s, 2).has_value());
 }
 
 // ---------------------------------------------------------------- enumerate

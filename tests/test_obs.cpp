@@ -384,6 +384,43 @@ TEST(Parity, AuditedLearningMoveHashUnchangedWithObsOff) {
   EXPECT_EQ(with_obs.final_configuration, without_obs.final_configuration);
 }
 
+TEST(Parity, LearningCountsStepsAndRescans) {
+  Counter& steps = Registry::instance().counter("learn.steps");
+  Counter& rescans = Registry::instance().counter("index.rescans");
+  steps.reset();
+  rescans.reset();
+  const LearningResult with_obs = run_audited_learning();
+  ASSERT_GT(with_obs.steps, 0u);
+  EXPECT_EQ(steps.total(), with_obs.steps);
+  // Every indexed step rescans at least the mover and at most all 40
+  // miners.
+  EXPECT_GE(rescans.total(), with_obs.steps);
+  EXPECT_LE(rescans.total(), with_obs.steps * 40);
+
+  // The ε driver on the scan path counts its steps and no rescans.
+  steps.reset();
+  rescans.reset();
+  Rng rng(7);
+  GameSpec spec;
+  spec.num_miners = 20;
+  spec.num_coins = 3;
+  const Game game = random_game(spec, rng);
+  LearningOptions scan_path;
+  scan_path.use_index = false;
+  const LearningResult eps = run_learning_to_epsilon(
+      game, random_configuration(game, rng), Rational(0), scan_path);
+  EXPECT_EQ(steps.total(), eps.steps);
+  EXPECT_EQ(rescans.total(), 0u);
+
+  steps.reset();
+  const LearningResult without_obs = [] {
+    EnabledGuard off(false);
+    return run_audited_learning();
+  }();
+  EXPECT_EQ(steps.total(), 0u);
+  EXPECT_EQ(with_obs.move_hash, without_obs.move_hash);
+}
+
 // ------------------------------------------------------- batch progress
 
 TEST(BatchProgress, FixedBatchReportsMonotoneWaves) {

@@ -383,6 +383,93 @@ TEST(Rational, PositiveFractionComparisonSurvivesI128Overflow) {
             std::strong_ordering::greater);
 }
 
+// ------------------------------------------------- canonical products
+// `a * b` and `a / b` must land on the unique normalized Rational of the
+// raw product, whichever branch of `operator*` computes it.
+
+void expect_canonical(const Rational& r) {
+  EXPECT_GT(r.denominator(), 0) << r;
+  if (r.is_zero()) {
+    EXPECT_EQ(r.denominator(), 1);
+  } else {
+    EXPECT_TRUE(gcd128(uabs128(r.numerator()),
+                       static_cast<u128>(r.denominator())) == 1)
+        << r;
+  }
+}
+
+/// Checks `x * y == from_parts(xn·yn, xd·yd)` and `x / y` likewise when
+/// the raw products fit in i128; returns how many products were checked.
+int expect_products_canonical(const Rational& x, const Rational& y) {
+  int checked = 0;
+  i128 num;
+  i128 den;
+  if (!__builtin_mul_overflow(x.numerator(), y.numerator(), &num) &&
+      !__builtin_mul_overflow(x.denominator(), y.denominator(), &den)) {
+    const Rational product = x * y;
+    EXPECT_EQ(product, Rational::from_parts(num, den)) << x << " * " << y;
+    expect_canonical(product);
+    ++checked;
+  }
+  if (!y.is_zero() &&
+      !__builtin_mul_overflow(x.numerator(), y.denominator(), &num) &&
+      !__builtin_mul_overflow(x.denominator(), y.numerator(), &den)) {
+    const Rational quotient = x / y;
+    EXPECT_EQ(quotient, Rational::from_parts(num, den)) << x << " / " << y;
+    expect_canonical(quotient);
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(Rational, ProductsAreCanonical) {
+  Rng rng(0x9a7e);
+  // Parts of `bits` bits times a shared factor, so the cross GCDs of the
+  // large-operand branch are usually nontrivial.
+  const auto random_pair = [&](unsigned bits, i128 shared_num,
+                               i128 shared_den, bool negative) {
+    const i128 num = random_bits(rng, bits) * shared_num;
+    return Rational::from_parts(negative ? -num : num,
+                                random_bits(rng, bits) * shared_den);
+  };
+  const auto factor = [&] {
+    return random_bits(rng, 1 + static_cast<unsigned>(rng.next_below(20)));
+  };
+
+  int checked = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const i128 f = factor();
+    const i128 g = factor();
+    const bool neg_x = rng.next_below(2) == 0;
+    const bool neg_y = rng.next_below(2) == 0;
+    // Both operands below 2^31 (the small-operand branch).
+    const unsigned small = 1 + static_cast<unsigned>(rng.next_below(10));
+    checked += expect_products_canonical(
+        random_pair(small, f, g, neg_x), random_pair(small, g, f, neg_y));
+    // One operand at or above 2^31, on either side.
+    const unsigned wide = 32 + static_cast<unsigned>(rng.next_below(10));
+    const Rational big = random_pair(wide, f, g, neg_x);
+    const Rational little = random_pair(small, g, f, neg_y);
+    checked += expect_products_canonical(big, little);
+    checked += expect_products_canonical(little, big);
+    // Both operands at or above 2^31.
+    checked += expect_products_canonical(big, random_pair(wide, g, f, neg_y));
+    // Integer × reciprocal, the payoff shape m_p·F(c)/mass.
+    const Rational power = Rational::from_parts(random_bits(rng, wide) * f, 1);
+    const Rational mass =
+        Rational::from_parts(random_bits(rng, wide) * f, random_bits(rng, 3));
+    checked += expect_products_canonical(power, mass.reciprocal());
+    checked += expect_products_canonical(power, mass);
+    // A zero operand on either side.
+    checked += expect_products_canonical(Rational(0), big);
+    checked += expect_products_canonical(big, Rational(0));
+    checked += expect_products_canonical(Rational(0), little);
+  }
+  EXPECT_GT(checked, 20000);
+  EXPECT_EQ(Rational(0), Rational::from_parts(0, 1));
+  EXPECT_EQ(Rational(0).denominator(), 1);
+}
+
 TEST(XRational, InfinityOrdering) {
   const XRational inf = XRational::infinity();
   EXPECT_TRUE(inf.is_infinite());
