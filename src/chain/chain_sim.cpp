@@ -2,22 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
+#include "obs/span.hpp"
 #include "util/assert.hpp"
 
 namespace goc::chain {
 
 namespace {
 
-/// "Stay put" sentinel in epoch_target_ / absent-chain marker in TopTwo.
-constexpr std::uint32_t kNoChain = std::numeric_limits<std::uint32_t>::max();
+/// Smallest population whose sharded epoch gets a pool of
+/// `ChainSimOptions::epoch_lanes` lanes. Below it the evaluate phase runs
+/// inline: shard dispatch would cost more than the scan it saves.
+constexpr std::size_t kEpochShardCutoff = 8192;
 
 /// Shard grain sizes for the parallel evaluate phase: large enough that a
 /// chunk amortizes its dispatch, small enough that the cursor balances
 /// uneven progress. Pure scheduling — results never depend on them.
 constexpr std::size_t kMinerGrain = 4096;
 constexpr std::size_t kClassGrain = 512;
+
+/// Wall time of one decision epoch, in either epoch mode.
+obs::Histogram& epoch_ns() {
+  static obs::Histogram& histogram =
+      obs::Registry::instance().histogram("chain.epoch_ns");
+  return histogram;
+}
+
+/// Miner moves, added once per decision epoch.
+obs::Counter& migrations_counter() {
+  static obs::Counter& counter =
+      obs::Registry::instance().counter("chain.migrations");
+  return counter;
+}
 
 }  // namespace
 
@@ -69,6 +85,7 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
     difficulty_[c] = chains_[c].initial_difficulty;
     reward_fiat_[c] = chains_[c].block_reward_fiat;
   }
+  epoch_chain_value_.resize(chains_.size());
   if (options_.epoch_lanes >= 1) {
     // Sharded-epoch scratch, sized once so epochs never allocate.
     unique_powers_ = powers_;
@@ -84,18 +101,11 @@ MultiChainSimulator::MultiChainSimulator(std::vector<double> miner_powers,
           unique_powers_.begin());
     }
     epoch_target_.assign(powers_.size(), kNoChain);
-    epoch_chain_value_.resize(chains_.size());
     epoch_top2_.resize(unique_powers_.size());
-    if (options_.epoch_pool != nullptr) {
-      epoch_pool_ = options_.epoch_pool;
-    } else {
-      const std::size_t lanes = powers_.size() >= options_.epoch_shard_cutoff
-                                    ? options_.epoch_lanes
-                                    : 1;
-      owned_epoch_pool_ = std::make_unique<engine::ThreadPool>(
-          engine::ThreadPool::workers_for(lanes));
-      epoch_pool_ = owned_epoch_pool_.get();
-    }
+    const std::size_t lanes =
+        powers_.size() >= kEpochShardCutoff ? options_.epoch_lanes : 1;
+    epoch_pool_ = std::make_unique<engine::ThreadPool>(
+        engine::ThreadPool::workers_for(lanes));
   }
   result_.blocks_per_chain.assign(chains_.size(), 0);
   result_.miner_rewards_fiat.assign(powers_.size(), 0.0);
@@ -150,16 +160,6 @@ void MultiChainSimulator::on_block(std::size_t chain) {
   arm_block_race(chain);
 }
 
-double MultiChainSimulator::expected_rpu_game(std::size_t miner,
-                                              std::size_t chain,
-                                              bool joining) const {
-  // The paper's weight: protocol reward rate in fiat per hour.
-  const double weight =
-      reward_fiat_[chain] / chains_[chain].target_interval_hours;
-  const double mass = mass_[chain] + (joining ? powers_[miner] : 0.0);
-  return weight * powers_[miner] / mass;
-}
-
 void MultiChainSimulator::move_miner(std::size_t miner, std::size_t to_chain) {
   const std::size_t from = assignment_[miner];
   if (from == to_chain) return;
@@ -183,7 +183,21 @@ void MultiChainSimulator::move_miner(std::size_t miner, std::size_t to_chain) {
   arm_block_race(to_chain);
 }
 
+void MultiChainSimulator::TopTwo::offer(std::uint32_t chain,
+                                        double value) noexcept {
+  // Branchless: a strict `>` keeps the earlier chain on a tie, and the
+  // selects compile to blends, so a scan over noisy values mispredicts
+  // nothing.
+  const bool first = value > v1;
+  const bool second = value > v2;
+  c2 = first ? c1 : (second ? chain : c2);
+  v2 = first ? v1 : (second ? value : v2);
+  c1 = first ? chain : c1;
+  v1 = first ? value : v1;
+}
+
 void MultiChainSimulator::decision_epoch() {
+  obs::Span span(epoch_ns());
   ++result_.events_dispatched;
   if (reward_hook_) {
     for (std::size_t c = 0; c < chains_.size(); ++c) {
@@ -192,46 +206,15 @@ void MultiChainSimulator::decision_epoch() {
       reward_fiat_[c] = updated;
     }
   }
-  if (options_.policy != MinerPolicy::kStatic &&
-      options_.epoch_lanes >= 1) {
-    decision_epoch_sharded();
-  } else if (options_.policy != MinerPolicy::kStatic) {
-    for (std::size_t i = 0; i < powers_.size(); ++i) {
-      if (!rng_.bernoulli(options_.reevaluation_fraction)) continue;
-      const std::size_t cur = assignment_[i];
-      std::size_t best = cur;
-      if (options_.policy == MinerPolicy::kBetterResponse) {
-        double best_value = expected_rpu_game(i, cur, /*joining=*/false);
-        for (std::size_t c = 0; c < chains_.size(); ++c) {
-          if (c == cur) continue;
-          const double v = expected_rpu_game(i, c, /*joining=*/true);
-          if (v > best_value) {
-            best_value = v;
-            best = c;
-          }
-        }
-      } else {  // kMyopicDifficulty: chase fiat per hash at the difficulty
-        // the next block would face (incl. prospective EDA discounts).
-        const auto myopic_value = [&](std::size_t c) {
-          const double d =
-              chains_[c].adjuster->prospective(core_.now(), difficulty_[c]);
-          return reward_fiat_[c] / d;
-        };
-        // Hysteresis models switching friction: stay unless an alternative
-        // clears the current chain by the configured relative margin.
-        double best_value =
-            myopic_value(cur) * (1.0 + options_.myopic_hysteresis);
-        for (std::size_t c = 0; c < chains_.size(); ++c) {
-          if (c == cur) continue;
-          const double v = myopic_value(c);
-          if (v > best_value) {
-            best_value = v;
-            best = c;
-          }
-        }
-      }
-      move_miner(i, best);
+  if (options_.policy != MinerPolicy::kStatic) {
+    const std::uint64_t moved_before = result_.migrations;
+    freeze_chain_values();
+    if (options_.epoch_lanes >= 1) {
+      decision_epoch_sharded();
+    } else {
+      decision_epoch_sequential();
     }
+    migrations_counter().add(result_.migrations - moved_before);
   }
   ++epoch_index_;
 
@@ -251,64 +234,76 @@ void MultiChainSimulator::decision_epoch() {
   }
 }
 
+void MultiChainSimulator::freeze_chain_values() {
+  // kBetterResponse: the paper's weight F(c) = reward / target interval;
+  // kMyopicDifficulty: fiat per hash at the difficulty the next block would
+  // face (incl. prospective EDA discounts). Serial: adjusters are not
+  // required to tolerate concurrent prospective() calls, and it is O(|C|).
+  const bool better_response = options_.policy == MinerPolicy::kBetterResponse;
+  value_top2_ = TopTwo{};
+  for (std::uint32_t c = 0; c < chains_.size(); ++c) {
+    const double cost =
+        better_response
+            ? chains_[c].target_interval_hours
+            : chains_[c].adjuster->prospective(core_.now(), difficulty_[c]);
+    epoch_chain_value_[c] = reward_fiat_[c] / cost;
+    if (!better_response) value_top2_.offer(c, epoch_chain_value_[c]);
+  }
+}
+
+MultiChainSimulator::TopTwo MultiChainSimulator::join_top_two(
+    double power) const noexcept {
+  TopTwo top;
+  for (std::uint32_t c = 0; c < chains_.size(); ++c) {
+    top.offer(c, epoch_chain_value_[c] * power / (mass_[c] + power));
+  }
+  return top;
+}
+
+std::uint32_t MultiChainSimulator::choose(std::size_t miner,
+                                          const TopTwo& top) const noexcept {
+  // The first best chain other than the miner's own: top.c1, or top.c2 when
+  // c1 is where the miner already is.
+  const auto cur = static_cast<std::uint32_t>(assignment_[miner]);
+  const bool own_first = top.c1 == cur;
+  const std::uint32_t cand = own_first ? top.c2 : top.c1;
+  if (cand == kNoChain) return kNoChain;
+  // Better response stays on its current share F(c)·m/M; myopic hysteresis
+  // models switching friction: stay unless an alternative clears the
+  // current chain by the configured relative margin.
+  const double stay =
+      options_.policy == MinerPolicy::kBetterResponse
+          ? epoch_chain_value_[cur] * powers_[miner] / mass_[cur]
+          : epoch_chain_value_[cur] * (1.0 + options_.myopic_hysteresis);
+  return (own_first ? top.v2 : top.v1) > stay ? cand : kNoChain;
+}
+
+void MultiChainSimulator::decision_epoch_sequential() {
+  // Miners re-evaluate one at a time against the live state, so a better
+  // responder ranks the join values on the masses earlier movers left.
+  const bool better_response = options_.policy == MinerPolicy::kBetterResponse;
+  for (std::size_t i = 0; i < powers_.size(); ++i) {
+    if (!rng_.bernoulli(options_.reevaluation_fraction)) continue;
+    const std::uint32_t to =
+        choose(i, better_response ? join_top_two(powers_[i]) : value_top2_);
+    if (to != kNoChain) move_miner(i, to);
+  }
+}
+
 void MultiChainSimulator::decision_epoch_sharded() {
   const std::size_t n = powers_.size();
-  const std::size_t num_chains = chains_.size();
-  const double now = core_.now();
   const bool better_response = options_.policy == MinerPolicy::kBetterResponse;
 
-  // --- Freeze the per-chain values every evaluation reads. -----------------
-  // kBetterResponse: the paper's weight F(c) = reward / target interval;
-  // kMyopicDifficulty: fiat per hash at the prospective difficulty. The
-  // myopic loop stays serial — adjusters are not required to tolerate
-  // concurrent prospective() calls, and it is O(|C|) anyway.
+  // --- Rank the chains once per distinct power on the frozen masses. ------
+  // Join values read only frozen state, so classes shard freely.
   if (better_response) {
-    for (std::size_t c = 0; c < num_chains; ++c) {
-      epoch_chain_value_[c] =
-          reward_fiat_[c] / chains_[c].target_interval_hours;
-    }
-    // Per distinct power p: top-2 chains by join value F(c)·p/(M_c + p),
-    // first-argmax ties — exactly what a first-wins strict-`>` scan over
-    // chains picks. Join values read only frozen state, so classes shard
-    // freely.
     epoch_pool_->parallel_for_chunks(
         unique_powers_.size(), kClassGrain,
         [&](std::size_t begin, std::size_t end) {
           for (std::size_t k = begin; k < end; ++k) {
-            const double p = unique_powers_[k];
-            TopTwo t{kNoChain, kNoChain, 0.0, 0.0};
-            for (std::uint32_t c = 0; c < num_chains; ++c) {
-              const double v = epoch_chain_value_[c] * p / (mass_[c] + p);
-              if (t.c1 == kNoChain || v > t.v1) {
-                t.c2 = t.c1;
-                t.v2 = t.v1;
-                t.c1 = c;
-                t.v1 = v;
-              } else if (t.c2 == kNoChain || v > t.v2) {
-                t.c2 = c;
-                t.v2 = v;
-              }
-            }
-            epoch_top2_[k] = t;
+            epoch_top2_[k] = join_top_two(unique_powers_[k]);
           }
         });
-  } else {
-    TopTwo t{kNoChain, kNoChain, 0.0, 0.0};
-    for (std::uint32_t c = 0; c < num_chains; ++c) {
-      const double v = reward_fiat_[c] /
-                       chains_[c].adjuster->prospective(now, difficulty_[c]);
-      epoch_chain_value_[c] = v;
-      if (t.c1 == kNoChain || v > t.v1) {
-        t.c2 = t.c1;
-        t.v2 = t.v1;
-        t.c1 = c;
-        t.v1 = v;
-      } else if (t.c2 == kNoChain || v > t.v2) {
-        t.c2 = c;
-        t.v2 = v;
-      }
-    }
-    epoch_top2_[0] = t;
   }
 
   // --- Evaluate: pure per-miner, parallel over contiguous shards. ----------
@@ -321,7 +316,6 @@ void MultiChainSimulator::decision_epoch_sharded() {
       options_.seed + 0x9E3779B97F4A7C15ULL * (epoch_index_ + 1);
   const std::uint64_t epoch_seed = splitmix64(epoch_state);
   const double fraction = options_.reevaluation_fraction;
-  const double hysteresis = 1.0 + options_.myopic_hysteresis;
   epoch_pool_->parallel_for_chunks(
       n, kMinerGrain, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -332,19 +326,8 @@ void MultiChainSimulator::decision_epoch_sharded() {
           const double u =
               static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;
           if (!(u < fraction)) continue;
-          const auto cur = static_cast<std::uint32_t>(assignment_[i]);
-          const TopTwo& t =
-              better_response ? epoch_top2_[power_class_[i]] : epoch_top2_[0];
-          const std::uint32_t cand = t.c1 != cur ? t.c1 : t.c2;
-          if (cand == kNoChain) continue;
-          const double cand_value = t.c1 != cur ? t.v1 : t.v2;
-          // Stay value against the frozen state; myopic hysteresis models
-          // switching friction exactly as in the sequential scan.
-          const double stay =
-              better_response
-                  ? epoch_chain_value_[cur] * powers_[i] / mass_[cur]
-                  : epoch_chain_value_[cur] * hysteresis;
-          if (cand_value > stay) epoch_target_[i] = cand;
+          epoch_target_[i] = choose(
+              i, better_response ? epoch_top2_[power_class_[i]] : value_top2_);
         }
       });
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,16 @@
 ///  * kMyopicDifficulty — chase instantaneous per-hash profitability
 ///    reward/D_c (what whattomine-style dashboards report); with an EDA
 ///    chain this produces the famous hashrate sawtooth.
+///
+/// Both moving policies share one decision rule: a miner moves to the first
+/// best *other* chain when that chain's value beats staying strictly. Each
+/// epoch freezes one value per chain (F(c), or reward over the prospective
+/// difficulty), ranks the chains into a top two (join values F(c)·m/(M+m)
+/// per power for kBetterResponse, the frozen values for kMyopicDifficulty),
+/// and one chooser compares the best chain other than the miner's own with
+/// its stay value. Both epoch modes (`ChainSimOptions::epoch_lanes`) run
+/// that chooser; they differ only in the reevaluation draw and in when the
+/// moves apply.
 ///
 /// The simulator runs on `sim::EventCore` (POD events, enum-switch
 /// dispatch, one pending event per stream: each chain's race and the
@@ -65,28 +76,22 @@ struct ChainSimOptions {
   std::uint64_t seed = 42;
   /// Record a timeline sample at every decision epoch.
   bool record_timeline = true;
-  /// Decision-epoch execution mode. 0 (default) keeps the original
-  /// sequential policy scan: miners re-evaluate one at a time against the
-  /// *live* state (earlier movers shift the masses later miners see) with
-  /// reevaluation draws from the main RNG stream. Any value >= 1 selects
-  /// the **sharded epoch**: a simultaneous-move dynamics where every miner
-  /// evaluates against the frozen pre-epoch state with a counter-based
-  /// per-epoch reevaluation substream (evaluate phase, parallel over
-  /// contiguous miner shards) and moves replay serially in miner order
-  /// (apply phase). The two modes are *different dynamics* — equally valid
-  /// discretizations of the paper's epoch game — so their trajectories are
-  /// not comparable; within sharded mode, results are bit-identical at ANY
-  /// lane count (epoch_lanes = 1 is the serial reference).
+  /// Decision-epoch execution mode. 0 (default) keeps the sequential
+  /// epoch: miners re-evaluate one at a time against the *live* state
+  /// (earlier movers shift the masses later miners see) with reevaluation
+  /// draws from the main RNG stream. Any value >= 1 selects the **sharded
+  /// epoch**: a simultaneous-move dynamics where every miner evaluates
+  /// against the frozen pre-epoch state with a counter-based per-epoch
+  /// reevaluation substream (evaluate phase, parallel over contiguous miner
+  /// shards) and moves replay serially in miner order (apply phase). The two
+  /// modes are *different dynamics* — equally valid discretizations of the
+  /// paper's epoch game — so their trajectories are not comparable; within
+  /// sharded mode, results are bit-identical at ANY lane count
+  /// (epoch_lanes = 1 is the serial reference). The simulator owns a pool of
+  /// `epoch_lanes` lanes once the population reaches 8192 miners; a smaller
+  /// population evaluates inline, where shard dispatch would cost more than
+  /// the scan it saves. Lanes are pure scheduling and never change results.
   std::size_t epoch_lanes = 0;
-  /// Shared pool for the sharded evaluate phase (e.g. handed down by
-  /// `sim::plan_nested_lanes` arbitration). When null, the simulator owns a
-  /// pool of `epoch_lanes` lanes — unless the population is smaller than
-  /// `epoch_shard_cutoff`, where shard dispatch costs more than the scan it
-  /// saves and the evaluate runs inline. Never affects results, only
-  /// scheduling.
-  engine::ThreadPool* epoch_pool = nullptr;
-  /// Minimum miner count before an owned pool spawns workers (see above).
-  std::size_t epoch_shard_cutoff = 8192;
 };
 
 /// Recomputes a chain's fiat block reward at a decision epoch — the
@@ -138,10 +143,26 @@ class MultiChainSimulator {
  private:
   void arm_block_race(std::size_t chain);
   void on_block(std::size_t chain);
+  /// "Stay put" in epoch_target_ / an absent slot in TopTwo.
+  static constexpr std::uint32_t kNoChain = 0xFFFFFFFFu;
+
+  /// Top two chains by a per-chain value, first argmax winning ties —
+  /// exactly the chain a first-wins strict-`>` scan picks. Chain values
+  /// are positive, so an empty slot holds -inf.
+  struct TopTwo {
+    std::uint32_t c1 = kNoChain, c2 = kNoChain;
+    double v1 = -std::numeric_limits<double>::infinity();
+    double v2 = -std::numeric_limits<double>::infinity();
+    void offer(std::uint32_t chain, double value) noexcept;
+  };
+
   void decision_epoch();
+  void decision_epoch_sequential();
   void decision_epoch_sharded();
+  void freeze_chain_values();
+  TopTwo join_top_two(double power) const noexcept;
+  std::uint32_t choose(std::size_t miner, const TopTwo& top) const noexcept;
   void move_miner(std::size_t miner, std::size_t to_chain);
-  double expected_rpu_game(std::size_t miner, std::size_t chain, bool joining) const;
 
   std::vector<double> powers_;
   std::vector<ChainSpec> chains_;
@@ -170,28 +191,25 @@ class MultiChainSimulator {
   std::vector<double> reward_per_power_;
   std::vector<double> stint_base_;
 
-  // Sharded decision epochs (options_.epoch_lanes >= 1). The evaluate
-  // phase is a pure per-miner function of the frozen pre-epoch state, so
-  // two key memoizations apply: powers_ is immutable, so a miner's best
-  // *alternative* chain under kBetterResponse depends only on its power
-  // value — per epoch we compute, per distinct power, the top-2 chains by
-  // join value (first-argmax tie rule, matching a first-wins strict-`>`
-  // scan) and each miner compares against top1 (or top2 when top1 is its
-  // own chain); kMyopicDifficulty values are power-independent, so one
-  // top-2 serves everyone. All scratch is sized once in the constructor —
-  // steady-state epochs allocate nothing.
-  struct TopTwo {
-    std::uint32_t c1, c2;  // kNoChain when absent
-    double v1, v2;
-  };
-  std::unique_ptr<engine::ThreadPool> owned_epoch_pool_;
-  engine::ThreadPool* epoch_pool_ = nullptr;
+  // Decision-epoch scratch, sized once in the constructor so steady-state
+  // epochs allocate nothing. epoch_chain_value_[c] is frozen once per epoch
+  // after the reward hook: F(c) = reward/target interval under
+  // kBetterResponse, reward over the prospective difficulty under
+  // kMyopicDifficulty. Both are constant within an epoch (prospective() is
+  // const and no block fires inside one). Myopic values do not depend on
+  // power, so one top two (value_top2_) serves every miner. Join values do:
+  // the sequential epoch ranks them per miner on the live masses, and the
+  // sharded epoch — powers_ being immutable and masses frozen — once per
+  // distinct power value (epoch_top2_[power class]).
+  std::vector<double> epoch_chain_value_;
+  TopTwo value_top2_;
+  // Sharded epochs only (options_.epoch_lanes >= 1).
+  std::unique_ptr<engine::ThreadPool> epoch_pool_;
   std::uint64_t epoch_index_ = 0;           // decision epochs completed
   std::vector<std::uint32_t> epoch_target_; // kNoChain = stay put
   std::vector<double> unique_powers_;       // sorted distinct power values
   std::vector<std::uint32_t> power_class_;  // miner -> unique_powers_ index
-  std::vector<double> epoch_chain_value_;   // frozen per-chain scratch
-  std::vector<TopTwo> epoch_top2_;          // per power class (myopic: [0])
+  std::vector<TopTwo> epoch_top2_;          // per power class
 };
 
 }  // namespace goc::chain

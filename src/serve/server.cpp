@@ -120,6 +120,10 @@ JobTable::Work Server::make_batch_work(const Cli& cli) {
     require_param(params.miners >= 1, "--miners must be at least 1");
     require_param(params.chains >= 1, "--chains must be at least 1");
     require_param(params.days > 0.0, "--days must be positive");
+    // Every replica of a big population owns an epoch pool of this many
+    // lanes; the server's own lane count bounds the threads a job spawns.
+    require_param(params.epoch_lanes <= lanes_,
+                  "--epoch-lanes must not exceed the server's lanes");
     return [options, params](const engine::CancelView& cancel,
                              const JobTable::ProgressFn& progress) {
       const sim::TrajectoryBatchOptions opts =

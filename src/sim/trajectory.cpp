@@ -51,29 +51,6 @@ const char* stop_reason_name(StopReason reason) noexcept {
   return "unknown";
 }
 
-NestedLanePlan plan_nested_lanes(std::size_t replicas, std::size_t lanes,
-                                 std::size_t miners,
-                                 std::size_t epoch_cutoff) noexcept {
-  NestedLanePlan plan;
-  if (lanes == 0) lanes = engine::ThreadPool::default_threads();
-  if (lanes <= 1) return plan;  // serial everywhere: {1, 1}
-  if (miners < epoch_cutoff) {
-    plan.replica_lanes = lanes;  // population too small to shard an epoch
-    return plan;
-  }
-  // Both levels could use the pool; give it to the replica fan-out whenever
-  // the batch is wide enough to keep at least half the lanes busy (replica
-  // parallelism has no serial apply phase, so it scales strictly better).
-  // Only a batch too narrow to feed the lanes hands the pool down to the
-  // epoch evaluate shards.
-  if (replicas * 2 >= lanes) {
-    plan.replica_lanes = lanes;
-  } else {
-    plan.epoch_lanes = lanes;
-  }
-  return plan;
-}
-
 TrajectoryBatchResult::TrajectoryBatchResult(
     std::vector<std::string> metric_names, std::size_t replicas,
     std::vector<double> values, std::uint64_t root_seed,

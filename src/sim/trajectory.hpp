@@ -150,23 +150,6 @@ struct TrajectoryBatchOptions {
 /// by `run_trajectory_batch`, which knows the names.
 void validate(const TrajectoryBatchOptions& options);
 
-/// Splits one shared pool's lanes between the two parallelism levels of a
-/// Monte Carlo study: replica fan-out vs intra-replica decision-epoch
-/// sharding (`ChainSimOptions::epoch_lanes`). Exactly one level gets the
-/// pool — nesting `parallel_for` on a shared pool can deadlock (lanes
-/// blocked on futures do not drain the queue), and two live levels would
-/// oversubscribe anyway. Wide batches keep every lane at replica level; a
-/// batch narrower than the lane count whose population clears the sharding
-/// cutoff hands the whole pool to the epoch evaluate phase instead. The
-/// choice is pure scheduling: results are bit-identical either way.
-struct NestedLanePlan {
-  std::size_t replica_lanes = 1;  ///< TrajectoryBatchOptions::threads
-  std::size_t epoch_lanes = 1;    ///< ChainSimOptions::epoch_lanes
-};
-NestedLanePlan plan_nested_lanes(std::size_t replicas, std::size_t lanes,
-                                 std::size_t miners,
-                                 std::size_t epoch_cutoff) noexcept;
-
 /// Per-metric summary over the replicas (normal-approximation CI).
 struct MetricSummary {
   std::string name;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -324,13 +325,33 @@ sim::TrajectoryBatchResult run_parity_market_batch() {
 }
 
 TEST(Parity, ChainBatchHashUnchangedWithObsOff) {
-  const std::uint64_t with_obs = run_parity_chain_batch().values_hash();
+  Counter& migrations = Registry::instance().counter("chain.migrations");
+  Histogram& epoch_ns = Registry::instance().histogram("chain.epoch_ns");
+  migrations.reset();
+  epoch_ns.reset();
+  const sim::TrajectoryBatchResult with_obs = run_parity_chain_batch();
+  // The counter adds each epoch's moves once: its total is the batch's
+  // summed migrations column. 2 days at a 4 h decision interval is 12
+  // epochs, one span each, per replica.
+  const auto& names = with_obs.metric_names();
+  const auto column = static_cast<std::size_t>(
+      std::find(names.begin(), names.end(), "migrations") - names.begin());
+  ASSERT_LT(column, names.size());
+  double moved = 0.0;
+  for (std::size_t r = 0; r < with_obs.replicas(); ++r) {
+    moved += with_obs.value(r, column);
+  }
+  EXPECT_GT(moved, 0.0);
+  EXPECT_EQ(static_cast<double>(migrations.total()), moved);
+  EXPECT_EQ(epoch_ns.count(), with_obs.replicas() * 12);
+
   std::uint64_t without_obs = 0;
   {
     EnabledGuard off(false);
     without_obs = run_parity_chain_batch().values_hash();
   }
-  EXPECT_EQ(with_obs, without_obs);
+  EXPECT_EQ(with_obs.values_hash(), without_obs);
+  EXPECT_EQ(static_cast<double>(migrations.total()), moved);
 }
 
 TEST(Parity, MarketBatchHashUnchangedWithObsOff) {

@@ -252,6 +252,25 @@ TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
             0u);
 }
 
+TEST(Server, EpochLanesAreBoundedByTheServerLanes) {
+  Server server(ServerOptions{2});
+  const std::string batch =
+      "submit batch --miners=8 --chains=2 --days=1 --replicas=2 --seed=5 ";
+  const std::string over = respond(server, batch + "--epoch-lanes=3");
+  EXPECT_EQ(over.rfind("err ", 0), 0u) << over;
+  EXPECT_NE(over.find("--epoch-lanes"), std::string::npos) << over;
+  EXPECT_EQ(server.jobs().size(), 0u);
+
+  // At the bound the job runs, and sharded epochs are lane-count
+  // invariant.
+  EXPECT_EQ(respond(server, batch + "--epoch-lanes=2"), "ok id=1 kind=batch\n");
+  EXPECT_EQ(respond(server, batch + "--epoch-lanes=1"), "ok id=2 kind=batch\n");
+  const std::string two = respond(server, "result 1 --wait");
+  const std::string one = respond(server, "result 2 --wait");
+  EXPECT_NE(two.find("state=done"), std::string::npos) << two;
+  EXPECT_EQ(values_hash_of(two), values_hash_of(one));
+}
+
 /// The acceptance criterion: a daemon-submitted trajectory batch produces
 /// a bit-identical `values_hash` to the equivalent one-shot run — the
 /// scenario factory and flag grammar are single-sourced (sim/scenarios.hpp,

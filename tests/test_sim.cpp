@@ -420,6 +420,66 @@ TEST(ChainPin, RewardHookAndInitialAssignment) {
   expect_chain_pin(sim.run(), {10202793117409352092u, 0.046503945894445453});
 }
 
+/// Every miner starts on a "home" chain next to two identical "twin"
+/// chains, with equal powers: the twins' values tie exactly, and so do a
+/// twin's stay value and the other twin's join value whenever their masses
+/// differ by one miner. A home as rich as the twins makes all three chains
+/// tie, so a miner whose own chain ranks first sees a tie for second place;
+/// only a negative myopic hysteresis lets such a miner move at all. The
+/// pins fix the tie rule of the decision epoch — the first best chain wins
+/// a tie, and a miner moves only when the alternative beats staying
+/// strictly.
+struct TieCase {
+  chain::MinerPolicy policy;
+  std::size_t epoch_lanes;
+  double home_reward;
+  double hysteresis;
+  ChainPin pin;
+};
+
+chain::ChainSimResult run_tie_scenario(const TieCase& c) {
+  std::vector<chain::ChainSpec> chains;
+  chains.push_back(make_chain("home", 600.0, c.home_reward));
+  chains.push_back(make_chain("twin-a", 600.0, 20.0));
+  chains.push_back(make_chain("twin-b", 600.0, 20.0));
+  chain::ChainSimOptions options;
+  options.duration_hours = 24.0 * 4;
+  options.policy = c.policy;
+  options.reevaluation_fraction = 0.5;
+  options.myopic_hysteresis = c.hysteresis;
+  options.seed = 31;
+  options.epoch_lanes = c.epoch_lanes;
+  chain::MultiChainSimulator sim(std::vector<double>(8, 10.0),
+                                 std::move(chains), options);
+  return sim.run();
+}
+
+TEST(ChainPin, ExactValueTiesUnderBothPoliciesAndModes) {
+  using chain::MinerPolicy;
+  const TieCase cases[] = {
+      {MinerPolicy::kBetterResponse, 0, 5.0, 0.0,
+       {13344312765280853170u, 0.039215686274509803}},
+      {MinerPolicy::kMyopicDifficulty, 0, 5.0, 0.0,
+       {13652480566175010450u, 0.07954545454545453}},
+      {MinerPolicy::kBetterResponse, 1, 5.0, 0.0,
+       {13236276453386710351u, 0.10256410256410257}},
+      {MinerPolicy::kMyopicDifficulty, 1, 5.0, 0.0,
+       {10603186440248687137u, 0.067307692307692318}},
+      {MinerPolicy::kMyopicDifficulty, 0, 20.0, -0.5,
+       {3352484508022784782u, 0.076388888888888895}},
+      {MinerPolicy::kMyopicDifficulty, 1, 20.0, -0.5,
+       {14834394340631860367u, 0.10833333333333335}},
+  };
+  for (const TieCase& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "policy " << static_cast<int>(c.policy) << ", lanes "
+                 << c.epoch_lanes << ", home reward " << c.home_reward);
+    const auto result = run_tie_scenario(c);
+    EXPECT_GT(result.migrations, 0u);
+    expect_chain_pin(result, c.pin);
+  }
+}
+
 TEST(ChainPin, Fig1Replay) {
   market::Fig1ReplayParams params;
   params.miners = 24;
@@ -883,33 +943,6 @@ TEST(Trajectory, ProvenanceDefaultsForFixedBatches) {
   EXPECT_STREQ(stop_reason_name(result.stop_reason()), "fixed");
 }
 
-TEST(Trajectory, PlanNestedLanesGivesThePoolToExactlyOneLevel) {
-  // Serial: nobody gets lanes.
-  NestedLanePlan plan = plan_nested_lanes(8, 1, 200000, 8192);
-  EXPECT_EQ(plan.replica_lanes, 1u);
-  EXPECT_EQ(plan.epoch_lanes, 1u);
-  // Small population: sharding can't pay off, replicas take the pool.
-  plan = plan_nested_lanes(2, 8, 1000, 8192);
-  EXPECT_EQ(plan.replica_lanes, 8u);
-  EXPECT_EQ(plan.epoch_lanes, 1u);
-  // Wide batch over a big population: replica fan-out still wins.
-  plan = plan_nested_lanes(32, 8, 200000, 8192);
-  EXPECT_EQ(plan.replica_lanes, 8u);
-  EXPECT_EQ(plan.epoch_lanes, 1u);
-  // Narrow batch over a big population: the epoch shards get the pool.
-  plan = plan_nested_lanes(1, 8, 200000, 8192);
-  EXPECT_EQ(plan.replica_lanes, 1u);
-  EXPECT_EQ(plan.epoch_lanes, 8u);
-  // Never both >1 — nested parallel_for on one shared pool can deadlock.
-  for (std::size_t replicas : {1u, 3u, 8u, 64u}) {
-    for (std::size_t miners : {100u, 10000u, 1000000u}) {
-      const NestedLanePlan p = plan_nested_lanes(replicas, 8, miners, 8192);
-      EXPECT_TRUE(p.replica_lanes == 1 || p.epoch_lanes == 1);
-      EXPECT_GE(p.replica_lanes * p.epoch_lanes, 1u);
-    }
-  }
-}
-
 // ------------------------------------------------ lane-filling wave loop
 
 std::string temp_path(const std::string& name) {
@@ -1106,7 +1139,6 @@ chain::ChainSimOptions sharded_options(std::size_t lanes,
   options.reevaluation_fraction = 0.5;
   options.seed = seed;
   options.epoch_lanes = lanes;
-  options.epoch_shard_cutoff = 0;  // shard even the 12-miner test population
   return options;
 }
 
@@ -1132,10 +1164,10 @@ TEST(ShardedEpoch, MyopicEdaChurnBitIdenticalAcrossLaneCounts) {
   expect_chain_pin(four, {13362711329755661680u, 0.0064540665717003681});
 }
 
-TEST(ShardedEpoch, RewardHookAndExternalPoolBitIdentical) {
-  // Reward hooks, a non-trivial initial assignment, and a caller-owned
-  // pool (the nested-arbitration path) — against the 1-lane reference.
-  const auto build = [](std::size_t lanes, engine::ThreadPool* pool) {
+TEST(ShardedEpoch, RewardHookAndInitialAssignmentBitIdentical) {
+  // Reward hooks and a non-trivial initial assignment, against the 1-lane
+  // reference.
+  const auto build = [](std::size_t lanes) {
     std::vector<chain::ChainSpec> chains;
     chains.push_back(make_chain("a", 300.0, 20.0));
     chains.push_back(make_chain("b", 300.0, 20.0));
@@ -1144,8 +1176,6 @@ TEST(ShardedEpoch, RewardHookAndExternalPoolBitIdentical) {
     options.policy = chain::MinerPolicy::kBetterResponse;
     options.seed = 24;
     options.epoch_lanes = lanes;
-    options.epoch_shard_cutoff = 0;
-    options.epoch_pool = pool;
     chain::MultiChainSimulator sim({10.0, 20.0, 30.0, 40.0, 50.0},
                                    std::move(chains), options,
                                    {0, 1, 0, 1, 0});
@@ -1154,10 +1184,49 @@ TEST(ShardedEpoch, RewardHookAndExternalPoolBitIdentical) {
     });
     return sim.run();
   };
-  engine::ThreadPool pool(3);
-  const auto four = build(4, &pool);
-  expect_chain_results_equal(build(1, nullptr), four);
+  const auto four = build(4);
+  expect_chain_results_equal(build(1), four);
   expect_chain_pin(four, {14962118324376525968u, 0.034095653748104242});
+}
+
+TEST(ShardedEpoch, PoolSizedPopulationBitIdenticalAtOneAndFourLanes) {
+  // 8192 miners reach the size at which the simulator gives the evaluate
+  // phase a pool, so four lanes really run the chooser on pool workers.
+  const auto run = [](chain::MinerPolicy policy, std::size_t lanes) {
+    std::vector<chain::ChainSpec> chains;
+    for (int c = 0; c < 4; ++c) {
+      chains.push_back(make_chain("c" + std::to_string(c), 3000.0,
+                                  10.0 + 5.0 * static_cast<double>(c)));
+    }
+    std::vector<double> powers;
+    std::vector<std::size_t> assignment;
+    for (std::size_t i = 0; i < 8192; ++i) {
+      powers.push_back(1.0 + static_cast<double>(i % 16));
+      assignment.push_back(i % 4);
+    }
+    chain::ChainSimOptions options;
+    options.duration_hours = 24.0;
+    options.policy = policy;
+    options.myopic_hysteresis = 0.05;
+    options.seed = 25;
+    options.record_timeline = false;
+    options.epoch_lanes = lanes;
+    chain::MultiChainSimulator sim(std::move(powers), std::move(chains),
+                                   options, std::move(assignment));
+    return sim.run();
+  };
+  const std::pair<chain::MinerPolicy, ChainPin> cases[] = {
+      {chain::MinerPolicy::kBetterResponse,
+       {17623531395389888836u, 0.00022308819801220397}},
+      {chain::MinerPolicy::kMyopicDifficulty,
+       {6725186603265646009u, 0.00022757221348287948}}};
+  for (const auto& [policy, pin] : cases) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const auto one = run(policy, 1);
+    EXPECT_GT(one.migrations, 0u);
+    expect_chain_results_equal(one, run(policy, 4));
+    expect_chain_pin(one, pin);
+  }
 }
 
 // ------------------------------------------------ Monte Carlo stress (slow)
