@@ -39,23 +39,38 @@ XRational Game::rpu(const Configuration& s, CoinId c) const {
   return XRational(rewards_(c) / mass);
 }
 
-Rational Game::payoff(const Configuration& s, MinerId p) const {
-  GOC_CHECK_ARG(&s.system() == system_.get(),
-                "configuration belongs to a different system");
-  const CoinId c = s.of(p);
-  const Rational& mass = s.mass(c);
-  GOC_ASSERT(mass.is_positive(), "occupied coin with nonpositive mass");
-  return system_->power(p) * rewards_(c) / mass;
-}
-
-Rational Game::payoff_if_move(const Configuration& s, MinerId p, CoinId c) const {
+Fraction Game::payoff_fraction(const Configuration& s, MinerId p,
+                               CoinId c) const {
   GOC_CHECK_ARG(&s.system() == system_.get(),
                 "configuration belongs to a different system");
   GOC_CHECK_ARG(system_->valid_coin(c), "unknown coin id");
-  GOC_CHECK_ARG(can_mine(p, c), "access policy forbids this miner-coin pair");
+  const bool here = s.of(p) == c;
+  GOC_CHECK_ARG(here || can_mine(p, c),
+                "access policy forbids this miner-coin pair");
   const Rational& mp = system_->power(p);
-  if (s.of(p) == c) return payoff(s, p);
-  return mp * rewards_(c) / (s.mass(c) + mp);
+  const Rational& reward = rewards_(c);
+  const Rational& mass = s.mass(c);
+  GOC_ASSERT(!here || mass.is_positive(),
+             "occupied coin with nonpositive mass");
+  if (mp.is_integer() && reward.is_integer() && mass.is_integer()) {
+    Fraction u{0, mass.numerator()};
+    if (!mul_overflow(mp.numerator(), reward.numerator(), &u.num) &&
+        (here || !add_overflow(u.den, mp.numerator(), &u.den))) {
+      return u;
+    }
+  }
+  const Rational exact = here ? mp * reward / mass : mp * reward / (mass + mp);
+  return Fraction{exact.numerator(), exact.denominator()};
+}
+
+Rational Game::payoff(const Configuration& s, MinerId p) const {
+  return payoff_fraction(s, p, s.of(p)).to_rational();
+}
+
+Rational Game::payoff_if_move(const Configuration& s, MinerId p, CoinId c) const {
+  GOC_CHECK_ARG(system_->valid_coin(c), "unknown coin id");
+  GOC_CHECK_ARG(can_mine(p, c), "access policy forbids this miner-coin pair");
+  return payoff_fraction(s, p, c).to_rational();
 }
 
 Game Game::with_rewards(RewardFunction rewards) const {

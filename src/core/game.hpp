@@ -57,6 +57,17 @@ class Game {
   /// RPU_c(s) = F(c)/M_c(s); +∞ when c is empty.
   XRational rpu(const Configuration& s, CoinId c) const;
 
+  /// The game's one payoff formula, unreduced: u_p((s_{-p}, c)) =
+  /// m_p·F(c)/(M_c + m_p) for c ≠ s.p, and the current payoff
+  /// u_p(s) = m_p·F(c)/M_c for c == s.p (whose mass already holds m_p).
+  /// When m_p, F(c) and M_c are integers and the raw products fit it
+  /// returns them as they are (no GCD); otherwise the parts of the reduced
+  /// `Rational` value — exact either way, and it throws goc::OverflowError
+  /// exactly when the `Rational` evaluation does. Throws when c ≠ s.p and
+  /// the access policy forbids p mining c (a miner may sit on a coin it
+  /// may not mine; its current payoff is still defined).
+  Fraction payoff_fraction(const Configuration& s, MinerId p, CoinId c) const;
+
   /// u_p(s) = m_p · RPU_{s.p}(s). Always finite (p itself mines s.p).
   Rational payoff(const Configuration& s, MinerId p) const;
 

@@ -69,11 +69,7 @@ std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
     const i128 d2 = s.mass(c2).numerator() + (c2 == here ? 0 : mp);
     return compare_positive_fractions(n1, d1, n2, d2);
   }
-  const Rational v1 = c1 == here ? game_->payoff(s, p)
-                                 : game_->payoff_if_move(s, p, c1);
-  const Rational v2 = c2 == here ? game_->payoff(s, p)
-                                 : game_->payoff_if_move(s, p, c2);
-  return v1 <=> v2;
+  return game_->payoff_fraction(s, p, c1) <=> game_->payoff_fraction(s, p, c2);
 }
 
 bool MoveComparator::stable(const Configuration& s, MinerId p) const {

@@ -11,14 +11,16 @@
 /// \file move_compare.hpp
 /// The index-backed fast path for better-response comparisons.
 ///
-/// `core/moves.*` is the *scan-based reference*: it evaluates full payoffs
-/// with normalized `Rational` arithmetic (GCD on every operation). The hot
-/// loop only ever needs *orderings* of post-move payoffs of one miner, and
-/// for miner p those reduce to comparing F(a)/(M_a + m_p) against
-/// F(b)/(M_b + m_p) — a cross-multiplication. When every power and reward
-/// is an integer (the overwhelmingly common workload: all generators emit
-/// integers), masses are integers too and the whole comparison is two raw
-/// 128-bit multiplies with no `Rational` construction and no GCD.
+/// `core/moves.*` is the *scan-based reference*: it evaluates each full
+/// payoff m_p·F(c)/(M_c + m_p) by the paper's formula
+/// (`Game::payoff_fraction`, an unreduced exact `Fraction`; GCD only for a
+/// gain it returns). The hot loop only ever needs *orderings* of post-move
+/// payoffs of one miner, and for miner p those reduce to comparing
+/// F(a)/(M_a + m_p) against F(b)/(M_b + m_p) — a cross-multiplication.
+/// When every power and reward is an integer (the overwhelmingly common
+/// workload: all generators emit integers), masses are integers too and
+/// the whole comparison is two raw 128-bit multiplies with no `Rational`
+/// construction and no GCD.
 ///
 /// Rewards need not be integers for that to work: orderings are invariant
 /// under scaling all rewards by one positive constant, so any reward set
@@ -29,7 +31,7 @@
 /// denominators all divide the quantization denominator. Overflowing
 /// products take the exact GCD-reduced fallback of `compare_fractions`;
 /// non-integer powers and reward sets whose rescaling would overflow fall
-/// back to the exact `Rational` path, so the ordering
+/// back to comparing the two `payoff_fraction`s, so the ordering
 /// returned is always exact — bit-for-bit the same decision the reference
 /// scan makes.
 
@@ -72,8 +74,9 @@ class MoveComparator {
 
   /// Compares miner p's payoff after unilaterally moving to `c1` vs `c2`
   /// (either may equal s.of(p), meaning "stay put" — the current payoff).
-  /// Exact: equals comparing `game.payoff_if_move` results, without the
-  /// Rational construction in integer mode. Coins must be mineable by p.
+  /// Exact: equals comparing `game.payoff_fraction` results, without
+  /// evaluating them in fast mode. Coins other than s.of(p) must be
+  /// mineable by p.
   std::strong_ordering compare(const Configuration& s, MinerId p, CoinId c1,
                                CoinId c2) const;
 

@@ -15,14 +15,17 @@ std::string Move::to_string() const {
 
 Rational move_gain(const Game& game, const Configuration& s, MinerId p,
                    CoinId c) {
-  return game.payoff_if_move(s, p, c) - game.payoff(s, p);
+  GOC_CHECK_ARG(game.can_mine(p, c),
+                "access policy forbids this miner-coin pair");
+  return (game.payoff_fraction(s, p, c) - game.payoff_fraction(s, p, s.of(p)))
+      .to_rational();
 }
 
 bool is_better_response(const Game& game, const Configuration& s, MinerId p,
                         CoinId c) {
   if (s.of(p) == c) return false;
   if (!game.can_mine(p, c)) return false;
-  return game.payoff_if_move(s, p, c) > game.payoff(s, p);
+  return game.payoff_fraction(s, p, c) > game.payoff_fraction(s, p, s.of(p));
 }
 
 namespace {
@@ -30,24 +33,26 @@ namespace {
 /// One allowed unilateral move of p, as the payoff loop hands it out.
 struct Candidate {
   CoinId coin;
-  const Rational& payoff;   // u_p((s_{-p}, coin))
-  const Rational& current;  // u_p(s)
+  const Fraction& payoff;   // u_p((s_{-p}, coin))
+  const Fraction& current;  // u_p(s)
   bool improves() const { return payoff > current; }
+  Rational gain() const { return (payoff - current).to_rational(); }
 };
 
 /// The one payoff loop of the reference layer: computes u_p(s) once, then
 /// u_p((s_{-p}, c)) once for each coin c ≠ s.p that p may mine, in coin-id
-/// order, until `visit` returns false. Returns u_p(s). Each query below is
-/// a visitor making only the comparisons it needs.
+/// order, until `visit` returns false. Returns u_p(s). Payoffs are
+/// unreduced `Fraction`s, so each query below is a visitor making only the
+/// exact comparisons it needs, and reduces only the gains it returns.
 template <typename Visit>
-Rational for_each_move(const Game& game, const Configuration& s, MinerId p,
+Fraction for_each_move(const Game& game, const Configuration& s, MinerId p,
                        Visit&& visit) {
-  const Rational current = game.payoff(s, p);
   const CoinId here = s.of(p);
+  const Fraction current = game.payoff_fraction(s, p, here);
   for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
     const CoinId coin(c);
     if (coin == here || !game.can_mine(p, coin)) continue;
-    const Rational after = game.payoff_if_move(s, p, coin);
+    const Fraction after = game.payoff_fraction(s, p, coin);
     if (!visit(Candidate{coin, after, current})) break;
   }
   return current;
@@ -114,7 +119,8 @@ bool is_epsilon_stable(const Game& game, const Configuration& s, MinerId p,
   GOC_CHECK_ARG(!epsilon.is_negative(), "epsilon must be nonnegative");
   // The threshold is at least u_p(s), so the best response decides.
   const MoveScan scan = scan_moves(game, s, p);
-  return !(scan.best_payoff > scan.current + scan.current * epsilon);
+  const Rational current = scan.current.to_rational();
+  return !(scan.best_payoff.to_rational() > current + current * epsilon);
 }
 
 bool is_epsilon_equilibrium(const Game& game, const Configuration& s,
@@ -152,7 +158,7 @@ std::optional<Move> nth_better_response_move(const Game& game,
     const MinerId miner(p);
     for_each_move(game, s, miner, [&](const Candidate& m) {
       if (!m.improves() || n-- > 0) return true;  // not yet the n-th
-      move = Move{miner, s.of(miner), m.coin, m.payoff - m.current};
+      move = Move{miner, s.of(miner), m.coin, m.gain()};
       return false;
     });
   }
@@ -166,7 +172,7 @@ std::vector<Move> all_better_response_moves(const Game& game,
     const MinerId miner(p);
     for_each_move(game, s, miner, [&](const Candidate& m) {
       if (m.improves()) {
-        out.push_back(Move{miner, s.of(miner), m.coin, m.payoff - m.current});
+        out.push_back(Move{miner, s.of(miner), m.coin, m.gain()});
       }
       return true;
     });

@@ -14,10 +14,13 @@
 /// stable is a pure equilibrium.
 ///
 /// Everything here is the *scan-based reference implementation*: from
-/// scratch, exact `Rational` payoffs, O(|C|) per miner, all through one
-/// payoff loop in moves.cpp. The learning hot loop uses
-/// `dynamics::BestResponseIndex` (built on the `MoveComparator` fast path
-/// in core/move_compare.hpp) instead, and `scan_moves` is its audit oracle.
+/// scratch, O(|C|) per miner, all through one payoff loop in moves.cpp
+/// over the paper's formula (`Game::payoff_fraction`). Payoffs stay
+/// unreduced exact `Fraction`s, so every decision is an exact comparison
+/// without a GCD; only a gain that is returned is reduced to a `Rational`,
+/// once. The learning hot loop uses `dynamics::BestResponseIndex` (built
+/// on the `MoveComparator` fast path in core/move_compare.hpp) instead,
+/// and `scan_moves` is its audit oracle.
 
 namespace goc {
 
@@ -33,10 +36,11 @@ struct Move {
 
 /// What one scan of miner p's unilateral moves in s finds.
 struct MoveScan {
-  Rational current;            ///< u_p(s)
+  Fraction current;            ///< u_p(s), unreduced
   std::optional<CoinId> best;  ///< best response; nullopt iff p is stable
-  Rational best_payoff;        ///< payoff after `best` (`current` if stable)
-  Rational best_gain() const { return best_payoff - current; }
+  Fraction best_payoff;        ///< payoff after `best` (`current` if stable)
+  /// The best response's gain (0 if stable), reduced once.
+  Rational best_gain() const { return (best_payoff - current).to_rational(); }
 };
 
 /// p's best response (ties toward the lowest coin id) and payoffs, from

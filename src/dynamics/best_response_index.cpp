@@ -288,8 +288,16 @@ void BestResponseIndex::audit() const {
     GOC_ASSERT(reference.best == best_of(miner),
                "index best response diverged from scan");
     if (reference.best) {
-      GOC_ASSERT(best_gain(miner) == reference.best_gain(),
-                 "index gain diverged from scan");
+      // A valid cached gain must equal the scan's. A stale one takes the
+      // scan's gain: the best responses agree, so that is exactly the
+      // value `best_gain` would compute and cache.
+      const Rational gain = reference.best_gain();
+      if (gain_valid_[q]) {
+        GOC_ASSERT(gain_[q] == gain, "index gain diverged from scan");
+      } else {
+        gain_[q] = gain;
+        gain_valid_[q] = 1;
+      }
     }
     GOC_ASSERT(improving.size() == count_[q],
                "index improving count diverged from scan");

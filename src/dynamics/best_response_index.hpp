@@ -14,7 +14,7 @@
 /// The incremental best-response index — the learning hot loop's engine.
 ///
 /// A from-scratch scheduler `pick()` walks all miners × coins with exact
-/// `Rational` payoffs: O(n·|C|) normalized rational operations per step.
+/// payoffs: O(n·|C|) full payoff evaluations per step.
 /// But a move only changes the masses of its two coins, so after p moves
 /// a → b:
 ///
@@ -32,14 +32,15 @@
 /// improving-coin bitmask and count (so samplers can pick uniform moves
 /// without materializing them). A learning step costs O(n) cheap `i128`
 /// comparisons plus O(|C|) per *dirty* miner instead of O(n·|C|) exact
-/// `Rational` payoffs — and every ordering decision is exact, so schedulers
+/// payoffs — and every ordering decision is exact, so schedulers
 /// built on the index pick bit-identical move sequences to the reference
 /// scans (tests/test_best_response_index.cpp proves it move-for-move;
 /// `LearningOptions::audit_potential` cross-checks it at runtime).
 ///
 /// Gains are cached lazily: a rescan invalidates the stored `Rational`
 /// gain and it is recomputed only when actually read (Move construction,
-/// max-gain scheduling), keeping rescans free of rational arithmetic.
+/// max-gain scheduling) or filled by an `audit` that scanned it anyway,
+/// keeping rescans free of rational arithmetic.
 
 namespace goc::dynamics {
 
@@ -123,8 +124,11 @@ class BestResponseIndex {
 
   /// Cross-checks every cached fact against one `scan_moves` per miner
   /// (core/moves.*); throws goc::InvariantError on any mismatch. O(n·|C|)
-  /// exact arithmetic — the audit path, wired to
-  /// `LearningOptions::audit_potential`.
+  /// exact comparisons of unreduced payoffs and one reduced gain per
+  /// unstable miner — the audit path, wired to
+  /// `LearningOptions::audit_potential`. A valid cached gain is checked
+  /// against the scan's; a stale one is filled with it (the value
+  /// `best_gain` would cache).
   void audit() const;
 
  private:

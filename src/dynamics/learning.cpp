@@ -147,7 +147,8 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
       for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
         const MoveScan scan = scan_moves(game, s, MinerId(p));
         if (scan.best) {
-          consider(MinerId(p), *scan.best, scan.best_gain(), scan.current);
+          consider(MinerId(p), *scan.best, scan.best_gain(),
+                   scan.current.to_rational());
         }
       }
     }

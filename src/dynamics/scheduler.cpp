@@ -137,29 +137,43 @@ class GainExtremalScheduler final : public Scheduler {
 
   std::optional<Move> pick_indexed(const Game& game, const Configuration& s,
                                    const BestResponseIndex& index) override {
-    (void)game;
-    (void)s;
     // The extremal move over all improving (miner, coin) pairs decomposes
     // per miner: the max-gain move of a miner is its best response, the
     // min-gain move its lowest-payoff improving coin — with lowest-coin-id
     // ties inside the miner, and the unstable scan in miner-id order with
     // strict comparisons reproducing the lowest-miner-id tie-break.
-    // Cross-miner gain comparisons stay exact `Rational` (max-gain reads
-    // the cached gains; min-gain computes one candidate gain per unstable
-    // miner per pick — O(U) rational ops, traded against the considerably
-    // hairier i128 form of m_p·(F(t)/(M_t+m_p) − F(x)/M_x) comparisons).
-    std::optional<Move> chosen;
-    for (const MinerId p : index.unstable()) {
-      Move candidate = kMax
-                           ? *index.best_move(p)
-                           : index.move_to(p, index.min_improving(p));
-      if (!chosen ||
-          (kMax ? candidate.gain > chosen->gain
-                : candidate.gain < chosen->gain)) {
-        chosen = std::move(candidate);
+    // Cross-miner gain comparisons are exact: max-gain reads the cached
+    // `Rational` gains; min-gain compares each candidate's gain as an
+    // unreduced `Fraction` difference of two payoffs (cross products, no
+    // GCD) and reduces only the winner's gain into its Move.
+    if constexpr (kMax) {
+      (void)game;
+      (void)s;
+      std::optional<Move> chosen;
+      for (const MinerId p : index.unstable()) {
+        Move candidate = *index.best_move(p);
+        if (!chosen || candidate.gain > chosen->gain) {
+          chosen = std::move(candidate);
+        }
       }
+      return chosen;
+    } else {
+      std::optional<MinerId> chosen;
+      CoinId chosen_to;
+      Fraction chosen_gain;
+      for (const MinerId p : index.unstable()) {
+        const CoinId to = index.min_improving(p);
+        const Fraction gain = game.payoff_fraction(s, p, to) -
+                              game.payoff_fraction(s, p, s.of(p));
+        if (!chosen || gain < chosen_gain) {
+          chosen = p;
+          chosen_to = to;
+          chosen_gain = gain;
+        }
+      }
+      if (!chosen) return std::nullopt;
+      return Move{*chosen, s.of(*chosen), chosen_to, chosen_gain.to_rational()};
     }
-    return chosen;
   }
   std::string name() const override { return kMax ? "max-gain" : "min-gain"; }
   bool supports_index() const override { return true; }

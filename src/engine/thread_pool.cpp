@@ -37,12 +37,21 @@ struct PoolMetrics {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A spawn failed part-way (std::system_error): the workers already
+    // running are joinable, and unwinding past them would terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;

@@ -32,7 +32,9 @@ namespace goc::engine {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 means inline (serial) execution.
+  /// Spawns `num_threads` workers; 0 means inline (serial) execution. If
+  /// a spawn fails, the workers already spawned are stopped and joined and
+  /// the `std::system_error` is rethrown.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Joins all workers; pending tasks are drained first.
@@ -102,6 +104,8 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Wakes every worker to drain the queue and exit, then joins them.
+  void stop_and_join();
   /// Out-of-line halves of `submit` — the template above stays free of
   /// metrics includes while these record task counts and latencies.
   void enqueue(std::function<void()> fn);

@@ -121,21 +121,15 @@ std::strong_ordering compare_fractions_overflowed(u128 a_num, u128 a_den,
   return compare_cf(a_num, a_den, b_num, b_den);
 }
 
+Fraction subtract_overflowed(const Fraction& a, const Fraction& b) {
+  const Rational difference = a.to_rational() - b.to_rational();
+  return Fraction{difference.numerator(), difference.denominator()};
+}
+
 }  // namespace detail
 
 std::strong_ordering Rational::operator<=>(const Rational& other) const noexcept {
-  // Fast sign-based discrimination.
-  const int s1 = num_ < 0 ? -1 : (num_ > 0 ? 1 : 0);
-  const int s2 = other.num_ < 0 ? -1 : (other.num_ > 0 ? 1 : 0);
-  if (s1 != s2) return s1 <=> s2;
-  if (s1 == 0) return std::strong_ordering::equal;
-
-  // Same strict sign: compare magnitudes |a|/b vs |c|/d, flipping for
-  // negatives.
-  const std::strong_ordering mag =
-      compare_fractions(uabs128(num_), static_cast<u128>(den_),
-                        uabs128(other.num_), static_cast<u128>(other.den_));
-  return s1 < 0 ? 0 <=> mag : mag;
+  return Fraction{num_, den_} <=> Fraction{other.num_, other.den_};
 }
 
 Rational Rational::operator-() const noexcept {

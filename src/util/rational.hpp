@@ -28,6 +28,11 @@
 /// comparisons never overflow. They all go through `compare_fractions`,
 /// which cross-multiplies first, reduces by GCD only when a product
 /// overflows and then falls back to a continued-fraction walk.
+///
+/// `Fraction` is the unreduced companion: an exact value kept as computed,
+/// so a chain of decisions between payoffs costs cross products and no
+/// GCD, and only a value that is actually returned is reduced (once, by
+/// `to_rational()`).
 
 namespace goc {
 
@@ -135,6 +140,59 @@ class Rational {
 };
 
 std::ostream& operator<<(std::ostream& os, const Rational& r);
+
+/// An exact fraction `num / den` with `den > 0` that is *not* reduced —
+/// the learning oracle's payoffs (positive) and gains (either sign). It
+/// compares by value (1/2 == 2/4) through `compare_fractions`: a sign
+/// check and two 128-bit cross products, with no GCD unless a product
+/// overflows. `to_rational()` reduces once.
+struct Fraction {
+  i128 num = 0;
+  i128 den = 1;
+
+  std::strong_ordering operator<=>(const Fraction& other) const noexcept {
+    const bool negative = num < 0;
+    if (negative != (other.num < 0)) {
+      return negative ? std::strong_ordering::less
+                      : std::strong_ordering::greater;
+    }
+    const std::strong_ordering mag =
+        compare_fractions(uabs128(num), static_cast<u128>(den),
+                          uabs128(other.num), static_cast<u128>(other.den));
+    return negative ? 0 <=> mag : mag;
+  }
+  bool operator==(const Fraction& other) const noexcept {
+    return (*this <=> other) == 0;
+  }
+
+  /// The value in lowest terms (one GCD).
+  Rational to_rational() const { return Rational::from_parts(num, den); }
+};
+
+namespace detail {
+
+/// The overflow branch of `Fraction` subtraction, out of line: the
+/// reduced `Rational` difference (throws goc::OverflowError when that
+/// overflows too).
+Fraction subtract_overflowed(const Fraction& a, const Fraction& b);
+
+}  // namespace detail
+
+/// Exact a − b, unreduced: (a.num·b.den − b.num·a.den) / (a.den·b.den)
+/// from checked raw 128-bit products. When one overflows it falls back to
+/// subtracting the reduced `Rational` values, so it throws exactly when
+/// `a.to_rational() - b.to_rational()` does.
+inline Fraction operator-(const Fraction& a, const Fraction& b) {
+  i128 lhs;
+  i128 rhs;
+  Fraction out;
+  if (!mul_overflow(a.num, b.den, &lhs) && !mul_overflow(b.num, a.den, &rhs) &&
+      !__builtin_sub_overflow(lhs, rhs, &out.num) &&
+      !mul_overflow(a.den, b.den, &out.den)) [[likely]] {
+    return out;
+  }
+  return detail::subtract_overflowed(a, b);
+}
 
 }  // namespace goc
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
+#include "core/enumerate.hpp"
 #include "core/generators.hpp"
 #include "core/move_compare.hpp"
 #include "core/moves.hpp"
@@ -144,9 +146,9 @@ void expect_moves_match_double_loop(const Game& g, const Configuration& s) {
     }
     if (!coins.empty()) unstable.push_back(miner);
     const MoveScan scan = scan_moves(g, s, miner, &improving);
-    EXPECT_EQ(scan.current, ref.current[p]);
+    EXPECT_EQ(scan.current.to_rational(), ref.current[p]);
     EXPECT_EQ(scan.best, ref.best[p]);
-    EXPECT_EQ(scan.best_payoff, ref.best_payoff[p]);
+    EXPECT_EQ(scan.best_payoff.to_rational(), ref.best_payoff[p]);
     EXPECT_EQ(improving, coins);
     EXPECT_EQ(scan_moves(g, s, miner).best, ref.best[p]);
     EXPECT_EQ(better_responses(g, s, miner), coins);
@@ -180,6 +182,174 @@ void expect_index_matches_scan(const Game& g, const Configuration& s,
       EXPECT_EQ(index.nth_improving(miner, i), options[i]);
     }
   }
+}
+
+// ------------------------------------------------------ payoff formula
+
+/// The paper's payoff in reduced `Rational` arithmetic, as `Game::payoff`
+/// and `Game::payoff_if_move` evaluated it before `payoff_fraction`.
+Rational rational_payoff(const Game& g, const Configuration& s, MinerId p,
+                         CoinId c) {
+  const Rational& mp = g.system().power(p);
+  const Rational& reward = g.rewards()(c);
+  return s.of(p) == c ? mp * reward / s.mass(c)
+                      : mp * reward / (s.mass(c) + mp);
+}
+
+struct PayoffCheckCounts {
+  int values = 0;
+  int payoff_overflows = 0;
+  int gain_overflows = 0;
+};
+
+/// `payoff_fraction` against `rational_payoff` for every (miner, coin):
+/// the same value, or OverflowError exactly when the reduced evaluation
+/// throws; `payoff`, `payoff_if_move` and `move_gain` follow it.
+void expect_payoff_fraction_matches(const Game& g, const Configuration& s,
+                                    PayoffCheckCounts& counts) {
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    const MinerId miner(p);
+    const CoinId here = s.of(miner);
+    std::optional<Rational> current;
+    try {
+      current = rational_payoff(g, s, miner, here);
+    } catch (const OverflowError&) {
+    }
+    for (std::uint32_t c = 0; c < g.num_coins(); ++c) {
+      const CoinId coin(c);
+      if (coin != here && !g.can_mine(miner, coin)) {
+        EXPECT_THROW(g.payoff_fraction(s, miner, coin), std::invalid_argument);
+        EXPECT_THROW(g.payoff_if_move(s, miner, coin), std::invalid_argument);
+        continue;
+      }
+      std::optional<Rational> expected;
+      try {
+        expected = rational_payoff(g, s, miner, coin);
+      } catch (const OverflowError&) {
+      }
+      if (!expected) {
+        ++counts.payoff_overflows;
+        EXPECT_THROW(g.payoff_fraction(s, miner, coin), OverflowError);
+        continue;
+      }
+      ++counts.values;
+      const Fraction u = g.payoff_fraction(s, miner, coin);
+      EXPECT_EQ(u.to_rational(), *expected);
+      EXPECT_TRUE(u == (Fraction{expected->numerator(),
+                                 expected->denominator()}));
+      if (coin == here) EXPECT_EQ(g.payoff(s, miner), *expected);
+      if (!g.can_mine(miner, coin)) {
+        EXPECT_THROW(g.payoff_if_move(s, miner, coin), std::invalid_argument);
+        EXPECT_THROW(move_gain(g, s, miner, coin), std::invalid_argument);
+        continue;
+      }
+      EXPECT_EQ(g.payoff_if_move(s, miner, coin), *expected);
+      if (!current) continue;
+      std::optional<Rational> gain;
+      try {
+        gain = *expected - *current;
+      } catch (const OverflowError&) {
+      }
+      if (gain) {
+        EXPECT_EQ(move_gain(g, s, miner, coin), *gain);
+      } else {
+        ++counts.gain_overflows;
+        EXPECT_THROW(move_gain(g, s, miner, coin), OverflowError);
+      }
+    }
+  }
+}
+
+TEST(PayoffFraction, IntegerGameKeepsRawProductsUnreduced) {
+  // m = (2, 4), F = (6, 3), both on coin 0 (mass 6): miner 0's payoff is
+  // 2·6/6 and its move to coin 1 pays 2·3/(0 + 2), both as computed.
+  const Game g(System::from_integer_powers({2, 4}, 2),
+               RewardFunction::from_integers({6, 3}));
+  const Configuration s(g.system_ptr(), {CoinId(0), CoinId(0)});
+  const Fraction stay = g.payoff_fraction(s, MinerId(0), CoinId(0));
+  EXPECT_EQ(stay.num, 12);
+  EXPECT_EQ(stay.den, 6);
+  const Fraction move = g.payoff_fraction(s, MinerId(0), CoinId(1));
+  EXPECT_EQ(move.num, 6);
+  EXPECT_EQ(move.den, 2);
+  EXPECT_EQ(stay.to_rational(), g.payoff(s, MinerId(0)));
+  EXPECT_EQ(move.to_rational(), g.payoff_if_move(s, MinerId(0), CoinId(1)));
+
+  Rng rng(71);
+  PayoffCheckCounts counts;
+  for (int trial = 0; trial < 20; ++trial) {
+    const Game random = random_integer_game(rng);
+    expect_payoff_fraction_matches(random,
+                                   random_configuration(random, rng), counts);
+  }
+  EXPECT_GT(counts.values, 0);
+  EXPECT_EQ(counts.payoff_overflows + counts.gain_overflows, 0);
+}
+
+TEST(PayoffFraction, NonIntegerGameMatchesRationalPayoff) {
+  const Game g = rational_game();
+  Rng rng(72);
+  PayoffCheckCounts counts;
+  for (int trial = 0; trial < 20; ++trial) {
+    expect_payoff_fraction_matches(g, random_configuration(g, rng), counts);
+  }
+  EXPECT_GT(counts.values, 0);
+  EXPECT_EQ(counts.payoff_overflows + counts.gain_overflows, 0);
+}
+
+TEST(PayoffFraction, MinerOnAForbiddenCoinStillHasAPayoff) {
+  const Game g = restricted_game();
+  // Everyone on coin 0, including miners that may not mine it.
+  const Configuration s = Configuration::all_at(g.system_ptr(), CoinId(0));
+  std::size_t forbidden = 0;
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    const MinerId miner(p);
+    if (g.can_mine(miner, CoinId(0))) continue;
+    ++forbidden;
+    EXPECT_EQ(g.payoff_fraction(s, miner, CoinId(0)).to_rational(),
+              g.payoff(s, miner));
+    EXPECT_THROW(g.payoff_if_move(s, miner, CoinId(0)),
+                 std::invalid_argument);
+  }
+  ASSERT_GT(forbidden, 0u);
+  PayoffCheckCounts counts;
+  expect_payoff_fraction_matches(g, s, counts);
+  expect_payoff_fraction_matches(g, allowed_start(g), counts);
+  EXPECT_GT(counts.values, 0);
+  expect_moves_match_double_loop(g, s);
+}
+
+TEST(PayoffFraction, PowersNearTwoToThe63FallBackOrThrowLikeRational) {
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max();
+  const i128 two64 = static_cast<i128>(1) << 64;
+  PayoffCheckCounts counts;
+  // Integer powers and rewards near 2^63: every payoff fits raw, and the
+  // gains' raw products overflow, so `move_gain` takes the Rational
+  // subtraction (and throws where it throws).
+  const Game integer(System::from_integer_powers({big, big - 24, big / 2 + 3},
+                                                 3),
+                     RewardFunction::from_integers({big - 6, big / 3, 5}));
+  // A reward near 2^64: m_p·F(c) overflows 128 bits, so the payoff falls
+  // back to the Rational formula, which throws.
+  const Game wide(integer.system_ptr(),
+                  RewardFunction({Rational::from_parts(two64 + 13, 1),
+                                  Rational(7), Rational(big - 2)}));
+  // Non-integer powers near 2^63: the Rational fallback returns the value.
+  const Game fractional(System({Rational(big, 3), Rational(big - 2, 7),
+                                Rational(big / 5, 2)},
+                               3),
+                        RewardFunction({Rational(5, 2), Rational(big, 11),
+                                        Rational(3)}));
+  for (const Game* g : {&integer, &wide, &fractional}) {
+    for_each_configuration(g->system_ptr(), 1u << 12,
+                           [&](const Configuration& s) {
+                             expect_payoff_fraction_matches(*g, s, counts);
+                             return true;
+                           });
+  }
+  EXPECT_GT(counts.values, 0);
+  EXPECT_GT(counts.payoff_overflows, 0);
+  EXPECT_GT(counts.gain_overflows, 0);
 }
 
 // ---------------------------------------------------- configuration hook
@@ -479,6 +649,108 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, IndexedSchedulerEquivalence,
     ::testing::Combine(::testing::ValuesIn(all_scheduler_kinds()),
                        ::testing::Values(21u, 22u, 23u, 24u)));
+
+/// Scan and index paths of `kind` from `start`: same trajectory, move for
+/// move and gain for gain (the IndexedSchedulerEquivalence contract).
+void expect_paths_match(const Game& g, const Configuration& start,
+                        SchedulerKind kind) {
+  LearningOptions scan_opts;
+  scan_opts.use_index = false;
+  scan_opts.record_moves = true;
+  LearningOptions index_opts = scan_opts;
+  index_opts.use_index = true;
+  index_opts.audit_potential = true;
+  auto scan_sched = make_scheduler(kind, 17);
+  auto index_sched = make_scheduler(kind, 17);
+  const LearningResult scan = run_learning(g, start, *scan_sched, scan_opts);
+  const LearningResult indexed =
+      run_learning(g, start, *index_sched, index_opts);
+  EXPECT_TRUE(scan.converged);
+  ASSERT_EQ(scan.trace.size(), indexed.trace.size());
+  for (std::size_t i = 0; i < scan.trace.size(); ++i) {
+    const Move& a = scan.trace.moves()[i];
+    const Move& b = indexed.trace.moves()[i];
+    EXPECT_EQ(a.miner, b.miner) << "step " << i;
+    EXPECT_EQ(a.to, b.to) << "step " << i;
+    EXPECT_EQ(a.gain, b.gain) << "step " << i;
+  }
+  EXPECT_EQ(scan.move_hash, indexed.move_hash);
+  EXPECT_TRUE(scan.final_configuration == indexed.final_configuration);
+}
+
+/// Miner p's min-gain candidate gain, unreduced, as the indexed min-gain
+/// scheduler compares it.
+Fraction min_gain_fraction(const Game& g, const Configuration& s,
+                           const BestResponseIndex& index, MinerId p) {
+  return g.payoff_fraction(s, p, index.min_improving(p)) -
+         g.payoff_fraction(s, p, s.of(p));
+}
+
+TEST(IndexedMinGain, ExactTieInDifferentUnreducedFormsGoesToLowerMiner) {
+  // Coin 0 holds miners 0 (power 1) and 2 (power 2), coin 1 miner 1
+  // (power 4); F = (2, 5). Miner 0 gains 1 − 2/3 = 5/15, miner 2 gains
+  // 10/6 − 4/3 = 6/18: the same 1/3, in different unreduced forms.
+  const Game g(System::from_integer_powers({1, 4, 2}, 2),
+               RewardFunction::from_integers({2, 5}));
+  const Configuration s(g.system_ptr(), {CoinId(0), CoinId(1), CoinId(0)});
+  const BestResponseIndex index(g, s);
+  ASSERT_EQ(index.unstable(), (std::vector<MinerId>{MinerId(0), MinerId(2)}));
+  const Fraction g0 = min_gain_fraction(g, s, index, MinerId(0));
+  const Fraction g2 = min_gain_fraction(g, s, index, MinerId(2));
+  EXPECT_EQ(g0.num, 5);
+  EXPECT_EQ(g0.den, 15);
+  EXPECT_EQ(g2.num, 6);
+  EXPECT_EQ(g2.den, 18);
+  EXPECT_TRUE(g0 == g2);
+
+  auto indexed = make_scheduler(SchedulerKind::kMinGain);
+  auto scan = make_scheduler(SchedulerKind::kMinGain);
+  const auto a = indexed->pick_indexed(g, s, index);
+  const auto b = scan->pick(g, s);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(a->miner, MinerId(0));
+  EXPECT_EQ(a->to, CoinId(1));
+  EXPECT_EQ(a->gain, Rational(1, 3));
+  EXPECT_EQ(a->miner, b->miner);
+  EXPECT_EQ(a->to, b->to);
+  EXPECT_EQ(a->gain, b->gain);
+  expect_paths_match(g, s, SchedulerKind::kMinGain);
+}
+
+TEST(IndexedMinGain, GainCrossProductsOverflowing128Bits) {
+  // Powers and rewards near 2^31: each payoff is ~2^62 over ~2^33, each
+  // unreduced gain ~2^95 over ~2^66, so comparing two gains multiplies
+  // past 2^128 and `compare_fractions` takes its reduction fallback.
+  const std::int64_t two31 = std::int64_t{1} << 31;
+  const Game g(System::from_integer_powers({two31 + 11, two31 + 3,
+                                            2 * two31 - 5, 3 * two31 / 2 + 1},
+                                           3),
+               RewardFunction::from_integers(
+                   {two31 - 1, two31 + 7, 3 * two31 / 2 + 5}));
+  Rng rng(88);
+  std::size_t overflowing = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const Configuration start = random_configuration(g, rng);
+    const BestResponseIndex index(g, start);
+    const std::vector<MinerId>& unstable = index.unstable();
+    for (std::size_t i = 0; i < unstable.size(); ++i) {
+      for (std::size_t j = i + 1; j < unstable.size(); ++j) {
+        const Fraction a = min_gain_fraction(g, start, index, unstable[i]);
+        const Fraction b = min_gain_fraction(g, start, index, unstable[j]);
+        u128 product;
+        if (__builtin_mul_overflow(static_cast<u128>(a.num),
+                                   static_cast<u128>(b.den), &product) ||
+            __builtin_mul_overflow(static_cast<u128>(b.num),
+                                   static_cast<u128>(a.den), &product)) {
+          ++overflowing;
+          EXPECT_EQ(a <=> b, a.to_rational() <=> b.to_rational());
+        }
+      }
+    }
+    expect_paths_match(g, start, SchedulerKind::kMinGain);
+  }
+  EXPECT_GT(overflowing, 0u);
+}
 
 TEST(BestResponseIndex, ReweightMatchesFreshRebuildForEveryKind) {
   // The zero-rebuild market contract: after Game::reweight +

@@ -263,9 +263,9 @@ TEST(Moves, BestResponsePicksMaxGain) {
   // The one scan behind it sees both better responses, in coin-id order.
   std::vector<CoinId> improving;
   const MoveScan scan = scan_moves(g, s, MinerId(0), &improving);
-  EXPECT_EQ(scan.current, Rational(1));
+  EXPECT_EQ(scan.current.to_rational(), Rational(1));
   EXPECT_EQ(scan.best, CoinId(2));
-  EXPECT_EQ(scan.best_payoff, Rational(5));
+  EXPECT_EQ(scan.best_payoff.to_rational(), Rational(5));
   EXPECT_EQ(scan.best_gain(), Rational(4));
   EXPECT_EQ(improving, (std::vector<CoinId>{CoinId(1), CoinId(2)}));
   EXPECT_EQ(count_better_responses(g, s, MinerId(0)), 2u);

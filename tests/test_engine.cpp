@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
 #include <set>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 #include "core/generators.hpp"
@@ -116,6 +122,47 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                      if (i == 42) throw std::runtime_error("boom");
                    }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, FailedSpawnJoinsSpawnedWorkersAndRethrows) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than any "
+                  "RLIMIT_AS that still admits a few thread stacks";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than any "
+                  "RLIMIT_AS that still admits a few thread stacks";
+#endif
+#endif
+  // A forked child caps its address space a few thread stacks above its
+  // current size, so the pool's constructor spawns some workers and then
+  // fails. Before the fix the joinable workers made unwinding call
+  // std::terminate (SIGABRT); now they are joined and the error rethrown.
+  const ::pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    long pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                       (rlim_t{64} << 20);
+    const ::rlimit limit{cap, cap};
+    if (pages <= 0 || ::setrlimit(RLIMIT_AS, &limit) != 0) _exit(3);
+    try {
+      ThreadPool pool(4096);
+      _exit(2);  // the cap did not bite
+    } catch (const std::system_error&) {
+      _exit(0);
+    } catch (...) {
+      _exit(4);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "child died of signal "
+      << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // ---------------------------------------------------------- grid expansion

@@ -470,6 +470,85 @@ TEST(Rational, ProductsAreCanonical) {
   EXPECT_EQ(Rational(0).denominator(), 1);
 }
 
+// ------------------------------------------------------ unreduced fractions
+
+TEST(Fraction, ComparesByValueAcrossUnreducedForms) {
+  const Fraction half{1, 2};
+  const Fraction two_quarters{2, 4};
+  EXPECT_TRUE(half == two_quarters);
+  EXPECT_EQ(half <=> two_quarters, std::strong_ordering::equal);
+  EXPECT_EQ(half.to_rational(), two_quarters.to_rational());
+  EXPECT_EQ(two_quarters.to_rational(), Rational(1, 2));
+  EXPECT_LT((Fraction{2, 4}), (Fraction{3, 5}));
+  EXPECT_GT((Fraction{0, 7}), (Fraction{-1, 9}));
+  EXPECT_TRUE((Fraction{0, 7}) == (Fraction{0, 1}));
+
+  // Random values, each in two random unreduced forms (scaled by k and by
+  // m): Fraction order and equality must be the Rational order.
+  Rng rng(0xf4ac);
+  for (int i = 0; i < 4000; ++i) {
+    const unsigned bits = 1 + static_cast<unsigned>(rng.next_below(40));
+    const i128 an =
+        random_bits(rng, bits) - (i % 3 == 0 ? random_bits(rng, bits) : 0);
+    const i128 ad = random_bits(rng, bits);
+    const i128 bn = i % 5 == 0 ? an : random_bits(rng, bits);
+    const i128 bd = i % 5 == 0 ? ad : random_bits(rng, bits);
+    const i128 k =
+        random_bits(rng, 1 + static_cast<unsigned>(rng.next_below(40)));
+    const i128 m =
+        random_bits(rng, 1 + static_cast<unsigned>(rng.next_below(40)));
+    const Rational a = Rational::from_parts(an, ad);
+    const Rational b = Rational::from_parts(bn, bd);
+    const Fraction a_k{an * k, ad * k};
+    const Fraction a_m{an * m, ad * m};
+    const Fraction b_m{bn * m, bd * m};
+    for (const auto& [x, y] : {std::pair{a_k, b_m}, std::pair{a_m, a_k}}) {
+      const Rational rx = x.to_rational();
+      const Rational ry = y.to_rational();
+      EXPECT_EQ(x <=> y, rx <=> ry) << rx << " vs " << ry;
+      EXPECT_EQ(x == y, rx == ry) << rx << " vs " << ry;
+    }
+    EXPECT_EQ(a_k.to_rational(), a);
+    EXPECT_EQ(b_m <=> a_k, b <=> a);
+  }
+}
+
+TEST(Fraction, DifferenceIsExactAndReducesOnlyOnRequest) {
+  // Raw products fit: the difference stays unreduced.
+  const Fraction d = Fraction{5, 5} - Fraction{2, 3};
+  EXPECT_EQ(d.num, 5);
+  EXPECT_EQ(d.den, 15);
+  EXPECT_EQ(d.to_rational(), Rational(1, 3));
+  EXPECT_EQ((Fraction{1, 4} - Fraction{3, 4}).to_rational(), Rational(-1, 2));
+
+  Rng rng(0xd1ff);
+  for (int i = 0; i < 4000; ++i) {
+    const unsigned bits = 1 + static_cast<unsigned>(rng.next_below(60));
+    const Fraction a{random_bits(rng, bits), random_bits(rng, bits)};
+    const Fraction b{random_bits(rng, bits), random_bits(rng, bits)};
+    EXPECT_EQ((a - b).to_rational(), a.to_rational() - b.to_rational());
+  }
+
+  // A raw product overflows but the reduced values subtract: 2^100/(3·2^40)
+  // − 2^90/2^40 = (2^60 − 3·2^50)/3.
+  const i128 two40 = static_cast<i128>(1) << 40;
+  const Fraction big{static_cast<i128>(1) << 100, 3 * two40};
+  const Fraction other{static_cast<i128>(1) << 90, two40};
+  const i128 two50 = static_cast<i128>(1) << 50;
+  const Rational expected = Rational::from_parts(1024 * two50 - 3 * two50, 3);
+  EXPECT_EQ((big - other).to_rational(), expected);
+  EXPECT_EQ((big - other).to_rational(),
+            big.to_rational() - other.to_rational());
+
+  // Neither form fits: the reduced subtraction throws, and so does the
+  // Fraction difference.
+  const i128 two63 = static_cast<i128>(1) << 63;
+  const Fraction wide{(two63 - 1) * (two63 - 25), two63 + 1};
+  const Fraction wide2{(two63 - 7) * (two63 - 3), two63 + 5};
+  EXPECT_THROW(wide.to_rational() - wide2.to_rational(), OverflowError);
+  EXPECT_THROW(wide - wide2, OverflowError);
+}
+
 TEST(XRational, InfinityOrdering) {
   const XRational inf = XRational::infinity();
   EXPECT_TRUE(inf.is_infinite());
