@@ -137,6 +137,37 @@ int run(int argc, char** argv) {
     });
   }
   {
+    // Index sync per move on E3-shaped trajectories (Pareto powers, 3
+    // coins): a random-move learning path of up to 1000 moves, replayed
+    // forward and then undone move by move, each move followed by a sync.
+    for (const std::size_t n : {std::size_t{300}, std::size_t{3000}}) {
+      const Game game = make_game(n, 3, seed);
+      Rng rng(3);
+      Configuration s = random_configuration(game, rng);
+      auto scheduler = make_scheduler(SchedulerKind::kRandomMove, seed);
+      LearningOptions options;
+      options.record_moves = true;
+      options.max_steps = 1000;
+      const LearningResult path = run_learning(game, s, *scheduler, options);
+      std::vector<std::pair<MinerId, CoinId>> replay;
+      for (const Move& move : path.trace.moves()) {
+        replay.emplace_back(move.miner, move.to);
+      }
+      for (auto it = path.trace.moves().rbegin();
+           it != path.trace.moves().rend(); ++it) {
+        replay.emplace_back(it->miner, it->from);
+      }
+      dynamics::BestResponseIndex index(game, s);
+      std::size_t i = 0;
+      time_op(ops, "index_sync(n=" + std::to_string(n) + ",|C|=3)",
+              base_iters / 10, [&] {
+                s.move(replay[i].first, replay[i].second);
+                index.sync(s);
+                i = (i + 1) % replay.size();
+              });
+    }
+  }
+  {
     const Rational a(123456789, 987654321);
     const Rational b(123456788, 987654321);
     time_op(ops, "rational_cmp_fast", base_iters, [&] {

@@ -133,11 +133,20 @@ int run(int argc, char** argv) {
   // Sweeping each knob isolates its effect.
   Table ablation({"knob", "value", "runs", "success%", "cost_epochs",
                   "peak/sumF"});
-  const auto ablate = [&](const std::string& knob, const std::string& value,
-                          std::int64_t power_lo, std::int64_t power_hi,
-                          std::int64_t reward_lo, std::int64_t reward_hi) {
-    Sample cost_epochs, peak_ratio;
-    std::size_t runs = 0, successes = 0;
+  // One run per trial that found two equilibria: the game's powers are
+  // multiplied by `scale` after it is drawn, so every scale runs the
+  // same games.
+  struct Run {
+    bool success;
+    std::size_t stages;
+    Rational cost;
+    Rational peak;
+    double sum_f;
+  };
+  const auto design_runs = [&](std::int64_t power_lo, std::int64_t power_hi,
+                               std::int64_t reward_lo, std::int64_t reward_hi,
+                               const Rational& scale) {
+    std::vector<Run> runs;
     for (std::size_t t = 0; t < trials; ++t) {
       Rng rng(seed0 + t * 613);
       GameSpec spec;
@@ -149,36 +158,75 @@ int run(int argc, char** argv) {
       spec.reward_hi = reward_hi;
       spec.distinct_powers = true;
       spec.sort_desc = true;
-      Game game = random_game(spec, rng);
-      auto eqs = sample_equilibria(game, rng, 48);
+      const Game drawn = random_game(spec, rng);
+      auto eqs = sample_equilibria(drawn, rng, 48);
       if (eqs.size() < 2) continue;
-      ++runs;
+      std::vector<Rational> powers = drawn.system().powers();
+      for (Rational& m : powers) m *= scale;
+      const Game game(System(std::move(powers), spec.num_coins),
+                      drawn.rewards());
+      const Configuration s0(game.system_ptr(), eqs.front().assignment());
+      const Configuration sf(game.system_ptr(), eqs.back().assignment());
       auto sched = make_scheduler(SchedulerKind::kRandomMiner, seed0 + t);
-      const DesignResult result =
-          run_reward_design(game, eqs.front(), eqs.back(), *sched);
-      if (result.success) ++successes;
-      const double sum_f = game.rewards().total_reward().to_double();
-      cost_epochs.add(result.total_cost.to_double() / sum_f);
-      peak_ratio.add(result.peak_overpayment.to_double() / sum_f);
+      const DesignResult result = run_reward_design(game, s0, sf, *sched);
+      runs.push_back({result.success, result.stages.size(), result.total_cost,
+                      result.peak_overpayment,
+                      game.rewards().total_reward().to_double()});
     }
-    if (runs == 0) return;
-    ablation.row() << knob << value << std::uint64_t(runs)
+    return runs;
+  };
+  const auto add_row = [&](const std::string& knob, const std::string& value,
+                           const std::vector<Run>& runs) {
+    if (runs.empty()) return;
+    Sample cost_epochs, peak_ratio;
+    std::size_t successes = 0;
+    for (const Run& run : runs) {
+      if (run.success) ++successes;
+      cost_epochs.add(run.cost.to_double() / run.sum_f);
+      peak_ratio.add(run.peak.to_double() / run.sum_f);
+    }
+    ablation.row() << knob << value << std::uint64_t(runs.size())
                    << fmt_double(100.0 * static_cast<double>(successes) /
-                                     static_cast<double>(runs),
+                                     static_cast<double>(runs.size()),
                                  1)
                    << fmt_double(cost_epochs.mean(), 1)
                    << fmt_double(peak_ratio.mean(), 1);
+  };
+  const auto ablate = [&](const std::string& knob, const std::string& value,
+                          std::int64_t power_lo, std::int64_t power_hi,
+                          std::int64_t reward_lo, std::int64_t reward_hi) {
+    add_row(knob, value,
+            design_runs(power_lo, power_hi, reward_lo, reward_hi, 1));
   };
   // Power *spread* ↑ (Σm/min m grows) → the designed levels R̂·M_c grow
   // relative to F → cost rises.
   ablate("power_spread", "10x", 1, 10, 50, 900);
   ablate("power_spread", "100x", 1, 100, 50, 900);
   ablate("power_spread", "1000x", 1, 1000, 50, 900);
-  // Uniform power scaling (spread fixed at 100×) — negative control: the
-  // game is invariant under scaling all powers, so cost must stay flat.
-  ablate("uniform_scale", "1x", 1, 100, 50, 900);
-  ablate("uniform_scale", "10x", 10, 1000, 50, 900);
-  ablate("uniform_scale", "100x", 100, 10000, 50, 900);
+  // Uniform power scaling — the exact control: the same games with every
+  // power multiplied by k. Payoffs m·F/(M + m) are invariant under it, so
+  // every better-response set, every stage and the exact total cost must
+  // be identical to the unscaled run.
+  const std::vector<Run> unscaled = design_runs(1, 100, 50, 900, 1);
+  add_row("uniform_scale", "1x", unscaled);
+  std::size_t mismatched = 0;
+  for (const auto& [value, scale] :
+       {std::pair{"10x", Rational(10)}, std::pair{"100x", Rational(100)},
+        std::pair{"7/3x", Rational(7, 3)}}) {
+    const std::vector<Run> scaled = design_runs(1, 100, 50, 900, scale);
+    add_row("uniform_scale", value, scaled);
+    if (scaled.size() != unscaled.size()) {
+      ++mismatched;
+      continue;
+    }
+    for (std::size_t i = 0; i < scaled.size(); ++i) {
+      if (scaled[i].success != unscaled[i].success ||
+          scaled[i].stages != unscaled[i].stages ||
+          scaled[i].cost != unscaled[i].cost) {
+        ++mismatched;
+      }
+    }
+  }
   // Reward skew ↓ (max/min → 1) → λ and the inter-stage levels shrink.
   ablate("reward_skew", "18x", 1, 100, 50, 900);
   ablate("reward_skew", "3x", 1, 100, 300, 900);
@@ -188,6 +236,14 @@ int run(int argc, char** argv) {
               "spread and reward skew, is invariant to uniform power "
               "scaling; success stays 100%)",
               "ablation");
+  std::cout << "[scaling control: powers x10, x100, x7/3 over "
+            << unscaled.size() << " games: "
+            << (mismatched == 0 ? "success, stages and exact total_cost "
+                                  "identical"
+                                : std::to_string(mismatched) +
+                                      " runs DIVERGED")
+            << "]\n";
+  if (mismatched != 0) return 1;
   return 0;
 }
 

@@ -31,16 +31,6 @@ Configuration Configuration::all_at(std::shared_ptr<const System> system,
   return Configuration(std::move(system), std::vector<CoinId>(n, c));
 }
 
-CoinId Configuration::of(MinerId p) const {
-  GOC_CHECK_ARG(system_->valid_miner(p), "unknown miner id");
-  return assignment_[p.value];
-}
-
-const Rational& Configuration::mass(CoinId c) const {
-  GOC_CHECK_ARG(system_->valid_coin(c), "unknown coin id");
-  return mass_[c.value];
-}
-
 std::size_t Configuration::population(CoinId c) const {
   GOC_CHECK_ARG(system_->valid_coin(c), "unknown coin id");
   return count_[c.value];

@@ -7,6 +7,7 @@
 
 #include "core/system.hpp"
 #include "core/types.hpp"
+#include "util/assert.hpp"
 #include "util/rational.hpp"
 
 /// \file configuration.hpp
@@ -52,11 +53,17 @@ class Configuration {
   std::size_t num_coins() const noexcept { return system_->num_coins(); }
 
   /// s.p — the coin mined by p.
-  CoinId of(MinerId p) const;
+  CoinId of(MinerId p) const {
+    GOC_CHECK_ARG(system_->valid_miner(p), "unknown miner id");
+    return assignment_[p.value];
+  }
   const std::vector<CoinId>& assignment() const noexcept { return assignment_; }
 
   /// M_c(s): total power mining c (zero for an empty coin).
-  const Rational& mass(CoinId c) const;
+  const Rational& mass(CoinId c) const {
+    GOC_CHECK_ARG(system_->valid_coin(c), "unknown coin id");
+    return mass_[c.value];
+  }
   /// |P_c(s)|.
   std::size_t population(CoinId c) const;
   bool empty_coin(CoinId c) const { return population(c) == 0; }

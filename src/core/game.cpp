@@ -39,6 +39,22 @@ XRational Game::rpu(const Configuration& s, CoinId c) const {
   return XRational(rewards_(c) / mass);
 }
 
+Fraction payoff_formula(const Rational& power, const Rational& reward,
+                        const Rational& mass, bool here) {
+  GOC_ASSERT(!here || mass.is_positive(),
+             "occupied coin with nonpositive mass");
+  if (power.is_integer() && reward.is_integer() && mass.is_integer()) {
+    Fraction u{0, mass.numerator()};
+    if (!mul_overflow(power.numerator(), reward.numerator(), &u.num) &&
+        (here || !add_overflow(u.den, power.numerator(), &u.den))) {
+      return u;
+    }
+  }
+  const Rational exact =
+      here ? power * reward / mass : power * reward / (mass + power);
+  return Fraction{exact.numerator(), exact.denominator()};
+}
+
 Fraction Game::payoff_fraction(const Configuration& s, MinerId p,
                                CoinId c) const {
   GOC_CHECK_ARG(&s.system() == system_.get(),
@@ -47,20 +63,7 @@ Fraction Game::payoff_fraction(const Configuration& s, MinerId p,
   const bool here = s.of(p) == c;
   GOC_CHECK_ARG(here || can_mine(p, c),
                 "access policy forbids this miner-coin pair");
-  const Rational& mp = system_->power(p);
-  const Rational& reward = rewards_(c);
-  const Rational& mass = s.mass(c);
-  GOC_ASSERT(!here || mass.is_positive(),
-             "occupied coin with nonpositive mass");
-  if (mp.is_integer() && reward.is_integer() && mass.is_integer()) {
-    Fraction u{0, mass.numerator()};
-    if (!mul_overflow(mp.numerator(), reward.numerator(), &u.num) &&
-        (here || !add_overflow(u.den, mp.numerator(), &u.den))) {
-      return u;
-    }
-  }
-  const Rational exact = here ? mp * reward / mass : mp * reward / (mass + mp);
-  return Fraction{exact.numerator(), exact.denominator()};
+  return payoff_formula(system_->power(p), rewards_(c), s.mass(c), here);
 }
 
 Rational Game::payoff(const Configuration& s, MinerId p) const {

@@ -21,6 +21,17 @@
 
 namespace goc {
 
+/// The paper's payoff formula on its inputs, unreduced: power·reward/mass
+/// when `here` (the mass already holds the miner's power), else
+/// power·reward/(mass + power). When all three are integers and the raw
+/// products fit it returns them as they are (no GCD); otherwise the parts
+/// of the reduced `Rational` value — exact either way, and it throws
+/// goc::OverflowError exactly when the `Rational` evaluation does. It
+/// checks no ids and no access policy: `Game::payoff_fraction` is its
+/// checked form, and `MoveComparator`'s exact fallback calls it directly.
+Fraction payoff_formula(const Rational& power, const Rational& reward,
+                        const Rational& mass, bool here);
+
 class Game {
  public:
   /// Shares the system with configurations and other games (e.g. designed

@@ -69,7 +69,12 @@ std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
     const i128 d2 = s.mass(c2).numerator() + (c2 == here ? 0 : mp);
     return compare_positive_fractions(n1, d1, n2, d2);
   }
-  return game_->payoff_fraction(s, p, c1) <=> game_->payoff_fraction(s, p, c2);
+  // The exact formula without the access check: the index's threshold
+  // searches compare coins that a listed member may not mine.
+  const Rational& mp = game_->system().power(p);
+  const RewardFunction& rewards = game_->rewards();
+  return payoff_formula(mp, rewards(c1), s.mass(c1), c1 == here) <=>
+         payoff_formula(mp, rewards(c2), s.mass(c2), c2 == here);
 }
 
 bool MoveComparator::stable(const Configuration& s, MinerId p) const {

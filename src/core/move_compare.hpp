@@ -31,9 +31,9 @@
 /// denominators all divide the quantization denominator. Overflowing
 /// products take the exact GCD-reduced fallback of `compare_fractions`;
 /// non-integer powers and reward sets whose rescaling would overflow fall
-/// back to comparing the two `payoff_fraction`s, so the ordering
-/// returned is always exact — bit-for-bit the same decision the reference
-/// scan makes.
+/// back to comparing the two exact payoffs (`payoff_formula`), so the
+/// ordering returned is always exact — bit-for-bit the same decision the
+/// reference scan makes.
 
 namespace goc {
 
@@ -75,8 +75,8 @@ class MoveComparator {
   /// Compares miner p's payoff after unilaterally moving to `c1` vs `c2`
   /// (either may equal s.of(p), meaning "stay put" — the current payoff).
   /// Exact: equals comparing `game.payoff_fraction` results, without
-  /// evaluating them in fast mode. Coins other than s.of(p) must be
-  /// mineable by p.
+  /// evaluating them in fast mode. The access policy is not consulted: the
+  /// result is the payoff formula at p's power for any two coins.
   std::strong_ordering compare(const Configuration& s, MinerId p, CoinId c1,
                                CoinId c2) const;
 

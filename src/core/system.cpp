@@ -33,11 +33,6 @@ System System::from_integer_powers(const std::vector<std::int64_t>& powers,
   return System(std::move(rp), num_coins);
 }
 
-const Rational& System::power(MinerId p) const {
-  GOC_CHECK_ARG(valid_miner(p), "unknown miner id");
-  return powers_[p.value];
-}
-
 bool System::strictly_decreasing_powers() const noexcept {
   for (std::size_t i = 1; i < powers_.size(); ++i) {
     if (!(powers_[i - 1] > powers_[i])) return false;

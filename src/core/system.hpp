@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/types.hpp"
+#include "util/assert.hpp"
 #include "util/rational.hpp"
 
 /// \file system.hpp
@@ -27,7 +28,10 @@ class System {
   std::size_t num_miners() const noexcept { return powers_.size(); }
   std::size_t num_coins() const noexcept { return num_coins_; }
 
-  const Rational& power(MinerId p) const;
+  const Rational& power(MinerId p) const {
+    GOC_CHECK_ARG(valid_miner(p), "unknown miner id");
+    return powers_[p.value];
+  }
   const std::vector<Rational>& powers() const noexcept { return powers_; }
 
   /// Σ_p m_p.

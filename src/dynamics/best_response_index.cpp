@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
@@ -11,21 +12,39 @@ namespace goc::dynamics {
 BestResponseIndex::BestResponseIndex(const Game& game, const Configuration& s)
     : game_(&game),
       tracked_(&s),
+      before_(s),
       cmp_(game),
-      unrestricted_(game.access().is_unrestricted()) {
+      unrestricted_(game.access().is_unrestricted()),
+      n_(game.num_miners()) {
   GOC_CHECK_ARG(&s.system() == &game.system(),
                 "configuration belongs to a different system");
-  const std::size_t n = game.num_miners();
-  stride_ = (game.num_coins() + 63) / 64;
-  best_.assign(n, -1);
-  gain_.assign(n, Rational(0));
-  gain_valid_.assign(n, 0);
-  count_.assign(n, 0);
-  improving_.assign(n * stride_, 0);
-  unstable_flag_.assign(n, 0);
+  const std::size_t coins = game.num_coins();
+  stride_ = (coins + 63) / 64;
+  best_.assign(n_, -1);
+  count_.assign(n_, 0);
+  improving_.assign(n_ * stride_, 0);
+  unstable_flag_.assign(n_, 0);
   // Full capacity up front: set_stability's sorted inserts, and rebuilds
   // after reweights, never allocate afterwards.
-  unstable_.reserve(n);
+  unstable_.reserve(n_);
+  by_power_.resize(n_);
+  std::iota(by_power_.begin(), by_power_.end(), 0u);
+  const std::vector<Rational>& powers = game.system().powers();
+  std::sort(by_power_.begin(), by_power_.end(),
+            [&](std::uint32_t x, std::uint32_t y) {
+              const Rational& px = powers[x];
+              const Rational& py = powers[y];
+              if (px == py) return x < y;
+              if (px.is_integer() && py.is_integer()) {
+                return px.numerator() < py.numerator();
+              }
+              return px < py;
+            });
+  rank_.resize(n_);
+  for (std::uint32_t i = 0; i < n_; ++i) rank_[by_power_[i]] = i;
+  members_.assign(n_, 0);
+  start_.assign(coins + 1, 0);
+  visited_.assign(n_, 0);
   rebuild();
 }
 
@@ -54,11 +73,23 @@ void BestResponseIndex::sync(const Configuration& s) {
 }
 
 void BestResponseIndex::rebuild() {
-  const std::size_t n = game_->num_miners();
+  const Configuration& s = *tracked_;
+  before_ = s;
+  // Counting sort of by_power_ into coin groups: start_[c + 1] counts coin
+  // c, prefix sums turn counts into starts, placing advances each start to
+  // its group's end, and one shift restores the starts.
+  std::fill(start_.begin(), start_.end(), 0);
+  for (std::uint32_t q = 0; q < n_; ++q) ++start_[s.of(MinerId(q)).value + 1];
+  for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
+  for (const std::uint32_t q : by_power_) {
+    members_[start_[s.of(MinerId(q)).value]++] = q;
+  }
+  for (std::size_t c = start_.size() - 1; c > 0; --c) start_[c] = start_[c - 1];
+  start_[0] = 0;
   std::fill(improving_.begin(), improving_.end(), 0);
   unstable_.clear();
   total_improving_ = 0;
-  for (std::uint32_t q = 0; q < n; ++q) {
+  for (std::uint32_t q = 0; q < n_; ++q) {
     // rescan() only adjusts the sorted unstable set on status *changes*, so
     // start every miner from the stable state.
     best_[q] = -1;
@@ -66,31 +97,134 @@ void BestResponseIndex::rebuild() {
     unstable_flag_[q] = 0;
     rescan(MinerId(q));
   }
-  epoch_ = tracked_->move_epoch();
+  epoch_ = s.move_epoch();
 }
 
 void BestResponseIndex::apply_delta(const MoveDelta& delta) {
-  const Configuration& s = *tracked_;
-  const CoinId lighter = delta.from;  // lost m_p: strictly more attractive
-  const CoinId heavier = delta.to;    // gained m_p: strictly less attractive
-  const std::int32_t heavier_id = static_cast<std::int32_t>(heavier.value);
-  const std::size_t n = game_->num_miners();
-  std::uint64_t rescanned = 0;
-  for (std::uint32_t q = 0; q < n; ++q) {
-    const CoinId here = s.of(MinerId(q));
-    // Dirty miners: own payoff changed (on a touched coin — this covers the
-    // mover itself, now sitting on `to`), or the cached best response
-    // worsened (== to) so the runner-up is unknown.
-    if (here == lighter || here == heavier || best_[q] == heavier_id) {
-      rescan(MinerId(q));
-      ++rescanned;
-    } else {
-      update_spectator(MinerId(q), lighter, heavier);
+  const CoinId a = delta.from;  // lost m_p: more attractive
+  const CoinId b = delta.to;    // gained m_p: less attractive
+  const RewardFunction& rewards = game_->rewards();
+  // The mover's slot in b's group is left out of b's searches: its home
+  // differs between the two configurations the searches compare.
+  const std::size_t mover_slot = relocate(delta.miner, a, b) - start_[b.value];
+  ++stamp_;
+  std::size_t rescanned = 0;
+  // Only the masses of a and b changed, so a sign can flip only where a
+  // or b is the home or a compared coin. x gained on y when x is the
+  // lighter coin or y the heavier one.
+  const auto visit = [&](CoinId home, CoinId x, CoinId y) {
+    rescanned += rescan_flipped_run(home, home == b ? mover_slot : kNoSlot, x,
+                                    y, x == a || y == b);
+  };
+  const std::uint32_t coins = static_cast<std::uint32_t>(game_->num_coins());
+  for (std::uint32_t h = 0; h < coins; ++h) {
+    if (start_[h] == start_[h + 1]) continue;
+    const CoinId home(h);
+    const bool home_changed = home == a || home == b;
+    // Improving tests (c vs staying home), nonincreasing in power.
+    for (std::uint32_t c = 0; c < coins; ++c) {
+      const CoinId coin(c);
+      if (coin != home && (home_changed || coin == a || coin == b)) {
+        visit(home, coin, home);
+      }
+    }
+    // Orders of two non-home coins, oriented so the sign is nonincreasing
+    // in power (the slope is K_x − K_y).
+    for (const CoinId x : {a, b}) {
+      if (x == home) continue;
+      for (std::uint32_t c = 0; c < coins; ++c) {
+        const CoinId y(c);
+        if (y == home || y == x || (x == b && y == a)) continue;
+        if (rewards(x) > rewards(y)) {
+          visit(home, y, x);
+        } else {
+          visit(home, x, y);
+        }
+      }
     }
   }
+  rescan(delta.miner);
+  ++rescanned;
+  before_.move(delta.miner, b);
   static obs::Counter& rescans =
       obs::Registry::instance().counter("index.rescans");
   rescans.add(rescanned);
+}
+
+std::size_t BestResponseIndex::rescan_flipped_run(CoinId home,
+                                                  std::size_t skip, CoinId x,
+                                                  CoinId y, bool x_gained) {
+  // Along the home's members in ascending power, sign(u(x) − u(y)) is
+  // nonincreasing both before and after the move, and the move raised
+  // (x gained) or lowered the curve by the same amount for every member.
+  // With `low` the lower of the two curves and `high` the upper one, the
+  // sign flipped exactly where low ≤ 0 ≤ high: one contiguous run.
+  const Configuration& low = x_gained ? before_ : *tracked_;
+  const Configuration& high = x_gained ? *tracked_ : before_;
+  const std::uint32_t* group = members_.data() + start_[home.value];
+  const std::size_t size = start_[home.value + 1] - start_[home.value] -
+                           (skip == kNoSlot ? 0 : 1);
+  const auto member = [&](std::size_t i) {
+    return MinerId(group[i < skip ? i : i + 1]);
+  };
+  // First i in [from, to) where `pred` fails; it holds on a prefix.
+  const auto first_false = [&](std::size_t from, std::size_t to,
+                               const auto& pred) {
+    while (from < to) {
+      const std::size_t mid = from + (to - from) / 2;
+      if (pred(member(mid))) {
+        from = mid + 1;
+      } else {
+        to = mid;
+      }
+    }
+    return from;
+  };
+  std::size_t lo = first_false(0, size, [&](MinerId q) {
+    return cmp_.compare(low, q, x, y) > 0;
+  });
+  // Runs are short: gallop from `lo` to bracket the far end, then bisect.
+  const auto in_run = [&](MinerId q) {
+    return cmp_.compare(high, q, x, y) >= 0;
+  };
+  const std::size_t rest = size - lo;
+  std::size_t bound = 1;
+  while (bound <= rest && in_run(member(lo + bound - 1))) bound *= 2;
+  const std::size_t hi =
+      first_false(lo + bound / 2, lo + std::min(bound - 1, rest), in_run);
+  std::size_t rescanned = 0;
+  for (; lo < hi; ++lo) {
+    const MinerId q = member(lo);
+    if (visited_[q.value] == stamp_) continue;
+    visited_[q.value] = stamp_;
+    rescan(q);
+    ++rescanned;
+  }
+  return rescanned;
+}
+
+std::size_t BestResponseIndex::relocate(MinerId q, CoinId from, CoinId to) {
+  const auto slot_in = [&](CoinId c) {
+    const auto first = members_.begin() + start_[c.value];
+    const auto last = members_.begin() + start_[c.value + 1];
+    return std::lower_bound(first, last, rank_[q.value],
+                            [&](std::uint32_t member, std::uint32_t r) {
+                              return rank_[member] < r;
+                            });
+  };
+  const auto at = slot_in(from);
+  GOC_DASSERT(at != members_.begin() + start_[from.value + 1] && *at == q.value,
+              "member groups out of sync");
+  const auto dest = slot_in(to);
+  // One rotation shifts the groups between `from` and `to` by one slot.
+  if (from.value < to.value) {
+    std::rotate(at, at + 1, dest);
+    for (std::uint32_t c = from.value + 1; c <= to.value; ++c) --start_[c];
+    return static_cast<std::size_t>(dest - members_.begin()) - 1;
+  }
+  std::rotate(dest, at, at + 1);
+  for (std::uint32_t c = to.value + 1; c <= from.value; ++c) ++start_[c];
+  return static_cast<std::size_t>(dest - members_.begin());
 }
 
 void BestResponseIndex::rescan(MinerId q) {
@@ -127,64 +261,7 @@ void BestResponseIndex::rescan(MinerId q) {
   count_[q.value] = count;
   best_[q.value] =
       best_is_here ? -1 : static_cast<std::int32_t>(best.value);
-  gain_valid_[q.value] = 0;
   set_stability(q, !best_is_here);
-}
-
-void BestResponseIndex::update_spectator(MinerId q, CoinId lighter,
-                                         CoinId heavier) {
-  const Configuration& s = *tracked_;
-  // The heavier coin strictly worsened: it can drop out of q's improving
-  // set but can never newly enter it, and it is not q's cached best (that
-  // case was rescanned), so only the bit and count can change.
-  if (unrestricted_ || game_->can_mine(q, heavier)) {
-    const bool was = improving_bit(q, heavier);
-    if (was && !cmp_.improves(s, q, heavier)) {
-      write_improving_bit(q, heavier, false);
-      --count_[q.value];
-      --total_improving_;
-    }
-  }
-  // The lighter coin strictly improved: it can newly enter the improving
-  // set and can newly become the best response (exact ties break toward
-  // the lower coin id, as the reference scan does).
-  if (!unrestricted_ && !game_->can_mine(q, lighter)) return;
-  const bool improves_now = cmp_.improves(s, q, lighter);
-  const bool was = improving_bit(q, lighter);
-  if (was != improves_now) {
-    write_improving_bit(q, lighter, improves_now);
-    if (improves_now) {
-      ++count_[q.value];
-      ++total_improving_;
-    } else {
-      --count_[q.value];
-      --total_improving_;
-    }
-  }
-  const std::int32_t t = best_[q.value];
-  if (t < 0) {
-    if (improves_now) {
-      // Previously stable: the lighter coin is the only improving coin, so
-      // it is the unique best response.
-      best_[q.value] = static_cast<std::int32_t>(lighter.value);
-      gain_valid_[q.value] = 0;
-      set_stability(q, true);
-    }
-    return;
-  }
-  if (static_cast<std::uint32_t>(t) == lighter.value) {
-    // The cached best got strictly better: still the best, stale gain.
-    gain_valid_[q.value] = 0;
-    return;
-  }
-  if (!improves_now) return;  // cannot beat a target that beats the payoff
-  const std::strong_ordering vs_best =
-      cmp_.compare(s, q, lighter, CoinId(static_cast<std::uint32_t>(t)));
-  if (vs_best > 0 ||
-      (vs_best == 0 && lighter.value < static_cast<std::uint32_t>(t))) {
-    best_[q.value] = static_cast<std::int32_t>(lighter.value);
-    gain_valid_[q.value] = 0;
-  }
 }
 
 void BestResponseIndex::set_stability(MinerId q, bool unstable_now) {
@@ -203,35 +280,10 @@ void BestResponseIndex::set_stability(MinerId q, bool unstable_now) {
   }
 }
 
-bool BestResponseIndex::improving_bit(MinerId q, CoinId c) const {
-  return (improving_[q.value * stride_ + (c.value >> 6)] >>
-          (c.value & 63)) & 1;
-}
-
-void BestResponseIndex::write_improving_bit(MinerId q, CoinId c, bool value) {
-  std::uint64_t& word = improving_[q.value * stride_ + (c.value >> 6)];
-  const std::uint64_t mask = std::uint64_t{1} << (c.value & 63);
-  if (value) {
-    word |= mask;
-  } else {
-    word &= ~mask;
-  }
-}
-
-const Rational& BestResponseIndex::best_gain(MinerId p) const {
-  GOC_ASSERT(best_[p.value] >= 0, "best_gain queried for a stable miner");
-  if (!gain_valid_[p.value]) {
-    gain_[p.value] =
-        gain_of(p, CoinId(static_cast<std::uint32_t>(best_[p.value])));
-    gain_valid_[p.value] = 1;
-  }
-  return gain_[p.value];
-}
-
 std::optional<Move> BestResponseIndex::best_move(MinerId p) const {
   const auto target = best_of(p);
   if (!target) return std::nullopt;
-  return Move{p, tracked_->of(p), *target, best_gain(p)};
+  return move_to(p, *target);
 }
 
 CoinId BestResponseIndex::nth_improving(MinerId p, std::size_t n) const {
@@ -268,12 +320,8 @@ CoinId BestResponseIndex::min_improving(MinerId p) const {
   return *min;
 }
 
-Rational BestResponseIndex::gain_of(MinerId p, CoinId c) const {
-  return move_gain(*game_, *tracked_, p, c);
-}
-
 Move BestResponseIndex::move_to(MinerId p, CoinId c) const {
-  return Move{p, tracked_->of(p), c, gain_of(p, c)};
+  return Move{p, tracked_->of(p), c, move_gain(*game_, *tracked_, p, c)};
 }
 
 void BestResponseIndex::audit() const {
@@ -282,23 +330,11 @@ void BestResponseIndex::audit() const {
   std::vector<CoinId> improving;
   improving.reserve(game_->num_coins());
   std::size_t total = 0;
-  for (std::uint32_t q = 0; q < game_->num_miners(); ++q) {
+  for (std::uint32_t q = 0; q < n_; ++q) {
     const MinerId miner(q);
     const MoveScan reference = scan_moves(*game_, s, miner, &improving);
     GOC_ASSERT(reference.best == best_of(miner),
                "index best response diverged from scan");
-    if (reference.best) {
-      // A valid cached gain must equal the scan's. A stale one takes the
-      // scan's gain: the best responses agree, so that is exactly the
-      // value `best_gain` would compute and cache.
-      const Rational gain = reference.best_gain();
-      if (gain_valid_[q]) {
-        GOC_ASSERT(gain_[q] == gain, "index gain diverged from scan");
-      } else {
-        gain_[q] = gain;
-        gain_valid_[q] = 1;
-      }
-    }
     GOC_ASSERT(improving.size() == count_[q],
                "index improving count diverged from scan");
     for (std::size_t i = 0; i < improving.size(); ++i) {

@@ -14,33 +14,40 @@
 /// The incremental best-response index — the learning hot loop's engine.
 ///
 /// A from-scratch scheduler `pick()` walks all miners × coins with exact
-/// payoffs: O(n·|C|) full payoff evaluations per step.
-/// But a move only changes the masses of its two coins, so after p moves
-/// a → b:
+/// payoffs: O(n·|C|) full payoff evaluations per step. The index keeps
+/// each miner's best response, improving-coin bitmask and count, and the
+/// set of unstable miners, so samplers pick uniform moves without
+/// materializing them.
 ///
-///  * a miner on a or b (including p) saw its *own* payoff change — full
-///    O(|C|) rescan with the `MoveComparator` fast path;
-///  * a miner whose cached best response is b saw that target worsen —
-///    full rescan (the runner-up is unknown);
-///  * every other miner's payoff landscape changed only at coins a and b:
-///    b got heavier (strictly worse — it can never newly win), a got
-///    lighter (it can newly beat the cached best, and the tie-break toward
-///    lower coin ids decides exact ties) — O(1) comparisons.
+/// Threshold-crossing sync. A miner q's cached facts are a function of
+/// two kinds of sign, both read through `MoveComparator::compare`:
 ///
-/// The index maintains, under that dirty-coin invalidation rule, each
-/// miner's best response and the set of unstable miners, plus each miner's
-/// improving-coin bitmask and count (so samplers can pick uniform moves
-/// without materializing them). A learning step costs O(n) cheap `i128`
-/// comparisons plus O(|C|) per *dirty* miner instead of O(n·|C|) exact
-/// payoffs — and every ordering decision is exact, so schedulers
-/// built on the index pick bit-identical move sequences to the reference
-/// scans (tests/test_best_response_index.cpp proves it move-for-move;
-/// `LearningOptions::audit_potential` cross-checks it at runtime).
+///  * the improving test of (home h, coin c): u_q after moving to c vs
+///    u_q at h, i.e. the sign of K_c·M_h − K_h·(M_c + m_q);
+///  * the order of two non-home coins c1, c2: the sign of
+///    K_1·(M_2 + m_q) − K_2·(M_1 + m_q).
 ///
-/// Gains are cached lazily: a rescan invalidates the stored `Rational`
-/// gain and it is recomputed only when actually read (Move construction,
-/// max-gain scheduling) or filled by an `audit` that scanned it anyway,
-/// keeping rescans free of rational arithmetic.
+/// Both are linear in q's power m_q with a slope fixed between reweights,
+/// so along the home coin's members in ascending power each sign is
+/// monotone. A move a → b changes only the masses of a and b, which
+/// shifts the intercept of every sign that involves a or b (as home or
+/// as a compared coin) by the same amount for every member. The members
+/// whose sign flips therefore form one contiguous run of the home's
+/// power-ordered group. Its near end is a binary search on the
+/// configuration before the move (a private copy kept one move behind) or
+/// after it, its far end a galloping search on the other one. After a
+/// move only the mover and the members of those runs are rescanned
+/// (`index.rescans` counts them); every other miner's facts are provably
+/// unchanged. A sync costs O(|C|²·log n) comparisons for the searches
+/// plus O(|C|) per rescanned miner. A member who may not mine a compared
+/// coin may be visited; its rescan skips that coin.
+///
+/// Every ordering decision is exact, so schedulers built on the index pick
+/// bit-identical move sequences to the reference scans
+/// (tests/test_best_response_index.cpp proves it move-for-move;
+/// `LearningOptions::audit_potential` cross-checks it at runtime). The
+/// index stores no gains: a gain is computed, and reduced once, only for
+/// a move that is built.
 
 namespace goc::dynamics {
 
@@ -68,10 +75,10 @@ class BestResponseIndex {
   /// changed at once, so all cached best responses and improving sets are
   /// recomputed (O(n·|C|) fast comparisons, like construction) — but the
   /// structural state survives: the tracked configuration binding, every
-  /// preallocated strip (bitmask rows, gains, the unstable set's capacity)
-  /// and the comparator are reused, so a reweight allocates nothing. The
-  /// comparator's integer-mode flag is re-derived (new rewards may enter
-  /// or leave the raw-i128 fast path).
+  /// preallocated strip (bitmask rows, member groups, the unstable set's
+  /// capacity) and the comparator are reused, so a reweight allocates
+  /// nothing. The comparator's integer-mode flag is re-derived (new
+  /// rewards may enter or leave the raw-i128 fast path).
   void reweight();
 
   const Game& game() const noexcept { return *game_; }
@@ -88,11 +95,8 @@ class BestResponseIndex {
     return CoinId(static_cast<std::uint32_t>(best_[p.value]));
   }
 
-  /// The gain of p's best response; p must be unstable. Lazily computed
-  /// and cached; exact (same `Rational` as `move_gain`).
-  const Rational& best_gain(MinerId p) const;
-
-  /// p's best-response move, or nullopt when stable.
+  /// p's best-response move (its gain computed once, as `move_gain`), or
+  /// nullopt when stable.
   std::optional<Move> best_move(MinerId p) const;
 
   /// |better_responses(game, s, p)|.
@@ -116,45 +120,52 @@ class BestResponseIndex {
   /// be unstable.
   CoinId min_improving(MinerId p) const;
 
-  /// Exact gain of moving p to improving coin `c` (fresh `Rational`).
-  Rational gain_of(MinerId p, CoinId c) const;
-
-  /// The full Move record for p moving to improving coin `c`.
+  /// The full Move record for p moving to improving coin `c`; its gain is
+  /// exact (`move_gain`, reduced once).
   Move move_to(MinerId p, CoinId c) const;
 
   /// Cross-checks every cached fact against one `scan_moves` per miner
   /// (core/moves.*); throws goc::InvariantError on any mismatch. O(n·|C|)
-  /// exact comparisons of unreduced payoffs and one reduced gain per
-  /// unstable miner — the audit path, wired to
-  /// `LearningOptions::audit_potential`. A valid cached gain is checked
-  /// against the scan's; a stale one is filled with it (the value
-  /// `best_gain` would cache).
+  /// exact comparisons of unreduced payoffs and no reduction — the audit
+  /// path, wired to `LearningOptions::audit_potential`.
   void audit() const;
 
  private:
   void rebuild();
   void apply_delta(const MoveDelta& delta);
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  std::size_t rescan_flipped_run(CoinId home, std::size_t skip, CoinId x,
+                                 CoinId y, bool x_gained);
+  std::size_t relocate(MinerId q, CoinId from, CoinId to);
   void rescan(MinerId q);
-  void update_spectator(MinerId q, CoinId lighter, CoinId heavier);
   void set_stability(MinerId q, bool unstable_now);
-  bool improving_bit(MinerId q, CoinId c) const;
-  void write_improving_bit(MinerId q, CoinId c, bool value);
 
   const Game* game_;
   const Configuration* tracked_;
+  Configuration before_;  // own copy of the tracked state at epoch_
   MoveComparator cmp_;
   std::uint64_t epoch_ = 0;
   bool unrestricted_;
+  std::size_t n_;
 
   std::vector<std::int32_t> best_;          // -1 = stable, else coin id
-  mutable std::vector<Rational> gain_;      // lazily cached best-move gain
-  mutable std::vector<std::uint8_t> gain_valid_;
   std::vector<std::uint32_t> count_;        // improving coins per miner
   std::vector<std::uint64_t> improving_;    // bitmask rows, stride_ words
   std::size_t stride_ = 1;
   std::vector<MinerId> unstable_;           // sorted by miner id
   std::vector<std::uint8_t> unstable_flag_;
   std::size_t total_improving_ = 0;
+
+  // Threshold-crossing sync state. Powers never change, so one ascending
+  // (power, id) order fixed at construction ranks every miner. `members_`
+  // holds every miner once, grouped by coin in coin order, each group in
+  // that power order.
+  std::vector<std::uint32_t> by_power_;     // miner ids, ascending power
+  std::vector<std::uint32_t> rank_;         // position in by_power_
+  std::vector<std::uint32_t> members_;
+  std::vector<std::uint32_t> start_;        // group c: [start_[c], start_[c+1])
+  std::vector<std::uint64_t> visited_;      // stamp of the last rescan
+  std::uint64_t stamp_ = 0;
 };
 
 }  // namespace goc::dynamics

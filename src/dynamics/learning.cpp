@@ -58,6 +58,18 @@ void record_step(LearningResult& result, const Move& move,
   }
 }
 
+/// best/current for two positive payoffs, unreduced: raw products, or the
+/// reduced quotient when a product overflows.
+Fraction payoff_ratio(const Fraction& best, const Fraction& current) {
+  Fraction out;
+  if (!mul_overflow(best.num, current.den, &out.num) &&
+      !mul_overflow(best.den, current.num, &out.den)) {
+    return out;
+  }
+  const Rational ratio = best.to_rational() / current.to_rational();
+  return Fraction{ratio.numerator(), ratio.denominator()};
+}
+
 }  // namespace
 
 LearningResult run_learning(const Game& game, Configuration start,
@@ -85,6 +97,8 @@ LearningResult run_learning(const Game& game, Configuration start,
     GOC_ASSERT(move->gain.is_positive(),
                "scheduler produced a non-improving move");
     if (options.audit_potential) {
+      GOC_ASSERT(move->gain == move_gain(game, s, move->miner, move->to),
+                 "move gain diverged from move_gain");
       GOC_ASSERT(observation1_holds(game, s, *move),
                  "Observation 1 violated: mover descended in list(s)");
       GOC_ASSERT(observation2_holds(game, s, *move),
@@ -118,26 +132,33 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
 
   std::optional<dynamics::BestResponseIndex> index;
   if (options.use_index) index.emplace(game, s);
+  const Rational one_plus_epsilon = Rational(1) + epsilon;
+  const Fraction threshold{one_plus_epsilon.numerator(),
+                           one_plus_epsilon.denominator()};
 
   while (result.steps < options.max_steps) {
     // Globally maximal relative gain; ties toward lower miner/coin ids. A
     // miner's maximal-relative-gain move is its best response (its current
     // payoff is fixed), so only best responses compete, and the strict `>`
-    // over miners in id order keeps the lowest-miner tie-break.
-    std::optional<Move> best;
-    Rational best_relative(0);
-    const auto consider = [&](MinerId miner, CoinId to, const Rational& gain,
-                              const Rational& current) {
-      const Rational relative = gain / current;
-      if (!best || relative > best_relative) {
-        best = Move{miner, s.of(miner), to, gain};
-        best_relative = relative;
+    // over miners in id order keeps the lowest-miner tie-break. Relative
+    // gains are ranked as best/current (= 1 + gain/current), unreduced.
+    std::optional<MinerId> chosen;
+    CoinId chosen_to;
+    Fraction chosen_ratio;
+    const auto consider = [&](MinerId miner, CoinId to, const Fraction& best,
+                              const Fraction& current) {
+      const Fraction ratio = payoff_ratio(best, current);
+      if (!chosen || ratio > chosen_ratio) {
+        chosen = miner;
+        chosen_to = to;
+        chosen_ratio = ratio;
       }
     };
     if (index) {
       for (const MinerId miner : index->unstable()) {
-        consider(miner, *index->best_of(miner), index->best_gain(miner),
-                 game.payoff(s, miner));
+        const CoinId to = *index->best_of(miner);
+        consider(miner, to, game.payoff_fraction(s, miner, to),
+                 game.payoff_fraction(s, miner, s.of(miner)));
       }
       if (options.audit_potential) {
         const obs::Span span(audit_ns());
@@ -147,18 +168,19 @@ LearningResult run_learning_to_epsilon(const Game& game, Configuration start,
       for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
         const MoveScan scan = scan_moves(game, s, MinerId(p));
         if (scan.best) {
-          consider(MinerId(p), *scan.best, scan.best_gain(),
-                   scan.current.to_rational());
+          consider(MinerId(p), *scan.best, scan.best_payoff, scan.current);
         }
       }
     }
-    if (!best || !(best_relative > epsilon)) {
+    if (!chosen || !(chosen_ratio > threshold)) {
       result.converged = true;  // ε-equilibrium reached (exact when ε == 0)
       break;
     }
-    s.move(best->miner, best->to);
+    const Move best{*chosen, s.of(*chosen), chosen_to,
+                    move_gain(game, s, *chosen, chosen_to)};
+    s.move(best.miner, best.to);
     if (index) index->sync(s);
-    record_step(result, *best, options);
+    record_step(result, best, options);
   }
   if (!result.converged) {
     result.converged = is_epsilon_equilibrium(game, s, epsilon);

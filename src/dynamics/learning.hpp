@@ -35,10 +35,10 @@ struct LearningOptions {
   bool record_configurations = false;
 
   /// Verify after every step that the Theorem 1 ordinal potential strictly
-  /// increased, that the move satisfied Observations 1–2, and (on the
-  /// index path) that the BestResponseIndex agrees fact-for-fact with the
-  /// from-scratch scans; throws goc::InvariantError on violation.
-  /// O(n·|C|) extra per step.
+  /// increased, that the move satisfied Observations 1–2 and that its gain
+  /// equals `move_gain`, and (on the index path) that the
+  /// BestResponseIndex agrees fact-for-fact with the from-scratch scans;
+  /// throws goc::InvariantError on violation. O(n·|C|) extra per step.
   bool audit_potential = false;
 
   /// Drive scheduling through the incremental BestResponseIndex (the hot

@@ -142,38 +142,24 @@ class GainExtremalScheduler final : public Scheduler {
     // min-gain move its lowest-payoff improving coin — with lowest-coin-id
     // ties inside the miner, and the unstable scan in miner-id order with
     // strict comparisons reproducing the lowest-miner-id tie-break.
-    // Cross-miner gain comparisons are exact: max-gain reads the cached
-    // `Rational` gains; min-gain compares each candidate's gain as an
+    // Cross-miner gain comparisons are exact: each candidate's gain is an
     // unreduced `Fraction` difference of two payoffs (cross products, no
-    // GCD) and reduces only the winner's gain into its Move.
-    if constexpr (kMax) {
-      (void)game;
-      (void)s;
-      std::optional<Move> chosen;
-      for (const MinerId p : index.unstable()) {
-        Move candidate = *index.best_move(p);
-        if (!chosen || candidate.gain > chosen->gain) {
-          chosen = std::move(candidate);
-        }
+    // GCD), and only the winner's gain is reduced into its Move.
+    std::optional<MinerId> chosen;
+    CoinId chosen_to;
+    Fraction chosen_gain;
+    for (const MinerId p : index.unstable()) {
+      const CoinId to = kMax ? *index.best_of(p) : index.min_improving(p);
+      const Fraction gain = game.payoff_fraction(s, p, to) -
+                            game.payoff_fraction(s, p, s.of(p));
+      if (!chosen || (kMax ? gain > chosen_gain : gain < chosen_gain)) {
+        chosen = p;
+        chosen_to = to;
+        chosen_gain = gain;
       }
-      return chosen;
-    } else {
-      std::optional<MinerId> chosen;
-      CoinId chosen_to;
-      Fraction chosen_gain;
-      for (const MinerId p : index.unstable()) {
-        const CoinId to = index.min_improving(p);
-        const Fraction gain = game.payoff_fraction(s, p, to) -
-                              game.payoff_fraction(s, p, s.of(p));
-        if (!chosen || gain < chosen_gain) {
-          chosen = p;
-          chosen_to = to;
-          chosen_gain = gain;
-        }
-      }
-      if (!chosen) return std::nullopt;
-      return Move{*chosen, s.of(*chosen), chosen_to, chosen_gain.to_rational()};
     }
+    if (!chosen) return std::nullopt;
+    return Move{*chosen, s.of(*chosen), chosen_to, chosen_gain.to_rational()};
   }
   std::string name() const override { return kMax ? "max-gain" : "min-gain"; }
   bool supports_index() const override { return true; }

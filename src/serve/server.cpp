@@ -27,6 +27,12 @@
 
 namespace goc::serve {
 
+std::string echo(std::string_view text, std::size_t limit) {
+  if (text.size() <= limit) return std::string(text);
+  return std::string(text.substr(0, limit)) + "...(+" +
+         std::to_string(text.size() - limit) + " bytes)";
+}
+
 namespace {
 
 /// Shared flag vocabulary, spliced per command for `reject_unknown`.
@@ -44,7 +50,7 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
   const auto id = parse_u64(args[0]);
   if (!id) {
     throw std::invalid_argument(std::string(verb) + " expects a job id, got '" +
-                                args[0] + "'");
+                                echo(args[0]) + "'");
   }
   return *id;
 }
@@ -324,7 +330,7 @@ void Server::cmd_submit(const std::string& kind,
   } else if (kind == "enumerate") {
     work = make_enumerate_work(cli);
   } else {
-    throw std::invalid_argument("unknown job kind '" + kind +
+    throw std::invalid_argument("unknown job kind '" + echo(kind) +
                                 "' (batch, sweep, enumerate)");
   }
   const std::uint64_t id = jobs_.submit(kind, std::move(work));
@@ -531,10 +537,10 @@ bool Server::handle_line(const std::string& line, std::ostream& out) {
     } else if (verb == "stats") {
       cmd_stats(args, out);
     } else {
-      out << "err unknown command '" << verb << "' (try help)\n";
+      out << "err unknown command '" << echo(verb) << "' (try help)\n";
     }
   } catch (const std::exception& error) {
-    out << "err " << error.what() << "\n";
+    out << "err " << echo(error.what(), kErrTextBytes) << "\n";
   }
   return true;
 }

@@ -604,6 +604,131 @@ TEST(BestResponseIndex, SyncRebuildsAfterBatchedForeignMoves) {
   expect_index_matches_scan(g, other, index);
 }
 
+// ------------------------------------- threshold-crossing sync vs rebuild
+
+/// Every fact of `synced` equals that of an index freshly built on `s`.
+void expect_same_as_fresh(const Game& g, const Configuration& s,
+                          const BestResponseIndex& synced) {
+  const BestResponseIndex fresh(g, s);
+  ASSERT_EQ(synced.unstable(), fresh.unstable());
+  ASSERT_EQ(synced.total_improving(), fresh.total_improving());
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    const MinerId miner(p);
+    ASSERT_EQ(synced.best_of(miner), fresh.best_of(miner)) << "miner " << p;
+    ASSERT_EQ(synced.improving_count(miner), fresh.improving_count(miner))
+        << "miner " << p;
+    for (std::size_t i = 0; i < fresh.improving_count(miner); ++i) {
+      ASSERT_EQ(synced.nth_improving(miner, i), fresh.nth_improving(miner, i))
+          << "miner " << p;
+    }
+  }
+}
+
+/// Applies `moves` random moves (a random miner to a random other coin it
+/// may mine, improving or not) and checks the synced index against a fresh
+/// rebuild after each one, and against the scan every `audit_every`
+/// moves. With `reweight_every` > 0 the rewards are replaced by market-style
+/// `Rational::from_double` weights that often, through `Game::reweight`
+/// and `BestResponseIndex::reweight`.
+void walk_against_rebuild(Game& g, Configuration s, std::uint64_t seed,
+                          int moves, int audit_every, int reweight_every = 0) {
+  Rng rng(seed);
+  BestResponseIndex index(g, s);
+  for (int step = 1; step <= moves; ++step) {
+    const MinerId p(static_cast<std::uint32_t>(rng.next_below(g.num_miners())));
+    std::vector<CoinId> options = g.allowed_coins(p);
+    std::erase(options, s.of(p));
+    if (options.empty()) continue;
+    s.move(p, options[rng.pick_index(options)]);
+    index.sync(s);
+    if (reweight_every > 0 && step % reweight_every == 0) {
+      std::vector<Rational> weights(g.num_coins());
+      for (Rational& w : weights) {
+        w = Rational::from_double(rng.uniform(0.05, 3.05), 1 << 20);
+      }
+      g.reweight(weights);
+      index.reweight();
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_as_fresh(g, s, index))
+        << "after move " << step;
+    if (step % audit_every == 0) ASSERT_NO_THROW(index.audit());
+  }
+}
+
+TEST(ThresholdSync, MatchesRebuildWithManyEqualPowersAndRewards) {
+  // Three distinct powers among 60 miners, and two coins with the same
+  // reward: their order is the same for every power, so a move flips it
+  // for all members of a home coin or for none.
+  std::vector<std::int64_t> powers;
+  for (int i = 0; i < 60; ++i) powers.push_back(std::int64_t{4} << (i % 3));
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Game g(System::from_integer_powers(powers, 4),
+           RewardFunction::from_integers({300, 700, 300, 500}));
+    Rng rng(seed);
+    walk_against_rebuild(g, random_configuration(g, rng), seed, 300, 25);
+  }
+}
+
+TEST(ThresholdSync, MatchesRebuildUnderRandomHalfAccess) {
+  for (const std::uint64_t seed : {4u, 5u}) {
+    Rng rng(seed);
+    GameSpec spec;
+    spec.num_miners = 40;
+    spec.num_coins = 5;
+    spec.power_shape = PowerShape::kPareto;
+    spec.power_lo = 10;
+    const Game base = random_game(spec, rng);
+    Game g(base.system_ptr(), base.rewards(),
+           AccessPolicy::random(40, 5, 0.5, rng));
+    walk_against_rebuild(g, allowed_start(g), seed, 300, 25);
+  }
+}
+
+TEST(ThresholdSync, MatchesRebuildWithNonIntegerPowers) {
+  Rng rng(6);
+  std::vector<Rational> powers;
+  for (int i = 0; i < 30; ++i) {
+    const auto num = 1 + static_cast<std::int64_t>(rng.next_below(9));
+    const auto den = 2 + static_cast<std::int64_t>(rng.next_below(5));
+    powers.push_back(Rational(num, den));
+  }
+  Game g(System(std::move(powers), 3),
+         RewardFunction(std::vector<Rational>{Rational(10, 3), Rational(7, 2),
+                                              Rational(9, 4)}));
+  // Restricted access too: the exact fallback must compare coins a
+  // listed member may not mine.
+  Game restricted(g.system_ptr(), g.rewards(),
+                  AccessPolicy::random(30, 3, 0.5, rng));
+  walk_against_rebuild(g, random_configuration(g, rng), 6, 300, 25);
+  walk_against_rebuild(restricted, allowed_start(restricted), 7, 300, 25);
+}
+
+TEST(ThresholdSync, MatchesRebuildThroughMarketReweights) {
+  Rng rng(8);
+  GameSpec spec;
+  spec.num_miners = 48;
+  spec.num_coins = 3;
+  spec.power_shape = PowerShape::kPareto;
+  spec.power_lo = 10;
+  Game g = random_game(spec, rng);
+  walk_against_rebuild(g, random_configuration(g, rng), 8, 300, 25, 20);
+}
+
+TEST(ThresholdSync, MatchesRebuildOnAnE3ShapedGame) {
+  // The e3-sweep shape at its largest size: Pareto powers, 300 miners, 3
+  // coins, rewards in [100, 100000].
+  Rng rng(9);
+  GameSpec spec;
+  spec.num_miners = 300;
+  spec.num_coins = 3;
+  spec.power_shape = PowerShape::kPareto;
+  spec.power_lo = 10;
+  spec.reward_lo = 100;
+  spec.reward_hi = 100000;
+  Game g = random_game(spec, rng);
+  walk_against_rebuild(g, random_configuration(g, rng), 9, 200, 50);
+}
+
 // ------------------------------------- scheduler path equivalence (all 8)
 
 class IndexedSchedulerEquivalence

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <sstream>
@@ -195,6 +196,32 @@ TEST(Server, RejectsSignedAndTrailingNumbers) {
             std::string::npos);
   EXPECT_NE(respond(server, "status 1x").find("expects a job id, got '1x'"),
             std::string::npos);
+  EXPECT_EQ(server.jobs().size(), 0u);
+}
+
+TEST(Server, ErrLinesEchoAtMostABoundedPrefixOfTheInput) {
+  // Every echoed fragment is cut at kEchoBytes and the whole error text at
+  // kErrTextBytes, each followed by a "...(+N bytes)" marker of at most
+  // 32 bytes; with "err " and the newline no reply line can exceed this.
+  constexpr std::size_t kBound = 4 + kErrTextBytes + 32 + 1;
+  Server server(ServerOptions{2});
+  const std::string huge(5'000'000, 'x');
+  for (const std::string& line :
+       {"submit " + huge, huge, "status " + huge,
+        "submit sweep --miners=" + huge + " --coins=2",
+        "submit batch --" + huge + "=1"}) {
+    const std::string reply = respond(server, line);
+    EXPECT_EQ(reply.rfind("err ", 0), 0u) << reply.substr(0, 80);
+    EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1);
+    EXPECT_LE(reply.size(), kBound) << reply.substr(0, 80);
+    EXPECT_NE(reply.find("bytes)"), std::string::npos) << reply;
+  }
+  const std::string kind_reply = respond(server, "submit " + huge);
+  const std::string prefix = "err unknown job kind '";
+  EXPECT_EQ(kind_reply.substr(0, prefix.size() + kEchoBytes + 5),
+            prefix + huge.substr(0, kEchoBytes) + "...(+");
+  EXPECT_EQ(echo("short"), "short");
+  EXPECT_EQ(echo("abcdef", 3), "abc...(+3 bytes)");
   EXPECT_EQ(server.jobs().size(), 0u);
 }
 
