@@ -6,7 +6,10 @@
 /// off in another equilibrium. This harness quantifies the landscape:
 /// how many pure equilibria random games have, how often the assumptions
 /// hold, that the welfare identity (Obs 3) holds at every equilibrium, and
-/// the payoff gains on the table for the would-be manipulator.
+/// the payoff gains on the table for the would-be manipulator. Exits 1
+/// unless Prop 2 and Obs 3 hold in every row (a row without a
+/// multi-equilibrium game holds vacuously), and under `--compare-scan`
+/// unless the engine and the legacy walker agree.
 
 #include "bench_common.hpp"
 #include "core/enumerate.hpp"
@@ -45,6 +48,7 @@ int run(int argc, char** argv) {
   double engine_ms = 0.0;
   double scan_ms = 0.0;
   bool identical = true;
+  bool claim_holds = true;  // prop2_holds% and obs3_holds% are 100 per row
 
   Table table({"miners", "coins", "games", "A1&A2_ok", "avg_eqs",
                "multi_eq%", "prop2_holds%", "obs3_holds%", "avg_gain%",
@@ -122,6 +126,7 @@ int run(int argc, char** argv) {
       }
       if (all_have_better) ++prop2_ok;
     }
+    claim_holds = claim_holds && prop2_ok == multi && obs3_ok == obs3_total;
     const auto pct = [](std::size_t a, std::size_t b) {
       return b == 0 ? 0.0 : 100.0 * static_cast<double>(a) / static_cast<double>(b);
     };
@@ -143,9 +148,11 @@ int run(int argc, char** argv) {
     std::cout << "[legacy scan replay: " << fmt_double(scan_ms, 1) << " ms => "
               << fmt_double(scan_ms / engine_ms, 1) << "x, results "
               << (identical ? "identical" : "MISMATCH") << "]\n";
-    return identical ? 0 : 1;
   }
-  return 0;
+  if (!claim_holds) {
+    std::cout << "[CLAIM FAILED: prop2_holds% or obs3_holds% below 100]\n";
+  }
+  return identical && claim_holds ? 0 : 1;
 }
 
 }  // namespace

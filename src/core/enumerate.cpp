@@ -4,6 +4,7 @@
 
 #include "util/assert.hpp"
 #include "util/int128.hpp"
+#include "util/rational.hpp"
 
 namespace goc {
 
@@ -363,33 +364,38 @@ ShardPlan plan_shards(const System& system, const SymmetryClasses& classes,
   return plan;
 }
 
-IntegerGameView integer_game_view(const Game& game) {
-  IntegerGameView view;
-  view.power.reserve(game.num_miners());
-  for (const Rational& m : game.system().powers()) {
-    GOC_CHECK_ARG(m.is_integer(), "integer_game_view requires integer powers");
-    view.power.push_back(m.numerator());
+WalkState::WalkState(const Game& game) {
+  const std::size_t n = game.num_miners();
+  const std::size_t coins = game.num_coins();
+  if (!scale_to_integers(game.system().powers(), power_, scale_)) {
+    throw OverflowError("scaled mining powers overflow i128");
   }
-  view.reward.reserve(game.num_coins());
-  for (const Rational& f : game.rewards().values()) {
-    GOC_CHECK_ARG(f.is_integer(), "integer_game_view requires integer rewards");
-    view.reward.push_back(f.numerator());
+  i128 total = 0;
+  for (const i128 m : power_) total = checked_add(total, m);
+  restricted_ = !game.access().is_unrestricted();
+  if (restricted_) {
+    allowed_.resize(n * coins);
+    for (std::uint32_t p = 0; p < n; ++p) {
+      for (std::uint32_t c = 0; c < coins; ++c) {
+        allowed_[p * coins + c] = game.can_mine(MinerId(p), CoinId(c)) ? 1 : 0;
+      }
+    }
   }
-  return view;
+  mass_.resize(coins);
+  population_.resize(coins);
+  reset(std::vector<std::uint32_t>(n, 0));
 }
 
-IntegerWalkState integer_walk_state(const IntegerGameView& view,
-                                    const std::vector<std::uint32_t>& digits) {
-  IntegerWalkState st;
-  st.view = &view;
-  st.digits = digits;
-  st.mass.assign(view.reward.size(), 0);
-  st.population.assign(view.reward.size(), 0);
-  for (std::size_t i = 0; i < digits.size(); ++i) {
-    st.mass[digits[i]] += view.power[i];
-    ++st.population[digits[i]];
+void WalkState::reset(const std::vector<std::uint32_t>& digits) {
+  digits_ = digits;
+  std::fill(mass_.begin(), mass_.end(), 0);
+  std::fill(population_.begin(), population_.end(), 0);
+  violations_ = 0;
+  for (std::size_t p = 0; p < digits.size(); ++p) {
+    mass_[digits[p]] += power_[p];
+    ++population_[digits[p]];
+    if (!may_mine(p, digits[p])) ++violations_;
   }
-  return st;
 }
 
 Configuration materialize_configuration(const std::shared_ptr<const System>& system,
@@ -452,29 +458,6 @@ EnumerationPlan plan_enumeration(const System& system,
   plan.lanes = enumeration_lanes(opts, load);
   plan.shards = plan_shards(system, classes, shard_target(opts, plan.lanes, load));
   return plan;
-}
-
-// ---------------------------------------------------------------- access
-
-AccessTracker::AccessTracker(const Game& game)
-    : game_(&game), unrestricted_(game.access().is_unrestricted()) {}
-
-bool AccessTracker::respects(const Configuration& s) {
-  if (unrestricted_) return true;
-  if (tracked_ == &s && epoch_ == s.move_epoch()) return violations_ == 0;
-  if (tracked_ == &s && epoch_ + 1 == s.move_epoch()) {
-    const MoveDelta& delta = s.last_delta();
-    if (!game_->can_mine(delta.miner, delta.to)) ++violations_;
-    if (!game_->can_mine(delta.miner, delta.from)) --violations_;
-  } else {
-    violations_ = 0;
-    for (std::uint32_t p = 0; p < s.num_miners(); ++p) {
-      if (!game_->can_mine(MinerId(p), s.of(MinerId(p)))) ++violations_;
-    }
-    tracked_ = &s;
-  }
-  epoch_ = s.move_epoch();
-  return violations_ == 0;
 }
 
 }  // namespace goc

@@ -25,16 +25,16 @@
 ///
 /// One walk serves every consumer. `canonical_step` is the canonical
 /// odometer's increment-and-carry, written once; `walk_canonical_range`
-/// runs it over a rank range, templated on the walk state; `plan_enumeration`
+/// runs it over a rank range on the one `WalkState`; `plan_enumeration`
 /// and `enumerate_planned` are the one planner and the one driver. Around
 /// that walk:
 ///
-///  * **Incremental walk states** — the walker is a template over its
-///    visitor (no `std::function` dispatch) and hands each digit hop to the
-///    walk state: a `Configuration` applies one `move` (exact masses,
-///    restricted access), an `IntegerWalkState` applies raw i128 mass and
-///    population deltas (integer games with unrestricted access). Either
-///    way a step costs O(1).
+///  * **One incremental walk state** — the walker is a template over its
+///    visitor (no `std::function` dispatch) and hands each digit hop to a
+///    `WalkState`, which applies raw i128 mass, population and
+///    access-violation deltas: a step costs O(1) for every game. Powers
+///    are scaled by their common denominator, so rational powers and
+///    restricted access walk the same integer state.
 ///  * **Symmetry reduction** — miners with identical power and identical
 ///    access rights are interchangeable: permuting them is a game
 ///    automorphism, so equilibrium-ness, never-alone violations, and
@@ -48,9 +48,9 @@
 ///    Shards are indexed in global odometer order and sized exactly
 ///    (`ShardPlan::sizes` / `start_ranks`), so per-shard results
 ///    concatenate into a result that is bit-identical at any thread count.
-///  * **i128 predicates** — consumers check equilibrium/stability inside
-///    the walk with `MoveComparator` (core/move_compare.hpp) or raw integer
-///    cross-multiplication instead of exact `Rational` payoff scans.
+///  * **i128 predicates** — consumers check equilibrium, never-alone and
+///    4-cycle sums on the walk state through `MoveComparator::gains` and
+///    `payoff_formula` instead of exact `Rational` payoff scans.
 ///
 /// The legacy `for_each_configuration` callback walker is kept verbatim as
 /// the validation reference (`--compare-scan` paths and golden tests).
@@ -232,72 +232,96 @@ bool canonical_step(const SymmetryClasses& classes,
   return false;
 }
 
-/// Precomputed raw numerators for the integer walk state (valid only when
-/// every power and reward is an integer — `MoveComparator::integer_mode` —
-/// where numerators ARE the values).
-struct IntegerGameView {
-  std::vector<i128> power;   ///< miner -> m_p
-  std::vector<i128> reward;  ///< coin -> F(c)
-};
-
-IntegerGameView integer_game_view(const Game& game);
-
-/// The integer walk state: the plain odometer plus incrementally
-/// maintained raw masses and populations — what `Configuration` tracks,
-/// without a `Rational` (or a heap object) anywhere near the hot loop.
+/// The engine's one walk state: the odometer digits plus incrementally
+/// maintained masses, populations and access violations, all in raw
+/// integers — no `Rational` near the hot loop.
+/// Powers are scaled by their common denominator L_p, so rational powers
+/// walk in i128 integers too; every comparison and payoff the walk makes
+/// is unchanged by that scale, because powers and masses scale together.
 /// Consumers materialize a `Configuration` only on hits
 /// (`materialize_configuration`).
-struct IntegerWalkState {
-  const IntegerGameView* view = nullptr;
-  std::vector<std::uint32_t> digits;      ///< miner -> coin
-  std::vector<i128> mass;                 ///< coin -> M_c
-  std::vector<std::uint32_t> population;  ///< coin -> |P_c|
+class WalkState {
+ public:
+  /// `game`'s walk state at the all-zero assignment. Throws
+  /// goc::OverflowError when L_p, a scaled power or the scaled total power
+  /// overflows i128.
+  explicit WalkState(const Game& game);
+
+  /// Jumps to `digits` (miner -> coin), recounting everything: O(n + |C|).
+  void reset(const std::vector<std::uint32_t>& digits);
+
+  /// One odometer hop: `miner` moves from coin `from` to coin `to`. O(1).
+  void hop(std::size_t miner, std::uint32_t from, std::uint32_t to) {
+    const i128 m = power_[miner];
+    digits_[miner] = to;
+    mass_[from] -= m;
+    --population_[from];
+    mass_[to] += m;
+    ++population_[to];
+    if (restricted_) [[unlikely]] {
+      const std::size_t row = miner * mass_.size();
+      violations_ += allowed_[row + to] ? 0 : 1;
+      violations_ -= allowed_[row + from] ? 0 : 1;
+    }
+  }
+
+  std::size_t num_miners() const noexcept { return digits_.size(); }
+  std::uint32_t num_coins() const noexcept {
+    return static_cast<std::uint32_t>(mass_.size());
+  }
+  /// miner -> coin.
+  const std::vector<std::uint32_t>& digits() const noexcept { return digits_; }
+  /// L_p, the common denominator of the powers.
+  i128 scale() const noexcept { return scale_; }
+  /// m_p·L_p.
+  i128 power(std::size_t miner) const noexcept { return power_[miner]; }
+  /// M_c·L_p.
+  i128 mass(std::uint32_t coin) const noexcept { return mass_[coin]; }
+  /// |P_c|.
+  std::uint32_t population(std::uint32_t coin) const noexcept {
+    return population_[coin];
+  }
+  /// May `miner` mine `coin` under the game's access policy?
+  bool may_mine(std::size_t miner, std::uint32_t coin) const noexcept {
+    return !restricted_ || allowed_[miner * mass_.size() + coin] != 0;
+  }
+  /// Miners sitting on a coin they may not mine; 0 iff the assignment
+  /// respects the access policy (`Game::respects_access`).
+  std::size_t access_violations() const noexcept { return violations_; }
+
+ private:
+  i128 scale_ = 1;
+  std::vector<i128> power_;            ///< miner -> m_p·L_p
+  std::vector<std::uint8_t> allowed_;  ///< miner·|C| + coin; set iff restricted_
+  std::vector<std::uint32_t> digits_;
+  std::vector<i128> mass_;
+  std::vector<std::uint32_t> population_;
+  std::size_t violations_ = 0;
+  bool restricted_ = false;  // one flag load per hop, cheaper than empty()
 };
 
-/// An integer walk state sitting at `digits`.
-IntegerWalkState integer_walk_state(const IntegerGameView& view,
-                                    const std::vector<std::uint32_t>& digits);
-
-/// A `Configuration` with the given assignment: the start of a
-/// `Configuration` walk, and the integer walk's hit path.
+/// A `Configuration` with the given assignment (miner -> coin): how a walk
+/// hit becomes a result.
 Configuration materialize_configuration(const std::shared_ptr<const System>& system,
                                         const std::vector<std::uint32_t>& digits);
 
-/// Walk states follow the odometer through `apply_hop`. A `Configuration`
-/// applies `move` (exact masses; needed for rational powers and for
-/// restricted access, which `AccessTracker` follows through the move
-/// epoch); an `IntegerWalkState` applies ~4 i128 and population deltas.
-inline void apply_hop(Configuration& s, std::size_t miner, std::uint32_t,
-                      std::uint32_t to) {
-  s.move(MinerId(static_cast<std::uint32_t>(miner)), CoinId(to));
-}
-
-inline void apply_hop(IntegerWalkState& st, std::size_t miner,
-                      std::uint32_t from, std::uint32_t to) {
-  const i128 m = st.view->power[miner];
-  st.digits[miner] = to;
-  st.mass[from] -= m;
-  --st.population[from];
-  st.mass[to] += m;
-  ++st.population[to];
-}
-
 /// The rank-range walker: visits `count` consecutive canonical
-/// configurations starting at the canonical digit vector `start`, where
-/// `state` must already sit, advancing `state` one `canonical_step` at a
-/// time. `visit(const State&)` returns false to stop; the function returns
-/// false iff it stopped early.
-template <typename State, typename Visit>
-bool walk_canonical_range(State& state, const SymmetryClasses& classes,
-                          std::uint32_t coins, std::vector<std::uint32_t> start,
+/// configurations starting where `state` sits (a canonical assignment),
+/// advancing it one `canonical_step` hop at a time. `visit(const
+/// WalkState&)` returns false to stop; the function returns false iff it
+/// stopped early.
+template <typename Visit>
+bool walk_canonical_range(WalkState& state, const SymmetryClasses& classes,
                           std::uint64_t count, Visit&& visit) {
   if (count == 0) return true;
+  std::vector<std::uint32_t> digits = state.digits();
   const auto hop = [&state](std::size_t miner, std::uint32_t from,
-                            std::uint32_t to) { apply_hop(state, miner, from, to); };
+                            std::uint32_t to) { state.hop(miner, from, to); };
   for (;;) {
-    if (!visit(static_cast<const State&>(state))) return false;
+    if (!visit(static_cast<const WalkState&>(state))) return false;
     if (--count == 0) return true;
-    const bool advanced = canonical_step(classes, start, 0, coins, hop);
+    const bool advanced =
+        canonical_step(classes, digits, 0, state.num_coins(), hop);
     GOC_ASSERT(advanced, "rank range ran past the canonical space");
   }
 }
@@ -325,19 +349,20 @@ EnumerationPlan plan_enumeration(const System& system,
 
 /// The one driver: fans `plan` across the pool (the caller's `opts.pool`,
 /// or a freshly spawned one). One result per shard (`make_shard(i)`),
-/// created on the calling thread in shard order. Shard i starts its walk
-/// state with `start(plan.shards.starts[i])` — a `Configuration` or an
-/// `IntegerWalkState` — and walks its rank range, calling
-/// `visit(result, state, i)` per configuration (false ends that shard).
-/// The results come back in shard (= global odometer) order at any
-/// thread count.
-template <typename Start, typename MakeShard, typename Visit>
-auto enumerate_planned(const EnumerationPlan& plan,
-                       const SymmetryClasses& classes, std::size_t num_coins,
-                       const EnumerationOptions& opts, Start&& start,
-                       MakeShard&& make_shard, Visit&& visit)
+/// created on the calling thread in shard order. Shard i starts a
+/// `WalkState` of `game` at `plan.shards.starts[i]` and walks its rank
+/// range, calling `visit(result, state, i)` per configuration (false ends
+/// that shard). The results come back in shard (= global odometer) order
+/// at any thread count. Throws goc::OverflowError before any walk when the
+/// game's scaled powers overflow (see `WalkState`).
+template <typename MakeShard, typename Visit>
+auto enumerate_planned(const Game& game, const EnumerationPlan& plan,
+                       const SymmetryClasses& classes,
+                       const EnumerationOptions& opts, MakeShard&& make_shard,
+                       Visit&& visit)
     -> std::vector<std::decay_t<std::invoke_result_t<MakeShard&, std::size_t>>> {
   using Result = std::decay_t<std::invoke_result_t<MakeShard&, std::size_t>>;
+  const WalkState origin(game);
   const ShardPlan& shards = plan.shards;
   std::vector<Result> results;
   results.reserve(shards.sizes.size());
@@ -348,14 +373,14 @@ auto enumerate_planned(const EnumerationPlan& plan,
       obs::Registry::instance().counter("enum.shards_walked");
   static obs::Histogram& kShardWalkNs =
       obs::Registry::instance().histogram("enum.shard_walk_ns");
-  const auto coins = static_cast<std::uint32_t>(num_coins);
   const auto run = [&](engine::ThreadPool& pool) {
     pool.parallel_for(shards.sizes.size(), [&](std::size_t i) {
       opts.cancel.throw_if_stale("enumeration cancelled");
       obs::Span span(kShardWalkNs);
-      auto state = start(shards.starts[i]);
-      walk_canonical_range(state, classes, coins, shards.starts[i],
-                           shards.sizes[i], [&](const auto& s) {
+      WalkState state = origin;
+      state.reset(shards.starts[i]);
+      walk_canonical_range(state, classes, shards.sizes[i],
+                           [&](const WalkState& s) {
                              return visit(results[i], s, i);
                            });
       kShardsWalked.add();
@@ -380,27 +405,5 @@ inline void atomic_store_min(std::atomic<std::size_t>& slot, std::size_t value) 
   while (value < expected && !slot.compare_exchange_weak(expected, value)) {
   }
 }
-
-// ------------------------------------------------------------ access
-
-/// Incremental `Game::respects_access` for enumeration walks: tracks the
-/// number of miners sitting on coins they may not mine through the
-/// move-epoch hook, so each odometer step costs O(1) instead of the O(n)
-/// from-scratch scan. Falls back to a full recount on epoch jumps or a
-/// change of tracked configuration object.
-class AccessTracker {
- public:
-  explicit AccessTracker(const Game& game);
-
-  /// True iff every miner in `s` sits on an allowed coin.
-  bool respects(const Configuration& s);
-
- private:
-  const Game* game_;
-  const Configuration* tracked_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  std::size_t violations_ = 0;
-  bool unrestricted_;
-};
 
 }  // namespace goc

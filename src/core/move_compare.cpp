@@ -1,53 +1,29 @@
 #include "core/move_compare.hpp"
 
-#include "core/moves.hpp"
+#include <algorithm>
+
 #include "util/rational.hpp"
 
 namespace goc {
 
 MoveComparator::MoveComparator(const Game& game)
-    : game_(&game), unrestricted_(game.access().is_unrestricted()) {
-  scaled_rewards_.resize(game.num_coins());
+    : game_(&game),
+      integer_powers_(std::all_of(game.system().powers().begin(),
+                                  game.system().powers().end(),
+                                  [](const Rational& m) { return m.is_integer(); })) {
+  scaled_rewards_.reserve(game.num_coins());
   refresh();
 }
 
 void MoveComparator::refresh() {
-  bool integer_powers = true;
-  for (const Rational& m : game_->system().powers()) {
-    if (!m.is_integer()) {
-      integer_powers = false;
-      break;
-    }
-  }
-  const std::vector<Rational>& rewards = game_->rewards().values();
-  bool integer_rewards = true;
-  for (const Rational& f : rewards) {
-    if (!f.is_integer()) {
-      integer_rewards = false;
-      break;
-    }
-  }
-  integer_mode_ = integer_powers && integer_rewards;
-  fast_mode_ = false;
-  if (!integer_powers) return;  // masses would not be integers
   // Orderings are invariant under scaling every reward by one positive
   // constant, so rescale to the common denominator L = lcm(den(F(c))) and
   // compare through the integer numerators K_c = F(c)·L (for all-integer
-  // rewards L = 1 and K_c is just the stored numerator). Any overflow
-  // while rescaling drops back to the exact Rational path.
-  i128 lcm = 1;
-  for (const Rational& f : rewards) {
-    const i128 q = f.denominator();
-    const i128 g = static_cast<i128>(gcd128(uabs128(lcm), uabs128(q)));
-    if (mul_overflow(lcm / g, q, &lcm)) return;
-  }
-  for (std::size_t c = 0; c < rewards.size(); ++c) {
-    const i128 scale = lcm / rewards[c].denominator();
-    if (mul_overflow(rewards[c].numerator(), scale, &scaled_rewards_[c])) {
-      return;
-    }
-  }
-  fast_mode_ = true;
+  // rewards L = 1 and K_c is just the stored numerator). An overflow
+  // while rescaling drops back to the exact payoff formula.
+  i128 scale;
+  rescaled_ = scale_to_integers(game_->rewards().values(), scaled_rewards_, scale);
+  fast_mode_ = integer_powers_ && rescaled_;
 }
 
 std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
@@ -77,34 +53,12 @@ std::strong_ordering MoveComparator::compare(const Configuration& s, MinerId p,
          payoff_formula(mp, rewards(c2), s.mass(c2), c2 == here);
 }
 
-bool MoveComparator::stable(const Configuration& s, MinerId p) const {
-  const CoinId here = s.of(p);
-  const std::uint32_t coins = static_cast<std::uint32_t>(s.num_coins());
-  if (fast_mode_) {
-    // Hoist the loop-invariant "stay put" side: K_here/M_here, with
-    // M_here already including m_p.
-    const i128 mp = game_->system().power(p).numerator();
-    const i128 n_here = scaled_rewards_[here.value];
-    const i128 d_here = s.mass(here).numerator();
-    for (std::uint32_t c = 0; c < coins; ++c) {
-      const CoinId coin(c);
-      if (coin == here) continue;
-      if (!unrestricted_ && !game_->can_mine(p, coin)) continue;
-      const i128 n_c = scaled_rewards_[c];
-      const i128 d_c = s.mass(coin).numerator() + mp;
-      if (compare_positive_fractions(n_c, d_c, n_here, d_here) > 0) return false;
-    }
-    return true;
-  }
-  return is_stable(*game_, s, p);
-}
-
-bool MoveComparator::equilibrium(const Configuration& s) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(s.num_miners());
-  for (std::uint32_t p = 0; p < n; ++p) {
-    if (!stable(s, MinerId(p))) return false;
-  }
-  return true;
+bool MoveComparator::gains_exact(i128 mp, CoinId here, i128 m_here, CoinId c,
+                                 i128 m_c) const {
+  const Rational power = Rational::from_parts(mp, 1);
+  const RewardFunction& rewards = game_->rewards();
+  return payoff_formula(power, rewards(c), Rational::from_parts(m_c, 1), false) >
+         payoff_formula(power, rewards(here), Rational::from_parts(m_here, 1), true);
 }
 
 }  // namespace goc

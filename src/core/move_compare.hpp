@@ -17,29 +17,30 @@
 /// gain it returns). The hot loop only ever needs *orderings* of post-move
 /// payoffs of one miner, and for miner p those reduce to comparing
 /// F(a)/(M_a + m_p) against F(b)/(M_b + m_p) — a cross-multiplication.
-/// When every power and reward is an integer (the overwhelmingly common
-/// workload: all generators emit integers), masses are integers too and
-/// the whole comparison is two raw 128-bit multiplies with no `Rational`
-/// construction and no GCD.
+/// When powers and masses are integers, the whole comparison is two raw
+/// 128-bit multiplies with no `Rational` construction and no GCD.
 ///
 /// Rewards need not be integers for that to work: orderings are invariant
-/// under scaling all rewards by one positive constant, so any reward set
-/// with integer powers is rescaled at construction to a common denominator
+/// under scaling all rewards by one positive constant, so the reward set
+/// is rescaled at construction to a common denominator
 /// L = lcm_c(den(F(c))) and compared through the integer numerators
 /// K_c = F(c)·L. This is what keeps the market epoch engine on the i128
 /// path — its weights are `Rational::from_double` quantizations whose
 /// denominators all divide the quantization denominator. Overflowing
 /// products take the exact GCD-reduced fallback of `compare_fractions`;
-/// non-integer powers and reward sets whose rescaling would overflow fall
-/// back to comparing the two exact payoffs (`payoff_formula`), so the
-/// ordering returned is always exact — bit-for-bit the same decision the
-/// reference scan makes.
+/// reward sets whose rescaling would overflow fall back to comparing the
+/// two exact payoffs (`payoff_formula`), so the ordering returned is
+/// always exact — bit-for-bit the same decision the reference scan makes.
+///
+/// Two callers, one rule: `compare` reads a `Configuration` (the index;
+/// integer powers take the K_c path, others the exact formula), and
+/// `gains` reads integer powers and masses in any common unit (the
+/// enumeration walk, which scales rational powers to integers).
 
 namespace goc {
 
 /// Exact comparison of a_num/a_den vs b_num/b_den for nonnegative
-/// numerators and positive denominators: the shared primitive of the
-/// comparator and the enumeration engine's integer-mode checks. It is
+/// numerators and positive denominators: the comparator's primitive. It is
 /// `compare_fractions` on the magnitudes (inline — this sits in every
 /// engine inner loop): two raw 128-bit multiplies, and the GCD-reduced and
 /// continued-fraction fallbacks only when a cross product overflows.
@@ -57,19 +58,14 @@ class MoveComparator {
  public:
   explicit MoveComparator(const Game& game);
 
-  /// Re-derives the comparison mode and the rescaled reward numerators
-  /// from the game's *current* rewards, reusing the existing storage (no
-  /// allocation). Must be called after `Game::reweight` changed the reward
-  /// function under this comparator; `BestResponseIndex::reweight` does.
+  /// Re-derives the rescaled reward numerators from the game's *current*
+  /// rewards, reusing the existing storage (no allocation). Must be called
+  /// after `Game::reweight` changed the reward function under this
+  /// comparator; `BestResponseIndex::reweight` does.
   void refresh();
 
-  /// True when every power and reward is an integer, enabling the raw
-  /// `i128` cross-multiplication path.
-  bool integer_mode() const noexcept { return integer_mode_; }
-
-  /// True when comparisons run on the i128 path: integer powers and
-  /// rewards rescalable to integers by a common positive factor (a strict
-  /// superset of `integer_mode`).
+  /// True when `compare` runs on the i128 path: integer powers and
+  /// rewards rescalable to integers by a common positive factor.
   bool fast_mode() const noexcept { return fast_mode_; }
 
   /// Compares miner p's payoff after unilaterally moving to `c1` vs `c2`
@@ -80,30 +76,30 @@ class MoveComparator {
   std::strong_ordering compare(const Configuration& s, MinerId p, CoinId c1,
                                CoinId c2) const;
 
-  /// True iff moving to `c` strictly improves p's payoff (c != s.of(p) and
-  /// p may mine c are the caller's responsibility to pre-check, as the
-  /// index does; `is_better_response` in moves.hpp is the checked
-  /// reference).
-  bool improves(const Configuration& s, MinerId p, CoinId c) const {
-    return compare(s, p, c, s.of(p)) > 0;
+  /// True iff a miner of power `mp` sitting on `here` (mass `m_here`,
+  /// which includes mp) strictly gains by moving to `c` (mass `m_c`).
+  /// Powers and masses are integers in any one unit — the enumeration
+  /// walk passes them scaled by the powers' common denominator, which
+  /// leaves the comparison unchanged. Through K_c when the rewards
+  /// rescale, else the exact `payoff_formula`. Access is the caller's.
+  bool gains(i128 mp, CoinId here, i128 m_here, CoinId c, i128 m_c) const {
+    if (rescaled_) [[likely]] {
+      return compare_positive_fractions(scaled_rewards_[c.value], m_c + mp,
+                                        scaled_rewards_[here.value],
+                                        m_here) > 0;
+    }
+    return gains_exact(mp, here, m_here, c, m_c);
   }
 
-  /// True iff p has no better response in s — `is_stable` without a single
-  /// `Rational` temporary in integer mode. Access-aware (skips coins p may
-  /// not mine) and exits on the first improving coin.
-  bool stable(const Configuration& s, MinerId p) const;
-
-  /// True iff every miner is stable — `is_equilibrium` on the i128 path,
-  /// exiting at the first improving miner. The enumeration engine's inner
-  /// check.
-  bool equilibrium(const Configuration& s) const;
-
  private:
+  bool gains_exact(i128 mp, CoinId here, i128 m_here, CoinId c,
+                   i128 m_c) const;
+
   const Game* game_;
-  bool integer_mode_;
-  bool fast_mode_;
-  bool unrestricted_;
-  std::vector<i128> scaled_rewards_;  // K_c = F(c)·L; valid in fast mode
+  bool integer_powers_;
+  bool rescaled_ = false;  // scaled_rewards_ holds K_c
+  bool fast_mode_ = false;
+  std::vector<i128> scaled_rewards_;  // K_c = F(c)·L
 };
 
 }  // namespace goc

@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -22,6 +21,14 @@ System::System(std::vector<Rational> powers, std::size_t num_coins)
     total_power_ += m;
     if (m < min_power_) min_power_ = m;
     if (m > max_power_) max_power_ = m;
+  }
+  power_order_.reserve(powers_.size());
+  for (std::uint32_t p = 0; p < powers_.size(); ++p) power_order_.emplace_back(p);
+  if (!non_increasing_powers()) {
+    std::stable_sort(power_order_.begin(), power_order_.end(),
+                     [&](MinerId a, MinerId b) {
+                       return powers_[a.value] > powers_[b.value];
+                     });
   }
 }
 
@@ -48,20 +55,10 @@ bool System::non_increasing_powers() const noexcept {
 }
 
 System System::sorted_by_power_desc(std::vector<MinerId>* out_permutation) const {
-  std::vector<std::size_t> order(powers_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return powers_[a] > powers_[b];
-  });
   std::vector<Rational> sorted;
   sorted.reserve(powers_.size());
-  for (std::size_t idx : order) sorted.push_back(powers_[idx]);
-  if (out_permutation != nullptr) {
-    out_permutation->clear();
-    out_permutation->reserve(order.size());
-    for (std::size_t idx : order)
-      out_permutation->push_back(MinerId(static_cast<std::uint32_t>(idx)));
-  }
+  for (const MinerId p : power_order_) sorted.push_back(powers_[p.value]);
+  if (out_permutation != nullptr) *out_permutation = power_order_;
   return System(std::move(sorted), num_coins_);
 }
 

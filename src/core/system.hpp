@@ -49,8 +49,14 @@ class System {
   /// (m_{p_1} ≥ m_{p_2} ≥ …), the convention of Section 4 / Appendix A.
   bool non_increasing_powers() const noexcept;
 
-  /// A copy of this system with miners permuted into non-increasing power
-  /// order. `out_permutation[new_index] = old MinerId` when non-null.
+  /// Every miner once, by descending power, ties by ascending id — fixed
+  /// at construction, so no consumer sorts the powers again.
+  const std::vector<MinerId>& power_order() const noexcept {
+    return power_order_;
+  }
+
+  /// A copy of this system with miners permuted into `power_order()`.
+  /// `out_permutation[new_index] = old MinerId` when non-null.
   System sorted_by_power_desc(std::vector<MinerId>* out_permutation = nullptr) const;
 
   bool valid_miner(MinerId p) const noexcept {
@@ -66,6 +72,7 @@ class System {
   Rational total_power_;
   Rational min_power_;
   Rational max_power_;
+  std::vector<MinerId> power_order_;
 };
 
 }  // namespace goc

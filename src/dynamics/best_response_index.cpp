@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
@@ -27,21 +26,10 @@ BestResponseIndex::BestResponseIndex(const Game& game, const Configuration& s)
   // Full capacity up front: set_stability's sorted inserts, and rebuilds
   // after reweights, never allocate afterwards.
   unstable_.reserve(n_);
-  by_power_.resize(n_);
-  std::iota(by_power_.begin(), by_power_.end(), 0u);
-  const std::vector<Rational>& powers = game.system().powers();
-  std::sort(by_power_.begin(), by_power_.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              const Rational& px = powers[x];
-              const Rational& py = powers[y];
-              if (px == py) return x < y;
-              if (px.is_integer() && py.is_integer()) {
-                return px.numerator() < py.numerator();
-              }
-              return px < py;
-            });
+  // Ascending power is the system's descending order read backwards.
+  const std::vector<MinerId>& order = game.system().power_order();
   rank_.resize(n_);
-  for (std::uint32_t i = 0; i < n_; ++i) rank_[by_power_[i]] = i;
+  for (std::uint32_t i = 0; i < n_; ++i) rank_[order[i].value] = n_ - 1 - i;
   members_.assign(n_, 0);
   start_.assign(coins + 1, 0);
   visited_.assign(n_, 0);
@@ -81,8 +69,9 @@ void BestResponseIndex::rebuild() {
   std::fill(start_.begin(), start_.end(), 0);
   for (std::uint32_t q = 0; q < n_; ++q) ++start_[s.of(MinerId(q)).value + 1];
   for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
-  for (const std::uint32_t q : by_power_) {
-    members_[start_[s.of(MinerId(q)).value]++] = q;
+  const std::vector<MinerId>& order = game_->system().power_order();
+  for (auto q = order.rbegin(); q != order.rend(); ++q) {
+    members_[start_[s.of(*q).value]++] = q->value;
   }
   for (std::size_t c = start_.size() - 1; c > 0; --c) start_[c] = start_[c - 1];
   start_[0] = 0;

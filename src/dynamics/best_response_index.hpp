@@ -156,12 +156,11 @@ class BestResponseIndex {
   std::vector<std::uint8_t> unstable_flag_;
   std::size_t total_improving_ = 0;
 
-  // Threshold-crossing sync state. Powers never change, so one ascending
-  // (power, id) order fixed at construction ranks every miner. `members_`
-  // holds every miner once, grouped by coin in coin order, each group in
-  // that power order.
-  std::vector<std::uint32_t> by_power_;     // miner ids, ascending power
-  std::vector<std::uint32_t> rank_;         // position in by_power_
+  // Threshold-crossing sync state. Powers never change, so the system's
+  // `power_order()`, read backwards, ranks every miner by ascending power.
+  // `members_` holds every miner once, grouped by coin in coin order, each
+  // group in rank order.
+  std::vector<std::uint32_t> rank_;         // ascending-power position
   std::vector<std::uint32_t> members_;
   std::vector<std::uint32_t> start_;        // group c: [start_[c], start_[c+1])
   std::vector<std::uint64_t> visited_;      // stamp of the last rescan

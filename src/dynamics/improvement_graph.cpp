@@ -2,54 +2,45 @@
 
 #include <vector>
 
+#include "core/enumerate.hpp"
 #include "core/moves.hpp"
 #include "util/assert.hpp"
 
 namespace goc {
 namespace {
 
-/// Mixed-radix codec between configurations and dense indices.
+/// Dense indices of configurations: the engine's odometer rank and its
+/// inverse.
 class Codec {
  public:
   Codec(const Game& game, std::uint64_t max_configs)
-      : game_(game),
-        n_(game.num_miners()),
+      : system_(game.system_ptr()),
         coins_(static_cast<std::uint32_t>(game.num_coins())) {
-    std::uint64_t total = 1;
-    for (std::size_t i = 0; i < n_; ++i) {
-      GOC_CHECK_ARG(total <= max_configs / coins_,
-                    "configuration space too large to analyze");
-      total *= coins_;
-    }
-    total_ = total;
+    const auto count = configuration_count(game.system());
+    GOC_CHECK_ARG(count.has_value() && *count <= max_configs,
+                  "configuration space too large to analyze");
+    total_ = *count;
   }
 
   std::uint64_t total() const noexcept { return total_; }
 
   std::uint64_t encode(const Configuration& s) const {
-    std::uint64_t index = 0;
-    std::uint64_t mul = 1;
-    for (std::size_t i = 0; i < n_; ++i) {
-      index += mul * s.assignment()[i].value;
-      mul *= coins_;
-    }
-    return index;
+    return odometer_rank(s.assignment(), coins_);
   }
 
   Configuration decode(std::uint64_t index) const {
-    std::vector<CoinId> assignment(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      assignment[i] = CoinId(static_cast<std::uint32_t>(index % coins_));
+    std::vector<std::uint32_t> digits(system_->num_miners());
+    for (std::uint32_t& digit : digits) {
+      digit = static_cast<std::uint32_t>(index % coins_);
       index /= coins_;
     }
-    return Configuration(game_.system_ptr(), std::move(assignment));
+    return materialize_configuration(system_, digits);
   }
 
  private:
-  const Game& game_;
-  std::size_t n_;
+  std::shared_ptr<const System> system_;
   std::uint32_t coins_;
-  std::uint64_t total_ = 0;
+  std::uint64_t total_;
 };
 
 /// Memoized longest-path evaluator over the improvement DAG (iterative

@@ -44,43 +44,21 @@ std::optional<CoinId> never_alone_violation_at(const Game& game,
 
 namespace {
 
-/// `never_alone_violation_at` on the i128 comparator path: no `Rational`
-/// temporaries, first-improving early exit per candidate coin.
-std::optional<CoinId> never_alone_violation_fast(const Game& game,
-                                                 const MoveComparator& cmp,
-                                                 const Configuration& s) {
-  const std::uint32_t coins = static_cast<std::uint32_t>(game.num_coins());
-  const std::uint32_t n = static_cast<std::uint32_t>(game.num_miners());
+/// `never_alone_violation_at` on the walk state: the first coin with at
+/// most one miner that no miner allowed on it gains by joining.
+std::optional<CoinId> walk_never_alone_violation(const MoveComparator& cmp,
+                                                 const WalkState& st) {
+  const std::uint32_t coins = st.num_coins();
+  const std::size_t n = st.num_miners();
   for (std::uint32_t c = 0; c < coins; ++c) {
-    const CoinId coin(c);
-    if (s.population(coin) > 1) continue;
-    bool someone_wants_in = false;
-    for (std::uint32_t p = 0; p < n && !someone_wants_in; ++p) {
-      const MinerId miner(p);
-      if (s.of(miner) == coin) continue;
-      if (!game.can_mine(miner, coin)) continue;
-      if (cmp.improves(s, miner, coin)) someone_wants_in = true;
-    }
-    if (!someone_wants_in) return coin;
-  }
-  return std::nullopt;
-}
-
-/// `never_alone_violation_at` on the raw integer walk state.
-std::optional<CoinId> integer_never_alone_violation(const IntegerGameView& view,
-                                                    const IntegerWalkState& st) {
-  const std::size_t n = view.power.size();
-  const std::uint32_t coins = static_cast<std::uint32_t>(view.reward.size());
-  for (std::uint32_t c = 0; c < coins; ++c) {
-    if (st.population[c] > 1) continue;
+    if (st.population(c) > 1) continue;
     bool someone_wants_in = false;
     for (std::size_t p = 0; p < n && !someone_wants_in; ++p) {
-      const std::uint32_t here = st.digits[p];
+      const std::uint32_t here = st.digits()[p];
       if (here == c) continue;
-      if (compare_positive_fractions(view.reward[c], st.mass[c] + view.power[p],
-                                     view.reward[here], st.mass[here]) > 0) {
-        someone_wants_in = true;
-      }
+      someone_wants_in = cmp.gains(st.power(p), CoinId(here), st.mass(here),
+                                   CoinId(c), st.mass(c)) &&
+                         st.may_mine(p, c);
     }
     if (!someone_wants_in) return CoinId(c);
   }
@@ -101,55 +79,22 @@ std::optional<NeverAloneViolation> find_never_alone_violation(
   // abort; shards below i always finish, so the reported witness is the
   // first violating canonical configuration regardless of thread count.
   std::atomic<std::size_t> found_shard{SIZE_MAX};
-  const auto record = [&](std::optional<NeverAloneViolation>& witness,
-                          NeverAloneViolation violation, std::size_t shard) {
-    witness = std::move(violation);
-    atomic_store_min(found_shard, shard);
-  };
 
   const EnumerationPlan plan = plan_enumeration(game.system(), classes, opts);
-  const auto no_witness = [](std::size_t) {
-    return std::optional<NeverAloneViolation>();
-  };
-  std::vector<std::optional<NeverAloneViolation>> states;
-  if (cmp.integer_mode() && game.access().is_unrestricted()) {
-    const IntegerGameView view = integer_game_view(game);
-    states = enumerate_planned(
-        plan, classes, game.num_coins(), opts,
-        [&](const std::vector<std::uint32_t>& start) {
-          return integer_walk_state(view, start);
-        },
-        no_witness,
-        [&](std::optional<NeverAloneViolation>& witness, const IntegerWalkState& st,
-            std::size_t shard) {
-          if (found_shard.load(std::memory_order_relaxed) < shard) return false;
-          if (const auto coin = integer_never_alone_violation(view, st)) {
-            record(witness,
-                   NeverAloneViolation{
-                       materialize_configuration(game.system_ptr(), st.digits),
-                       *coin},
-                   shard);
-            return false;
-          }
-          return true;
-        });
-  } else {
-    states = enumerate_planned(
-        plan, classes, game.num_coins(), opts,
-        [&](const std::vector<std::uint32_t>& start) {
-          return materialize_configuration(game.system_ptr(), start);
-        },
-        no_witness,
-        [&](std::optional<NeverAloneViolation>& witness, const Configuration& s,
-            std::size_t shard) {
-          if (found_shard.load(std::memory_order_relaxed) < shard) return false;
-          if (const auto coin = never_alone_violation_fast(game, cmp, s)) {
-            record(witness, NeverAloneViolation{s, *coin}, shard);
-            return false;
-          }
-          return true;
-        });
-  }
+  auto states = enumerate_planned(
+      game, plan, classes, opts,
+      [](std::size_t) { return std::optional<NeverAloneViolation>(); },
+      [&](std::optional<NeverAloneViolation>& witness, const WalkState& st,
+          std::size_t shard) {
+        if (found_shard.load(std::memory_order_relaxed) < shard) return false;
+        if (const auto coin = walk_never_alone_violation(cmp, st)) {
+          witness = NeverAloneViolation{
+              materialize_configuration(game.system_ptr(), st.digits()), *coin};
+          atomic_store_min(found_shard, shard);
+          return false;
+        }
+        return true;
+      });
   for (auto& witness : states) {
     if (witness.has_value()) return witness;
   }

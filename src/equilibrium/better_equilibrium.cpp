@@ -26,11 +26,7 @@ std::pair<Configuration, Configuration> lemma2_two_configurations(const Game& ga
   GOC_CHECK_ARG(system.num_coins() >= 2, "lemma 2 needs at least two coins");
 
   // Miners in non-increasing power order (stable on id).
-  std::vector<std::size_t> order(system.num_miners());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return system.powers()[a] > system.powers()[b];
-  });
+  const std::vector<MinerId>& order = system.power_order();
 
   // The two heaviest coins (stable on id).
   std::vector<std::uint32_t> coin_order(system.num_coins());
@@ -48,9 +44,9 @@ std::pair<Configuration, Configuration> lemma2_two_configurations(const Game& ga
   std::vector<Rational> mass_b(system.num_coins(), Rational(0));
 
   const auto place = [&](std::vector<CoinId>& assign, std::vector<Rational>& mass,
-                         std::size_t miner_idx, CoinId coin) {
-    assign[miner_idx] = coin;
-    mass[coin.value] += system.powers()[miner_idx];
+                         MinerId miner, CoinId coin) {
+    assign[miner.value] = coin;
+    mass[coin.value] += system.powers()[miner.value];
   };
 
   // s²₁ = ⟨c1, c2⟩ and s²₂ = ⟨c2, c1⟩ over the two largest miners.
@@ -61,7 +57,7 @@ std::pair<Configuration, Configuration> lemma2_two_configurations(const Game& ga
 
   // Claim 5: greedy insertion keeps everyone already placed stable.
   for (std::size_t k = 2; k < order.size(); ++k) {
-    const Rational& m = system.powers()[order[k]];
+    const Rational& m = system.powers()[order[k].value];
     place(assign_a, mass_a, order[k], best_insertion_coin(game.rewards(), mass_a, m));
     place(assign_b, mass_b, order[k], best_insertion_coin(game.rewards(), mass_b, m));
   }

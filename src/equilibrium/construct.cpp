@@ -1,8 +1,5 @@
 #include "equilibrium/construct.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/assert.hpp"
 
 namespace goc {
@@ -34,18 +31,12 @@ Configuration greedy_equilibrium(const Game& game) {
   GOC_CHECK_ARG(game.access().is_unrestricted(),
                 "greedy_equilibrium requires the unrestricted access policy");
   const System& system = game.system();
-  std::vector<std::size_t> order(system.num_miners());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return system.powers()[a] > system.powers()[b];
-  });
-
   std::vector<Rational> masses(system.num_coins(), Rational(0));
   std::vector<CoinId> assignment(system.num_miners());
-  for (const std::size_t idx : order) {
-    const Rational& m = system.powers()[idx];
+  for (const MinerId p : system.power_order()) {
+    const Rational& m = system.powers()[p.value];
     const CoinId c = best_insertion_coin(game.rewards(), masses, m);
-    assignment[idx] = c;
+    assignment[p.value] = c;
     masses[c.value] += m;
   }
   return Configuration(game.system_ptr(), std::move(assignment));

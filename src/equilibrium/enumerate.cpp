@@ -19,29 +19,27 @@ std::uint64_t CanonicalEquilibria::total() const {
 
 namespace {
 
-/// `is_equilibrium` on the raw integer walk state: p improves by moving to
-/// c iff F(c)/(M_c + m_p) > F(s.p)/M_{s.p} — cross-multiplied, first
-/// improving miner exits.
-bool integer_equilibrium(const IntegerGameView& view, const IntegerWalkState& st) {
-  const std::size_t n = view.power.size();
-  const std::uint32_t coins = static_cast<std::uint32_t>(view.reward.size());
+/// `respects_access && is_equilibrium` on the walk state: no miner gains
+/// by moving to another coin it may mine, and every miner sits on a coin
+/// it may mine. First improving miner exits.
+bool walk_equilibrium(const MoveComparator& cmp, const WalkState& st) {
+  const std::uint32_t coins = st.num_coins();
   // Highest miner id first: generators emit powers sorted descending, and
   // small miners improve most easily, so this exits earliest on average
   // (the boolean is order-independent either way).
-  for (std::size_t p = n; p-- > 0;) {
-    const std::uint32_t here = st.digits[p];
-    const i128 mp = view.power[p];
-    const i128 n_here = view.reward[here];
-    const i128 d_here = st.mass[here];
+  for (std::size_t p = st.num_miners(); p-- > 0;) {
+    const std::uint32_t here = st.digits()[p];
+    const i128 mp = st.power(p);
+    const i128 m_here = st.mass(here);
     for (std::uint32_t c = 0; c < coins; ++c) {
-      if (c == here) continue;
-      if (compare_positive_fractions(view.reward[c], st.mass[c] + mp, n_here,
-                                     d_here) > 0) {
+      // Access is read only for a gaining coin: gains are rare.
+      if (c != here && cmp.gains(mp, CoinId(here), m_here, CoinId(c), st.mass(c)) &&
+          st.may_mine(p, c)) {
         return false;
       }
     }
   }
-  return true;
+  return st.access_violations() == 0;
 }
 
 /// Shared core: both public entry points compute the class partition once
@@ -56,41 +54,15 @@ CanonicalEquilibria enumerate_canonical_with(const Game& game,
   const MoveComparator cmp(game);
 
   const EnumerationPlan plan = plan_enumeration(game.system(), classes, opts);
-  std::vector<std::vector<Configuration>> found_per_shard;
-  if (cmp.integer_mode() && game.access().is_unrestricted()) {
-    // Integer walk state: raw-i128 masses, materialize hits only.
-    const IntegerGameView view = integer_game_view(game);
-    found_per_shard = enumerate_planned(
-        plan, classes, game.num_coins(), opts,
-        [&](const std::vector<std::uint32_t>& start) {
-          return integer_walk_state(view, start);
-        },
-        [](std::size_t) { return std::vector<Configuration>(); },
-        [&](std::vector<Configuration>& found, const IntegerWalkState& st,
-            std::size_t) {
-          if (integer_equilibrium(view, st)) {
-            found.push_back(materialize_configuration(game.system_ptr(), st.digits));
-          }
-          return true;
-        });
-  } else {
-    struct ShardState {
-      AccessTracker tracker;
-      std::vector<Configuration> found;
-    };
-    auto states = enumerate_planned(
-        plan, classes, game.num_coins(), opts,
-        [&](const std::vector<std::uint32_t>& start) {
-          return materialize_configuration(game.system_ptr(), start);
-        },
-        [&](std::size_t) { return ShardState{AccessTracker(game), {}}; },
-        [&](ShardState& st, const Configuration& s, std::size_t) {
-          if (st.tracker.respects(s) && cmp.equilibrium(s)) st.found.push_back(s);
-          return true;
-        });
-    found_per_shard.reserve(states.size());
-    for (auto& st : states) found_per_shard.push_back(std::move(st.found));
-  }
+  auto found_per_shard = enumerate_planned(
+      game, plan, classes, opts,
+      [](std::size_t) { return std::vector<Configuration>(); },
+      [&](std::vector<Configuration>& found, const WalkState& st, std::size_t) {
+        if (walk_equilibrium(cmp, st)) {
+          found.push_back(materialize_configuration(game.system_ptr(), st.digits()));
+        }
+        return true;
+      });
 
   CanonicalEquilibria out;
   for (auto& found : found_per_shard) {

@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 
-#include "core/move_compare.hpp"
 #include "util/assert.hpp"
 #include "util/int128.hpp"
 
@@ -66,55 +65,54 @@ void visit_four_cycles_scan(const Game& game, std::uint64_t max_bases,
       });
 }
 
-/// The engine's in-place cycle walker. Mirrors the shard's advancing base
-/// into a scratch configuration (one O(1) move per odometer step via the
-/// move-epoch hook) and walks each 4-cycle s1→s2→s3→s4 with four O(1)
-/// moves — no configuration copies, payoffs read straight off the
-/// incrementally-maintained masses (i128 numerators in integer games).
+/// The engine's in-place cycle walker: walks each 4-cycle
+/// s1→s2→s3→s4 rooted at a base with four O(1) hops on a copy of the walk
+/// state — no configuration copies. Payoffs come from `payoff_formula` on
+/// the scaled integer power and mass: the scale cancels from m_p/M_c, so
+/// they are exact in the original units.
 class CycleScanner {
  public:
   explicit CycleScanner(const Game& game)
-      : game_(&game), integer_mode_(MoveComparator(game).integer_mode()) {}
+      : rewards_(&game.rewards()), s_(game) {}
 
   /// Invokes `on(p, a', q, b', cycle_sum)` for every 4-cycle rooted at
-  /// `base`, in (p, q, a', b') order; `on` returns false to abort (the
-  /// scratch is restored to `base` first). Returns false iff aborted.
+  /// `base`, in (p, q, a', b') order; `on` returns false to abort.
+  /// Returns false iff aborted.
   template <typename OnCycle>
-  bool scan(const Configuration& base, OnCycle&& on) {
-    sync(base);
-    Configuration& s = *scratch_;
-    const std::uint32_t n = static_cast<std::uint32_t>(s.num_miners());
-    const std::uint32_t coins = static_cast<std::uint32_t>(s.num_coins());
-    for (std::uint32_t pi = 0; pi < n; ++pi) {
-      for (std::uint32_t qi = pi + 1; qi < n; ++qi) {
-        const MinerId p(pi), q(qi);
-        const CoinId a = s.of(p);
-        const CoinId b = s.of(q);
+  bool scan(const WalkState& base, OnCycle&& on) {
+    s_ = base;
+    WalkState& s = s_;
+    const std::size_t n = s.num_miners();
+    const std::uint32_t coins = s.num_coins();
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const std::uint32_t a = s.digits()[p];
+        const std::uint32_t b = s.digits()[q];
         const Rational up_s1 = payoff_at(s, p);
         const Rational uq_s1 = payoff_at(s, q);
         for (std::uint32_t ap = 0; ap < coins; ++ap) {
-          if (CoinId(ap) == a) continue;
-          s.move(p, CoinId(ap));  // s2 = (s1_{-p}, a')
+          if (ap == a) continue;
+          s.hop(p, a, ap);  // s2 = (s1_{-p}, a')
           const Rational up_s2 = payoff_at(s, p);
           const Rational uq_s2 = payoff_at(s, q);
           for (std::uint32_t bp = 0; bp < coins; ++bp) {
-            if (CoinId(bp) == b) continue;
-            s.move(q, CoinId(bp));  // s3 = (s2_{-q}, b')
+            if (bp == b) continue;
+            s.hop(q, b, bp);  // s3 = (s2_{-q}, b')
             const Rational uq_s3 = payoff_at(s, q);
             const Rational up_s3 = payoff_at(s, p);
-            s.move(p, a);  // s4 = (s3_{-p}, a)
+            s.hop(p, ap, a);  // s4 = (s3_{-p}, a)
             const Rational up_s4 = payoff_at(s, p);
             const Rational uq_s4 = payoff_at(s, q);
             const Rational sum = (up_s2 - up_s1) + (uq_s3 - uq_s2) +
                                  (up_s4 - up_s3) + (uq_s1 - uq_s4);
-            if (!on(p, CoinId(ap), q, CoinId(bp), sum)) {
-              s.move(q, b);  // s4 with q back on b == base
+            if (!on(MinerId(static_cast<std::uint32_t>(p)), CoinId(ap),
+                    MinerId(static_cast<std::uint32_t>(q)), CoinId(bp), sum)) {
               return false;
             }
-            s.move(p, CoinId(ap));  // back to s3
-            s.move(q, b);           // back to s2
+            s.hop(p, a, ap);  // back to s3
+            s.hop(q, bp, b);  // back to s2
           }
-          s.move(p, a);  // back to base
+          s.hop(p, ap, a);  // back to base
         }
       }
     }
@@ -122,38 +120,17 @@ class CycleScanner {
   }
 
  private:
-  void sync(const Configuration& base) {
-    if (scratch_.has_value() && tracked_ == &base) {
-      if (base.move_epoch() == seen_epoch_ + 1) {
-        scratch_->move(base.last_delta().miner, base.last_delta().to);
-      } else if (base.move_epoch() != seen_epoch_) {
-        scratch_ = base;
-      }
-    } else {
-      scratch_ = base;
-    }
-    tracked_ = &base;
-    seen_epoch_ = base.move_epoch();
+  /// u_p(s) = m_p·F(s.p)/M_{s.p}(s).
+  Rational payoff_at(const WalkState& s, std::size_t p) const {
+    const std::uint32_t c = s.digits()[p];
+    return payoff_formula(Rational::from_parts(s.power(p), 1),
+                          (*rewards_)(CoinId(c)),
+                          Rational::from_parts(s.mass(c), 1), true)
+        .to_rational();
   }
 
-  /// u_p(s) = m_p·F(s.p)/M_{s.p}(s) — one multiply and one reduction in
-  /// integer mode instead of the generic rpu-then-scale path.
-  Rational payoff_at(const Configuration& s, MinerId p) const {
-    const CoinId c = s.of(p);
-    if (integer_mode_) {
-      return Rational::from_parts(
-          checked_mul(game_->system().power(p).numerator(),
-                      game_->rewards()(c).numerator()),
-          s.mass(c).numerator());
-    }
-    return game_->payoff(s, p);
-  }
-
-  const Game* game_;
-  bool integer_mode_;
-  std::optional<Configuration> scratch_;
-  const Configuration* tracked_ = nullptr;
-  std::uint64_t seen_epoch_ = 0;
+  const RewardFunction* rewards_;
+  WalkState s_;
 };
 
 /// Scheduling weight: cycles per base, so the serial cutoff compares like
@@ -182,10 +159,7 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle(
   };
   std::atomic<std::size_t> found_shard{SIZE_MAX};
   auto states = enumerate_planned(
-      plan, classes, game.num_coins(), opts,
-      [&](const std::vector<std::uint32_t>& start) {
-        return materialize_configuration(game.system_ptr(), start);
-      },
+      game, plan, classes, opts,
       [&](std::size_t i) {
         // The `max_bases` cap applies to the first canonical bases in
         // global rank order — a deterministic per-shard budget.
@@ -194,17 +168,19 @@ std::optional<FourCycleWitness> find_nonzero_four_cycle(
                           start >= max_bases ? 0 : max_bases - start,
                           std::nullopt};
       },
-      [&](ShardState& st, const Configuration& base, std::size_t shard) {
+      [&](ShardState& st, const WalkState& base, std::size_t shard) {
         if (st.budget == 0) return false;
         --st.budget;
         if (found_shard.load(std::memory_order_relaxed) < shard) return false;
         return st.scanner.scan(base, [&](MinerId p, CoinId ap, MinerId q,
                                          CoinId bp, const Rational& sum) {
           if (sum.is_zero()) return true;
-          const Configuration s2 = base.with_move(p, ap);
+          const Configuration s1 =
+              materialize_configuration(game.system_ptr(), base.digits());
+          const Configuration s2 = s1.with_move(p, ap);
           const Configuration s3 = s2.with_move(q, bp);
-          const Configuration s4 = s3.with_move(p, base.of(p));
-          st.witness = FourCycleWitness{base, s2, s3, s4, p, q, sum};
+          const Configuration s4 = s3.with_move(p, s1.of(p));
+          st.witness = FourCycleWitness{s1, s2, s3, s4, p, q, sum};
           atomic_store_min(found_shard, shard);
           return false;
         });
@@ -249,12 +225,8 @@ bool has_exact_potential(const Game& game, const EnumerationOptions& opts) {
       plan_enumeration(game.system(), classes, opts, cycles_per_base(game));
   std::atomic<bool> nonzero{false};
   enumerate_planned(
-      plan, classes, game.num_coins(), opts,
-      [&](const std::vector<std::uint32_t>& start) {
-        return materialize_configuration(game.system_ptr(), start);
-      },
-      [&](std::size_t) { return CycleScanner(game); },
-      [&](CycleScanner& scanner, const Configuration& base, std::size_t) {
+      game, plan, classes, opts, [&](std::size_t) { return CycleScanner(game); },
+      [&](CycleScanner& scanner, const WalkState& base, std::size_t) {
         if (nonzero.load(std::memory_order_relaxed)) return false;
         return scanner.scan(base, [&](MinerId, CoinId, MinerId, CoinId,
                                       const Rational& sum) {

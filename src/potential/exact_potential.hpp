@@ -42,7 +42,7 @@ Rational four_cycle_sum(const Game& game, const Configuration& s, MinerId p,
 /// Searches for a nonzero 4-cycle on the symmetry-reduced parallel engine:
 /// bases are canonical representatives (4-cycle sums are orbit-invariant,
 /// so a witness exists on a canonical base iff one exists at all), walked
-/// in place — per cycle, four O(1) `Configuration::move`s instead of three
+/// in place — per cycle, four O(1) `WalkState` hops instead of three
 /// full-configuration copies. `max_bases` bounds the number of canonical
 /// bases, applied to the first `max_bases` in canonical odometer order, so
 /// the result is deterministic at any `opts.threads`. Returns the first

@@ -36,24 +36,29 @@ void reject_unknown(const Cli& cli, const std::vector<std::string>& known) {
   throw std::invalid_argument(message);
 }
 
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', start);
+    std::string item = text.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!item.empty()) items.push_back(std::move(item));
+    if (comma == std::string::npos) return items;
+    start = comma + 1;
+  }
+}
+
 std::vector<std::size_t> parse_size_list(const std::string& text,
                                          const std::string& what) {
   std::vector<std::size_t> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item = text.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) {
-      const auto value = parse_u64(item);
-      if (!value) {
-        throw std::invalid_argument(what + " expects a comma-separated " +
-                                    "integer list, got '" + text + "'");
-      }
-      values.push_back(static_cast<std::size_t>(*value));
+  for (const std::string& item : split_list(text)) {
+    const auto value = parse_u64(item);
+    if (!value) {
+      throw std::invalid_argument(what + " expects a comma-separated " +
+                                  "integer list, got '" + text + "'");
     }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    values.push_back(static_cast<std::size_t>(*value));
   }
   return values;
 }

@@ -33,6 +33,10 @@ Cli cli_from_tokens(const std::string& program,
 /// binaries' `Cli::unknown` checks.
 void reject_unknown(const Cli& cli, const std::vector<std::string>& known);
 
+/// The non-empty items of a comma-separated list ("a,,b" → {a, b});
+/// empty string → empty vector.
+std::vector<std::string> split_list(const std::string& text);
+
 /// Comma-separated u64 list ("16,64,256"); empty string → empty vector.
 std::vector<std::size_t> parse_size_list(const std::string& text,
                                          const std::string& what);

@@ -194,30 +194,16 @@ JobTable::Work Server::make_sweep_work(const Cli& cli) {
   engine::SweepSpec spec;
   spec.miner_counts = parse_size_list(cli.get_string("miners", ""), "--miners");
   spec.coin_counts = parse_size_list(cli.get_string("coins", ""), "--coins");
-  const auto split_names = [](const std::string& text) {
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    while (start <= text.size() && !text.empty()) {
-      const std::size_t comma = text.find(',', start);
-      const std::string item =
-          text.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      if (!item.empty()) items.push_back(item);
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    return items;
-  };
   for (const std::string& name :
-       split_names(cli.get_string("power-shapes", ""))) {
+       split_list(cli.get_string("power-shapes", ""))) {
     spec.power_shapes.push_back(power_shape_from_name(name));
   }
   for (const std::string& name :
-       split_names(cli.get_string("reward-shapes", ""))) {
+       split_list(cli.get_string("reward-shapes", ""))) {
     spec.reward_shapes.push_back(reward_shape_from_name(name));
   }
   for (const std::string& name :
-       split_names(cli.get_string("schedulers", ""))) {
+       split_list(cli.get_string("schedulers", ""))) {
     spec.scheduler_kinds.push_back(scheduler_kind_from_name(name));
   }
   spec.trials = cli.get_u64("trials", spec.trials);

@@ -128,6 +128,24 @@ Fraction subtract_overflowed(const Fraction& a, const Fraction& b) {
 
 }  // namespace detail
 
+bool scale_to_integers(const std::vector<Rational>& values,
+                       std::vector<i128>& scaled, i128& scale) {
+  scale = 1;
+  for (const Rational& v : values) {
+    const i128 q = v.denominator();
+    const i128 g = static_cast<i128>(gcd128(uabs128(scale), uabs128(q)));
+    if (mul_overflow(scale / g, q, &scale)) return false;
+  }
+  scaled.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (mul_overflow(values[i].numerator(), scale / values[i].denominator(),
+                     &scaled[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::strong_ordering Rational::operator<=>(const Rational& other) const noexcept {
   return Fraction{num_, den_} <=> Fraction{other.num_, other.den_};
 }

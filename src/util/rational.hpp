@@ -5,6 +5,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/int128.hpp"
@@ -193,6 +194,14 @@ inline Fraction operator-(const Fraction& a, const Fraction& b) {
   }
   return detail::subtract_overflowed(a, b);
 }
+
+/// Scales `values` to integers by their common denominator
+/// L = lcm(den(values)): `scaled[i] = values[i]·L` and `scale = L`.
+/// `scaled` is resized, so a presized vector is refilled without
+/// allocating. Returns false, leaving both unspecified, when L or a scaled
+/// value overflows i128.
+bool scale_to_integers(const std::vector<Rational>& values,
+                       std::vector<i128>& scaled, i128& scale);
 
 }  // namespace goc
 

@@ -378,7 +378,7 @@ TEST(MoveComparator, AgreesWithPayoffOrderOnRandomConfigurations) {
   for (int trial = 0; trial < 10; ++trial) {
     const Game g = random_integer_game(rng);
     const MoveComparator cmp(g);
-    EXPECT_TRUE(cmp.integer_mode());
+    EXPECT_TRUE(cmp.fast_mode());
     const Configuration s = random_configuration(g, rng);
     for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
       const MinerId miner(p);
@@ -396,7 +396,7 @@ TEST(MoveComparator, AgreesWithPayoffOrderOnRandomConfigurations) {
 TEST(MoveComparator, ExactModeForNonIntegerGames) {
   const Game g = rational_game();
   const MoveComparator cmp(g);
-  EXPECT_FALSE(cmp.integer_mode());
+  EXPECT_FALSE(cmp.fast_mode());
   Rng rng(7);
   const Configuration s = random_configuration(g, rng);
   for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
@@ -412,15 +412,13 @@ TEST(MoveComparator, ExactModeForNonIntegerGames) {
 }
 
 TEST(MoveComparator, FastModeForCommonDenominatorRewards) {
-  // Non-integer rewards over integer powers: integer_mode stays off (the
-  // enumeration/potential layers rely on its strict all-integers meaning)
-  // but the rescaled-numerator path still applies — this is the market
-  // epoch engine's workload, whose weights are from_double quantizations.
+  // Non-integer rewards over integer powers: the rescaled-numerator path
+  // applies — this is the market epoch engine's workload, whose weights
+  // are from_double quantizations.
   const Game g(System::from_integer_powers({5, 9, 2, 14}, 3),
                RewardFunction({Rational(7, 4), Rational(3, 2),
                                Rational::from_double(0.371, 1 << 20)}));
   const MoveComparator cmp(g);
-  EXPECT_FALSE(cmp.integer_mode());
   EXPECT_TRUE(cmp.fast_mode());
   Rng rng(19);
   const Configuration s = random_configuration(g, rng);
@@ -444,10 +442,10 @@ TEST(MoveComparator, RefreshTracksReweightedRewards) {
   Game g = random_integer_game(rng);
   const Configuration s = random_configuration(g, rng);
   MoveComparator cmp(g);
-  EXPECT_TRUE(cmp.integer_mode());
+  EXPECT_TRUE(cmp.fast_mode());
   // Swing through fractional weights and back to integers; after every
   // reweight+refresh the comparator must agree with the exact payoff
-  // order and report the right mode.
+  // order and stay on the fast path.
   std::vector<Rational> weights(g.num_coins());
   for (int round = 0; round < 4; ++round) {
     for (std::size_t c = 0; c < weights.size(); ++c) {
@@ -459,7 +457,6 @@ TEST(MoveComparator, RefreshTracksReweightedRewards) {
     }
     g.reweight(weights);
     cmp.refresh();
-    EXPECT_EQ(cmp.integer_mode(), round % 2 != 0);
     EXPECT_TRUE(cmp.fast_mode());
     for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
       const MinerId miner(p);

@@ -110,27 +110,27 @@ std::vector<std::vector<CoinId>> canonical_oracle(
   return out;
 }
 
-/// The engine walk over one rank range on a `Configuration` walk state.
-std::vector<std::vector<CoinId>> walk_range(
-    const std::shared_ptr<const System>& system, const SymmetryClasses& classes,
-    const std::vector<std::uint32_t>& start, std::uint64_t count) {
+/// The engine walk over one rank range, starting a fresh walk state at
+/// `start`.
+std::vector<std::vector<CoinId>> walk_range(const Game& g,
+                                            const SymmetryClasses& classes,
+                                            const std::vector<std::uint32_t>& start,
+                                            std::uint64_t count) {
   std::vector<std::vector<CoinId>> out;
-  Configuration state = materialize_configuration(system, start);
-  walk_canonical_range(state, classes,
-                       static_cast<std::uint32_t>(system->num_coins()), start,
-                       count, [&](const Configuration& s) {
-                         out.push_back(s.assignment());
-                         return true;
-                       });
+  WalkState state(g);
+  state.reset(start);
+  walk_canonical_range(state, classes, count, [&](const WalkState& st) {
+    out.push_back(materialize_configuration(g.system_ptr(), st.digits()).assignment());
+    return true;
+  });
   return out;
 }
 
 /// The engine walk over the whole canonical space.
-std::vector<std::vector<CoinId>> walk_all(const std::shared_ptr<const System>& system,
+std::vector<std::vector<CoinId>> walk_all(const Game& g,
                                           const SymmetryClasses& classes) {
-  return walk_range(system, classes,
-                    std::vector<std::uint32_t>(system->num_miners(), 0),
-                    canonical_count(*system, classes).value());
+  return walk_range(g, classes, std::vector<std::uint32_t>(g.num_miners(), 0),
+                    canonical_count(g.system(), classes).value());
 }
 
 // ------------------------------------------------------------ classes
@@ -183,21 +183,21 @@ TEST(SymmetryClasses, CanonicalCountMatchesWalk) {
 // ------------------------------------------------------------ the walk
 
 TEST(CanonicalWalk, MatchesLegacyOrderWithoutSymmetry) {
-  auto system = std::make_shared<const System>(
-      System::from_integer_powers({2, 2, 1}, 3));
+  const Game g(System::from_integer_powers({2, 2, 1}, 3),
+               RewardFunction::from_integers({1, 1, 1}));
   std::vector<std::vector<CoinId>> legacy;
-  for_each_configuration(system, 100, [&](const Configuration& s) {
+  for_each_configuration(g.system_ptr(), 100, [&](const Configuration& s) {
     legacy.push_back(s.assignment());
     return true;
   });
-  EXPECT_EQ(walk_all(system, singleton_classes(3)), legacy);
+  EXPECT_EQ(walk_all(g, singleton_classes(3)), legacy);
 }
 
 TEST(CanonicalWalk, VisitsExactlyTheCanonicalRepresentatives) {
   Game g(System::from_integer_powers({2, 2, 2, 9}, 3),
          RewardFunction::from_integers({4, 5, 6}));
   const SymmetryClasses classes = symmetry_classes(g);
-  std::vector<std::vector<CoinId>> seen = walk_all(g.system_ptr(), classes);
+  std::vector<std::vector<CoinId>> seen = walk_all(g, classes);
   EXPECT_EQ(seen, canonical_oracle(g.system_ptr(), classes));
   const auto count = canonical_count(g.system(), classes);
   ASSERT_TRUE(count.has_value());
@@ -225,8 +225,7 @@ void expect_plan_partitions(const Game& g, const SymmetryClasses& classes,
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < plan.sizes.size(); ++i) {
     EXPECT_EQ(plan.start_ranks[i], total) << "shard " << i;
-    const auto shard =
-        walk_range(g.system_ptr(), classes, plan.starts[i], plan.sizes[i]);
+    const auto shard = walk_range(g, classes, plan.starts[i], plan.sizes[i]);
     EXPECT_EQ(shard.size(), plan.sizes[i]) << "shard " << i;
     sharded.insert(sharded.end(), shard.begin(), shard.end());
     total += shard.size();
@@ -304,51 +303,61 @@ TEST(Orbits, SizesPartitionTheFullSpace) {
   EXPECT_EQ(covered, configuration_count(g.system()).value());
 }
 
-/// Both walk states behind one walk, so every hop reaches both.
-struct LockstepState {
-  Configuration config;
-  IntegerWalkState integer;
-};
-
-void apply_hop(LockstepState& st, std::size_t miner, std::uint32_t from,
-               std::uint32_t to) {
-  apply_hop(st.config, miner, from, to);
-  apply_hop(st.integer, miner, from, to);
+/// The restricted-access shapes: the split-access golden game and a
+/// per-miner matrix where every miner is barred from some coin.
+std::vector<Game> restricted_games() {
+  std::vector<Game> games;
+  games.push_back(golden_games()[4]);
+  AccessPolicy access({{true, false, true},
+                       {true, true, false},
+                       {false, true, true},
+                       {true, true, true}});
+  games.push_back(Game(System::from_integer_powers({4, 3, 2, 1}, 3),
+                       RewardFunction::from_integers({5, 6, 7}), access));
+  return games;
 }
 
-TEST(WalkStates, IntegerStateMatchesConfigurationInLockstep) {
-  const Game g(System::from_integer_powers({5, 2, 2, 2, 1, 1}, 3),
-               RewardFunction::from_integers({100, 40, 1}));
-  const IntegerGameView view = integer_game_view(g);
-  const std::uint32_t coins = static_cast<std::uint32_t>(g.num_coins());
-  for (const SymmetryClasses& classes :
-       {symmetry_classes(g), singleton_classes(g.num_miners())}) {
-    const ShardPlan plan = plan_shards(g.system(), classes, 8);
-    ASSERT_GE(plan.sizes.size(), 8u);
-    std::uint64_t steps = 0;
-    for (std::size_t i = 0; i < plan.sizes.size(); ++i) {
-      LockstepState state{materialize_configuration(g.system_ptr(), plan.starts[i]),
-                          integer_walk_state(view, plan.starts[i])};
-      walk_canonical_range(
-          state, classes, coins, plan.starts[i], plan.sizes[i],
-          [&](const LockstepState& st) {
-            for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
-              EXPECT_EQ(st.integer.digits[p], st.config.of(MinerId(p)).value)
-                  << "step " << steps << " miner " << p;
-            }
-            for (std::uint32_t c = 0; c < coins; ++c) {
-              const CoinId coin(c);
-              EXPECT_TRUE(Rational::from_parts(st.integer.mass[c], 1) ==
-                          st.config.mass(coin))
-                  << "step " << steps << " coin " << c;
-              EXPECT_EQ(st.integer.population[c], st.config.population(coin))
-                  << "step " << steps << " coin " << c;
-            }
-            ++steps;
-            return true;
-          });
+TEST(WalkStates, MatchFreshConfigurationAtEveryStep) {
+  // The one walk state against a fresh `materialize_configuration` after
+  // every hop of a sharded walk: masses are the fresh masses times the
+  // power scale L_p, populations match, and the access count is the
+  // number of miners on a forbidden coin (zero iff `respects_access`).
+  std::vector<std::pair<Game, std::int64_t>> cases;  // game, L_p
+  for (Game& g : restricted_games()) cases.emplace_back(std::move(g), 1);
+  cases.emplace_back(golden_games()[5], 4);  // powers 1/2, 1/2, 3/4
+  for (const auto& [g, scale] : cases) {
+    for (const SymmetryClasses& classes :
+         {symmetry_classes(g), singleton_classes(g.num_miners())}) {
+      const ShardPlan plan = plan_shards(g.system(), classes, 4);
+      std::uint64_t steps = 0;
+      for (std::size_t i = 0; i < plan.sizes.size(); ++i) {
+        WalkState state(g);
+        state.reset(plan.starts[i]);
+        EXPECT_EQ(state.scale(), scale);
+        walk_canonical_range(state, classes, plan.sizes[i], [&](const WalkState& st) {
+          const Configuration fresh =
+              materialize_configuration(g.system_ptr(), st.digits());
+          for (std::uint32_t c = 0; c < g.num_coins(); ++c) {
+            const CoinId coin(c);
+            EXPECT_EQ(Rational::from_parts(st.mass(c), 1),
+                      fresh.mass(coin) * Rational(scale))
+                << "step " << steps << " coin " << c;
+            EXPECT_EQ(st.population(c), fresh.population(coin))
+                << "step " << steps << " coin " << c;
+          }
+          std::size_t forbidden = 0;
+          for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+            if (!g.can_mine(MinerId(p), fresh.of(MinerId(p)))) ++forbidden;
+          }
+          EXPECT_EQ(st.access_violations(), forbidden) << "step " << steps;
+          EXPECT_EQ(st.access_violations() == 0, g.respects_access(fresh))
+              << fresh.to_string();
+          ++steps;
+          return true;
+        });
+      }
+      EXPECT_EQ(steps, canonical_count(g.system(), classes).value());
     }
-    EXPECT_EQ(steps, canonical_count(g.system(), classes).value());
   }
 }
 
@@ -402,34 +411,167 @@ TEST(EnumerationEngine, RefusesHugeSpaces) {
   EXPECT_THROW(has_exact_potential(g), std::invalid_argument);
 }
 
-// ------------------------------------------------------------ comparator
+TEST(EnumerationEngine, OverflowingPowerScaleThrowsLikeTheScan) {
+  // Powers 1/D, (D−1)/D and 1/E with coprime D, E near 2^70 build a
+  // System (their total is 1 + 1/E), but their common denominator D·E
+  // overflows i128. The engine throws OverflowError before it walks; the
+  // scan throws it at its first move off coin 0, whose mass needs D·E.
+  const i128 d = (i128{1} << 70) + 1;
+  const i128 e = (i128{1} << 70) - 1;
+  const Game g(System({Rational::from_parts(1, d), Rational::from_parts(d - 1, d),
+                       Rational::from_parts(1, e)},
+                      2),
+               RewardFunction::from_integers({3, 2}));
+  EXPECT_THROW(enumerate_equilibria(g), OverflowError);
+  EXPECT_THROW(enumerate_equilibria_scan(g), OverflowError);
+  EXPECT_THROW(find_never_alone_violation(g), OverflowError);
+  EXPECT_THROW(find_never_alone_violation_scan(g), OverflowError);
+  EXPECT_THROW(has_exact_potential(g), OverflowError);
+  EXPECT_THROW(has_exact_potential_scan(g), OverflowError);
+}
 
-TEST(MoveComparatorChecks, EquilibriumAgreesWithScan) {
+// ------------------------------------------------------------ metamorphic
+
+Game scale_powers(const Game& g, const Rational& k) {
+  std::vector<Rational> powers;
+  for (const Rational& m : g.system().powers()) powers.push_back(m * k);
+  return Game(System(std::move(powers), g.num_coins()), g.rewards(), g.access());
+}
+
+Game scale_rewards(const Game& g, const Rational& k) {
+  std::vector<Rational> rewards;
+  for (const Rational& f : g.rewards().values()) rewards.push_back(f * k);
+  return Game(g.system_ptr(), RewardFunction(std::move(rewards)), g.access());
+}
+
+/// `g` with coin c renamed perm[c]; rewards and access columns follow.
+Game relabel_coins(const Game& g, const std::vector<std::uint32_t>& perm) {
+  std::vector<Rational> rewards(g.num_coins());
+  std::vector<std::vector<bool>> allowed(g.num_miners(),
+                                         std::vector<bool>(g.num_coins()));
+  for (std::uint32_t c = 0; c < g.num_coins(); ++c) {
+    rewards[perm[c]] = g.rewards()(CoinId(c));
+    for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+      allowed[p][perm[c]] = g.can_mine(MinerId(p), CoinId(c));
+    }
+  }
+  return Game(g.system_ptr(), RewardFunction(std::move(rewards)),
+              g.access().is_unrestricted() ? AccessPolicy()
+                                           : AccessPolicy(std::move(allowed)));
+}
+
+/// The assignments of `configs`, each coin mapped through `perm` (when
+/// given), sorted — the equilibrium *set*.
+std::vector<std::vector<CoinId>> assignment_set(
+    const std::vector<Configuration>& configs,
+    const std::vector<std::uint32_t>* perm = nullptr) {
+  std::vector<std::vector<CoinId>> out;
+  for (const Configuration& s : configs) {
+    std::vector<CoinId> a = s.assignment();
+    if (perm != nullptr) {
+      for (CoinId& c : a) c = CoinId((*perm)[c.value]);
+    }
+    out.push_back(std::move(a));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::vector<CoinId>> assignments(const std::vector<Configuration>& configs) {
+  std::vector<std::vector<CoinId>> out;
+  for (const Configuration& s : configs) out.push_back(s.assignment());
+  return out;
+}
+
+TEST(EngineMetamorphic, EquilibriaAreInvariantUnderScalingAndRelabelling) {
+  // Relations, each checked on every golden game at 1 and 4 threads with
+  // symmetry on and off:
+  //  (1) powers × 3/11: every payoff m_p·F/M is unchanged, since m_p and
+  //      M scale together; so the equilibrium list (in odometer order) and
+  //      the canonical representatives with their orbit sizes are
+  //      identical. The scaled powers are non-integers, so this runs the
+  //      scaled-power walk.
+  //  (2) rewards × 13/5: every payoff scales by 13/5 > 0, so every strict
+  //      comparison and hence the same lists are unchanged.
+  //  (3) coin relabelling c -> perm[c] (rewards and access columns move
+  //      with their coin): s is an equilibrium iff perm∘s is one, so the
+  //      equilibrium set maps through perm, and the canonical
+  //      representative count and the total are unchanged (classes depend
+  //      on powers and access rows, which the relabelling permutes alike).
+  const Rational power_factor(3, 11);
+  const Rational reward_factor(13, 5);
   for (const Game& g : golden_games()) {
-    const MoveComparator cmp(g);
-    std::size_t checked = 0;
-    for_each_configuration(g.system_ptr(), 1u << 12, [&](const Configuration& s) {
-      EXPECT_EQ(cmp.equilibrium(s), is_equilibrium(g, s)) << s.to_string();
-      for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
-        EXPECT_EQ(cmp.stable(s, MinerId(p)), is_stable(g, s, MinerId(p)));
+    std::vector<std::uint32_t> perm(g.num_coins());
+    for (std::uint32_t c = 0; c < perm.size(); ++c) {
+      perm[c] = (c + 1) % static_cast<std::uint32_t>(perm.size());
+    }
+    const Game powers = scale_powers(g, power_factor);
+    const Game rewards = scale_rewards(g, reward_factor);
+    const Game relabelled = relabel_coins(g, perm);
+    for (const std::size_t threads : {1, 4}) {
+      for (const bool symmetry : {true, false}) {
+        ParallelOpts po(threads, symmetry);
+        const EnumerationOptions& opts = po.opts;
+        const auto base = enumerate_equilibria(g, opts);
+        const auto base_canonical = enumerate_canonical_equilibria(g, opts);
+        for (const Game* variant : {&powers, &rewards}) {
+          EXPECT_EQ(assignments(enumerate_equilibria(*variant, opts)),
+                    assignments(base))
+              << variant->to_string() << " threads=" << threads;
+          const auto canonical = enumerate_canonical_equilibria(*variant, opts);
+          EXPECT_EQ(assignments(canonical.representatives),
+                    assignments(base_canonical.representatives));
+          EXPECT_EQ(canonical.orbit_sizes, base_canonical.orbit_sizes);
+        }
+        EXPECT_EQ(assignment_set(enumerate_equilibria(relabelled, opts)),
+                  assignment_set(base, &perm))
+            << relabelled.to_string() << " threads=" << threads;
+        const auto canonical = enumerate_canonical_equilibria(relabelled, opts);
+        EXPECT_EQ(canonical.representatives.size(),
+                  base_canonical.representatives.size());
+        EXPECT_EQ(canonical.total(), base_canonical.total());
       }
-      return ++checked < 200;  // spot-check a prefix of the space
-    });
+    }
   }
 }
 
-TEST(AccessTrackerTest, MatchesFromScratchScan) {
-  AccessPolicy access({{true, false, true},
-                       {true, true, false},
-                       {false, true, true},
-                       {true, true, true}});
-  Game g(System::from_integer_powers({4, 3, 2, 1}, 3),
-         RewardFunction::from_integers({5, 6, 7}), access);
-  AccessTracker tracker(g);
-  for_each_configuration(g.system_ptr(), 100, [&](const Configuration& s) {
-    EXPECT_EQ(tracker.respects(s), g.respects_access(s)) << s.to_string();
-    return true;
-  });
+// ------------------------------------------------------------ comparator
+
+TEST(MoveComparatorChecks, GainsAgreeWithScanOnTheWalkState) {
+  // `gains` on the walk state's scaled integers against the reference
+  // `is_better_response`, for every allowed move of every configuration.
+  // The last game's rewards 1/D, (D−1)/D, 1/E (coprime D, E near 2^70)
+  // sum to 1 + 1/E, but their common denominator D·E overflows i128, so
+  // it runs the exact `payoff_formula` fallback.
+  const i128 d = (i128{1} << 70) + 1;
+  const i128 e = (i128{1} << 70) - 1;
+  std::vector<Game> games = golden_games();
+  games.push_back(restricted_games()[1]);
+  games.push_back(Game(System::from_integer_powers({5, 3, 2}, 3),
+                       RewardFunction({Rational::from_parts(1, d),
+                                       Rational::from_parts(d - 1, d),
+                                       Rational::from_parts(1, e)})));
+  ASSERT_FALSE(MoveComparator(games.back()).fast_mode());
+  for (const Game& g : games) {
+    const MoveComparator cmp(g);
+    WalkState st(g);
+    for_each_configuration(g.system_ptr(), 1u << 12, [&](const Configuration& s) {
+      std::vector<std::uint32_t> digits;
+      for (const CoinId c : s.assignment()) digits.push_back(c.value);
+      st.reset(digits);
+      for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+        const std::uint32_t here = digits[p];
+        for (std::uint32_t c = 0; c < g.num_coins(); ++c) {
+          if (c == here || !st.may_mine(p, c)) continue;
+          EXPECT_EQ(cmp.gains(st.power(p), CoinId(here), st.mass(here), CoinId(c),
+                              st.mass(c)),
+                    is_better_response(g, s, MinerId(p), CoinId(c)))
+              << s.to_string() << " p" << p << " -> c" << c;
+        }
+      }
+      return true;
+    });
+  }
 }
 
 // ------------------------------------------------------------ assumptions
