@@ -25,7 +25,8 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace goc;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv, {"trials", "seed", "threads", "compare-scan"});
   const std::size_t trials = cli.get_u64("trials", 60);
   const std::uint64_t seed0 = cli.get_u64("seed", 5);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores

@@ -13,7 +13,9 @@
 /// dynamics. Part C exhibits what the abstraction hides: the EDA
 /// difficulty rule plus myopic profitability-chasers yields the 2017
 /// hashrate sawtooth (Figure 1b's fine structure), while game-semantics
-/// miners settle.
+/// miners settle. Exits 1 unless every Part B final split is a pure
+/// equilibrium of the game (`is_equilibrium`) and the game-semantics
+/// miners of Part C make no late share change.
 
 #include <algorithm>
 #include <cmath>
@@ -21,15 +23,18 @@
 #include "bench_common.hpp"
 #include "chain/chain_sim.hpp"
 #include "chain/difficulty.hpp"
+#include "core/moves.hpp"
 #include "sim/batch_cli.hpp"
 #include "sim/trajectory.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
 int run(int argc, char** argv) {
   using namespace goc;
   using namespace goc::chain;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv, {"seed", "quick", "adaptive"}, sim::batch_cli_names());
   const std::uint64_t seed0 = cli.get_u64("seed", 9);
   const bool quick = cli.get_bool("quick", false);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
@@ -115,38 +120,64 @@ int run(int argc, char** argv) {
               "share");
 
   // Part B: migration equilibrium from chain dynamics.
-  Table split({"weights", "predicted_heavy_share", "simulated_heavy_share"});
+  constexpr std::size_t kSplitMiners = 16;
+  std::size_t off_equilibrium = 0;
+  Table split({"weights", "equilibrium_heavy_share", "simulated_heavy_share"});
   for (const auto& [heavy, light] :
-       std::vector<std::pair<double, double>>{{30, 10}, {20, 20}, {50, 10}}) {
+       std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {30, 10}, {20, 20}, {50, 10}}) {
     const auto result = [&, heavy = heavy, light = light] {
       std::vector<ChainSpec> chains;
-      chains.push_back(
-          ChainSpec{"heavy", 600.0, 1.0 / 6.0, heavy,
-                    std::make_unique<FixedWindowRetarget>(10, 1.0 / 6.0)});
-      chains.push_back(
-          ChainSpec{"light", 600.0, 1.0 / 6.0, light,
-                    std::make_unique<FixedWindowRetarget>(10, 1.0 / 6.0)});
+      chains.push_back(ChainSpec{
+          "heavy", 600.0, 1.0 / 6.0, static_cast<double>(heavy),
+          std::make_unique<FixedWindowRetarget>(10, 1.0 / 6.0)});
+      chains.push_back(ChainSpec{
+          "light", 600.0, 1.0 / 6.0, static_cast<double>(light),
+          std::make_unique<FixedWindowRetarget>(10, 1.0 / 6.0)});
       ChainSimOptions opts;
       opts.duration_hours = 24.0 * 20;
       opts.policy = MinerPolicy::kBetterResponse;
       opts.reevaluation_fraction = 0.5;
       opts.seed = seed0 + 1;
-      std::vector<double> powers(16, 10.0);
+      std::vector<double> powers(kSplitMiners, 10.0);
       return MultiChainSimulator(std::move(powers), std::move(chains), opts)
           .run();
     }();
+    // The prediction is the paper's game on the same population. With
+    // equal powers a configuration is fixed up to relabelling by the count
+    // k of miners on the heavy coin, so the equilibria are the counts
+    // whose configuration passes `is_equilibrium`.
+    const Game game(System::from_integer_powers(
+                        std::vector<std::int64_t>(kSplitMiners, 10), 2),
+                    RewardFunction::from_integers({heavy, light}));
+    const auto equilibrium_at = [&](std::size_t k) {
+      std::vector<CoinId> assignment(kSplitMiners, CoinId(1));
+      std::fill_n(assignment.begin(), k, CoinId(0));
+      return is_equilibrium(
+          game, Configuration(game.system_ptr(), std::move(assignment)));
+    };
+    std::string predicted;
+    for (std::size_t k = 0; k <= kSplitMiners; ++k) {
+      if (!equilibrium_at(k)) continue;
+      if (!predicted.empty()) predicted += " or ";
+      predicted += fmt_double(
+          static_cast<double>(k) / static_cast<double>(kSplitMiners), 3);
+    }
     const auto& last = result.timeline.back();
     const double total = last.hashrate[0] + last.hashrate[1];
-    split.row() << (fmt_double(heavy, 0) + ":" + fmt_double(light, 0))
-                << fmt_double(heavy / (heavy + light), 3)
-                << fmt_double(last.hashrate[0] / total, 3);
+    const auto simulated_k =
+        static_cast<std::size_t>(std::lround(last.hashrate[0] / 10.0));
+    if (!equilibrium_at(simulated_k)) ++off_equilibrium;
+    split.row() << (std::to_string(heavy) + ":" + std::to_string(light))
+                << predicted << fmt_double(last.hashrate[0] / total, 3);
   }
   bench::emit(cli, split,
               "Part B — hashrate split at migration equilibrium "
-              "(theory: proportional to coin weights)",
+              "(theory: a pure equilibrium of the game)",
               "split");
 
   // Part C: EDA sawtooth vs game-semantics stability.
+  std::uint64_t game_late_changes = 0;
   Table churn({"policy", "migrations", "late_share_changes", "bch_share_sd%"});
   for (const MinerPolicy policy :
        {MinerPolicy::kMyopicDifficulty, MinerPolicy::kBetterResponse}) {
@@ -167,36 +198,36 @@ int run(int argc, char** argv) {
       return MultiChainSimulator(std::move(powers), std::move(chains), opts)
           .run();
     }();
-    std::size_t late_changes = 0;
-    double mean = 0.0, m2 = 0.0;
-    std::size_t count = 0;
+    std::uint64_t late_changes = 0;
+    RunningStats bch_share;
     for (std::size_t i = result.timeline.size() / 2;
          i < result.timeline.size(); ++i) {
       const auto& p = result.timeline[i];
-      const double bch_share = p.hashrate[1] / (p.hashrate[0] + p.hashrate[1]);
-      ++count;
-      const double delta = bch_share - mean;
-      mean += delta / static_cast<double>(count);
-      m2 += delta * (bch_share - mean);
+      bch_share.add(p.hashrate[1] / (p.hashrate[0] + p.hashrate[1]));
       if (i + 1 < result.timeline.size() &&
           std::fabs(result.timeline[i + 1].hashrate[1] - p.hashrate[1]) >
               1e-9) {
         ++late_changes;
       }
     }
-    const double sd =
-        count > 1 ? std::sqrt(m2 / static_cast<double>(count - 1)) : 0.0;
+    if (policy == MinerPolicy::kBetterResponse) {
+      game_late_changes = late_changes;
+    }
     churn.row() << (policy == MinerPolicy::kMyopicDifficulty
                         ? "myopic (reward/difficulty)"
                         : "game better-response")
-                << result.migrations << std::uint64_t(late_changes)
-                << fmt_double(100.0 * sd, 2);
+                << result.migrations << late_changes
+                << fmt_double(100.0 * bch_share.stddev(), 2);
   }
   bench::emit(cli, churn,
               "Part C — EDA sawtooth: myopic chasers churn forever, "
               "game-semantics miners settle",
               "churn");
-  return 0;
+  std::cout << "[Part B: " << off_equilibrium
+            << " final splits off equilibrium; Part C: game-semantics "
+               "late share changes "
+            << game_late_changes << "]\n";
+  return off_equilibrium == 0 && game_late_changes == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -26,6 +27,28 @@
 /// the same artifact as the timing rows.
 
 namespace goc::bench {
+
+/// Parses the command line and refuses any option outside `flags`, the
+/// optional `shared` list (e.g. `sim::batch_cli_names()` for a harness that
+/// calls `apply_batch_cli`) and `--csv`/`--json` (read by `emit`), and any
+/// positional argument (no harness takes one; `-quick` lands there): prints
+/// `unknown option(s): --x` and exits 2 before the harness does any work,
+/// so a mistyped flag never runs a whole experiment on defaults.
+inline Cli parse_cli(int argc, char** argv, std::vector<std::string> flags,
+                     const std::vector<std::string>& shared = {}) {
+  Cli cli(argc, argv);
+  flags.insert(flags.end(), shared.begin(), shared.end());
+  flags.insert(flags.end(), {"csv", "json"});
+  const std::vector<std::string> stray = cli.unknown(flags);
+  if (!stray.empty() || !cli.positional().empty()) {
+    std::cerr << cli.program() << ": unknown option(s):";
+    for (const auto& name : stray) std::cerr << " --" << name;
+    for (const auto& arg : cli.positional()) std::cerr << " " << arg;
+    std::cerr << "\n";
+    std::exit(2);
+  }
+  return cli;
+}
 
 /// Wall-clock stopwatch on the obs time base (`obs::now_ns` — the same
 /// steady clock every span and latency histogram uses, so bench timings

@@ -24,7 +24,9 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace goc;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(argc, argv,
+                                   {"trials", "seed", "quick", "threads",
+                                    "compare-serial", "compare-scan"});
   const std::size_t trials = cli.get_u64("trials", 10);
   const std::uint64_t seed0 = cli.get_u64("seed", 2021);
   const bool quick = cli.get_bool("quick", false);

@@ -172,22 +172,8 @@ TimedRun time_market(std::size_t epochs, std::uint64_t seed) {
 }
 
 int run(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  {
-    // Fail fast on typos (`--stop-maxx=64` silently running the full study
-    // is exactly the kind of wasted night this guards against).
-    std::vector<std::string> known = {"quick", "threads", "seed",
-                                      "adaptive", "csv", "json"};
-    const auto& batch = sim::batch_cli_names();
-    known.insert(known.end(), batch.begin(), batch.end());
-    const std::vector<std::string> stray = cli.unknown(known);
-    if (!stray.empty()) {
-      std::cerr << "bench_des: unknown option(s):";
-      for (const auto& name : stray) std::cerr << " --" << name;
-      std::cerr << "\n";
-      return 2;
-    }
-  }
+  const Cli cli = bench::parse_cli(argc, argv, {"quick", "seed", "adaptive"},
+                                   sim::batch_cli_names());
   const bool quick = cli.get_bool("quick", false);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
   const std::uint64_t seed0 = cli.get_u64("seed", 2017);

@@ -56,7 +56,8 @@ std::vector<Game> make_games(const GameSpec& spec, std::size_t trials,
 }
 
 int run(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv, {"quick", "trials", "seed", "threads", "compare-scan"});
   const bool quick = cli.has("quick");
   const std::size_t trials = cli.get_u64("trials", quick ? 3 : 10);
   const std::uint64_t seed0 = cli.get_u64("seed", 5);

@@ -5,7 +5,8 @@
 /// configurations, their payoffs, and the nonzero improvement sum around
 /// the deviation 4-cycle — then scans random games to show the obstruction
 /// is generic for unequal powers and vanishes for equal powers (where the
-/// game degenerates to a congestion game).
+/// game degenerates to a congestion game). Exits 1 unless the worked
+/// 4-cycle sum is nonzero and no equal-power game has an obstruction.
 ///
 /// The random scan runs on the sweep-engine treatment: the
 /// (family × trial) grid fans across a ThreadPool (`--threads`, 0 = all
@@ -23,7 +24,8 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace goc;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv, {"trials", "seed", "threads", "compare-scan"});
   const std::size_t trials = cli.get_u64("trials", 200);
   const std::uint64_t seed0 = cli.get_u64("seed", 4);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
@@ -83,11 +85,13 @@ int run(int argc, char** argv) {
   const double wall_ms = watch.elapsed_ms();
 
   Table scan({"family", "games", "with_obstruction", "fraction"});
+  std::size_t equal_obstructed = 0;  // the congestion-game family
   for (std::size_t f = 0; f < families.size(); ++f) {
     std::size_t with = 0;
     for (std::size_t t = 0; t < trials; ++t) {
       with += obstructed[f * trials + t];
     }
+    if (!families[f].second) equal_obstructed = with;
     scan.row() << families[f].first << std::uint64_t(trials)
                << std::uint64_t(with)
                << fmt_double(static_cast<double>(with) /
@@ -116,7 +120,7 @@ int run(int argc, char** argv) {
               << (identical ? "identical" : "MISMATCH") << "]\n";
     if (!identical) return 1;
   }
-  return cycle.is_zero() ? 1 : 0;
+  return cycle.is_zero() || equal_obstructed != 0 ? 1 : 0;
 }
 
 }  // namespace

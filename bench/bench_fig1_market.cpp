@@ -27,7 +27,11 @@ namespace {
 int run(int argc, char** argv) {
   using namespace goc;
   using namespace goc::market;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv,
+      {"days", "shock-day", "revert-day", "miners", "seed", "quick",
+       "adaptive", "epoch-lanes"},
+      sim::batch_cli_names());
   ForkFlipParams params;
   params.days = cli.get_double("days", 30.0);
   params.shock_day = cli.get_double("shock-day", 12.0);

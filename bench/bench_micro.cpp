@@ -69,7 +69,9 @@ PathRun run_path(const Game& game, const Configuration& start,
 }
 
 int run(int argc, char** argv) {
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv,
+      {"quick", "miners", "coins", "steps", "seed", "compare-scan"});
   const bool quick = cli.get_bool("quick", false);
   const std::size_t miners = cli.get_u64("miners", quick ? 200 : 1000);
   const std::size_t coins = cli.get_u64("coins", quick ? 6 : 10);

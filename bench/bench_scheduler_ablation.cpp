@@ -7,7 +7,8 @@
 /// powers, majors+tail rewards), and contrasts strict better-response
 /// dynamics with the noisy variants (ε-exploration, logit) the Discussion
 /// gestures at: noise trades convergence for perpetual churn, quantified
-/// by the fraction of time spent at equilibrium.
+/// by the fraction of time spent at equilibrium. Exits 1 unless every
+/// strict-rule run converges (Theorem 1).
 
 #include "bench_common.hpp"
 #include "core/generators.hpp"
@@ -20,7 +21,8 @@ namespace {
 
 int run(int argc, char** argv) {
   using namespace goc;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv, {"trials", "miners", "coins", "seed", "threads"});
   const std::size_t trials = cli.get_u64("trials", 15);
   const std::size_t n = cli.get_u64("miners", 200);
   const std::size_t coins = cli.get_u64("coins", 5);
@@ -59,7 +61,8 @@ int run(int argc, char** argv) {
   bench::emit(cli, sweep.to_table(), "Strict better-response rules", "strict");
   std::cout << "[" << sweep.records().size() << " scenarios on "
             << sweep.threads() << " lanes in "
-            << fmt_double(sweep.total_wall_ms(), 1) << " ms]\n\n";
+            << fmt_double(sweep.total_wall_ms(), 1) << " ms; all converged: "
+            << (sweep.all_converged() ? "yes" : "NO") << "]\n\n";
 
   // ε-equilibrium: how much of the convergence tail is negligible-gain
   // churn? Steps to reach a relative ε-equilibrium vs the exact one.
@@ -148,7 +151,7 @@ int run(int argc, char** argv) {
   bench::emit(cli, noisy,
               "Noisy dynamics (Discussion §6): equilibrium dwell time",
               "noisy");
-  return 0;
+  return sweep.all_converged() ? 0 : 1;
 }
 
 }  // namespace

@@ -16,11 +16,11 @@
 /// for the hardware before listing coins. An `AccessPolicy` records, per
 /// miner, which coins it may mine. The ordinal-potential argument of
 /// Theorem 1 only inspects the improving move itself, so *better-response
-/// learning still converges* under any access policy (exercised by tests
-/// and experiment E11); the greedy equilibrium construction of Appendix A,
-/// by contrast, genuinely needs symmetry (Claim 7 compares miners across
-/// the same action set), so restricted games obtain equilibria via
-/// learning instead.
+/// learning still converges* under any access policy (exercised by
+/// `RestrictedConvergence.*`); the greedy equilibrium construction of
+/// Appendix A, by contrast, genuinely needs symmetry (Claim 7 compares
+/// miners across the same action set), so restricted games obtain
+/// equilibria via learning instead.
 
 namespace goc {
 

@@ -8,7 +8,8 @@
 #include "dynamics/scheduler.hpp"
 
 /// \file naive.hpp
-/// Baseline manipulators, for the E8 comparison bench.
+/// Baseline manipulators, for the E8 comparison (`Naive.*` in
+/// tests/test_design.cpp).
 ///
 /// Section 5's algorithm looks heavyweight — n stages, one reward
 /// re-publication per mover. The obvious cheaper ideas fail precisely

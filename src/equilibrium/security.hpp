@@ -15,9 +15,10 @@
 /// dominant position in a coin, killing (at least for a while) the basic
 /// guarantee of non-manipulation (security) for that coin". This module
 /// quantifies domination and searches equilibria for attacker-favorable
-/// targets; experiment E12 combines it with the reward-design mechanism to
-/// measure how often an attacker can *provably park* the system in a state
-/// where it majority-controls a coin.
+/// targets. Combined with the reward-design mechanism it lets an attacker
+/// *provably park* the system in a state where it majority-controls a coin
+/// (`Security.*` in tests/test_extensions.cpp, `RewardDesignProperty.*` in
+/// tests/test_design.cpp).
 
 namespace goc {
 

@@ -14,7 +14,8 @@
 /// The bridge to the paper: a pool's *aggregate* behaves exactly like a
 /// miner of power Σh_i facing the expected-value payoff m·F/M — and the
 /// smaller each member's income variance, the better the expected-value
-/// model describes individual incentives too. E13 quantifies both.
+/// model describes individual incentives too. `PoolSim.*` in
+/// tests/test_pool.cpp checks both.
 
 namespace goc::pool {
 

@@ -27,8 +27,8 @@
 ///    over the last N shares regardless of round boundaries; hop-resistant.
 ///
 /// Shares are unit-difficulty: a share is a block with probability
-/// 1/shares_per_block. Experiment E13 (`bench_pool_schemes`) quantifies
-/// the variance reduction and hopping incentives.
+/// 1/shares_per_block. `PoolSim.*` and `Hopping.*` in tests/test_pool.cpp
+/// check the variance reduction and hopping incentives.
 
 namespace goc::pool {
 

@@ -52,9 +52,9 @@ struct CheckpointOptions {
 };
 
 /// Per-metric prefix-Welford state (count travels in the checkpoint's
-/// `completed`). Mean/m2 are byte-exact recomputable from the rows; they
-/// are stored anyway so `goc-replay info` can describe an artifact without
-/// re-running anything, and loads cross-check them against the rows.
+/// `completed`). Mean/m2 are byte-exact recomputable from the rows; only
+/// strict-mode `BatchCheckpoint::from_bytes` reads the stored copy, to
+/// cross-check it bit for bit (salvage mode ignores it).
 struct WelfordState {
   double mean = 0.0;
   double m2 = 0.0;

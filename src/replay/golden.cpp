@@ -24,9 +24,13 @@ constexpr const char* kGoldenKind = "golden-recording";
 // that scenario, so treat these like on-disk format: append new scenarios,
 // never edit existing ones.
 
-/// "chain": 12 heterogeneous miners racing a heavy/light chain pair under
-/// better-response migration, 240 simulated hours, full timeline on.
-chain::MultiChainSimulator make_chain_scenario(std::uint64_t seed) {
+/// 12 heterogeneous miners racing a heavy/light chain pair under
+/// better-response migration. The "chain" golden runs it for 240 simulated
+/// hours with the full timeline on; the crash-demo batch for 120 hours
+/// with the timeline off.
+chain::MultiChainSimulator make_heavy_light_chain(std::uint64_t seed,
+                                                 double hours,
+                                                 bool record_timeline) {
   std::vector<chain::ChainSpec> chains;
   chains.push_back(chain::ChainSpec{
       "heavy", 600.0, 1.0 / 6.0, 30.0,
@@ -39,9 +43,9 @@ chain::MultiChainSimulator make_chain_scenario(std::uint64_t seed) {
     powers.push_back(5.0 + static_cast<double>(i % 4) * 7.0);
   }
   chain::ChainSimOptions options;
-  options.duration_hours = 240.0;
+  options.duration_hours = hours;
   options.decision_interval_hours = 1.0;
-  options.record_timeline = true;
+  options.record_timeline = record_timeline;
   options.seed = seed;
   return chain::MultiChainSimulator(std::move(powers), std::move(chains),
                                     options);
@@ -87,7 +91,7 @@ void append_trajectory_hash(Writer& writer, std::size_t r, std::uint64_t hash) {
 
 void record_chain_replica(Writer& writer, std::size_t r, std::uint64_t seed,
                           std::size_t stride, std::uint64_t& rows_hash) {
-  chain::MultiChainSimulator sim = make_chain_scenario(seed);
+  chain::MultiChainSimulator sim = make_heavy_light_chain(seed, 240.0, true);
   const chain::ChainSimResult result = sim.run();
   append_row(writer, r, sim::chain_replica_metrics(result), rows_hash);
   append_trajectory_hash(writer, r, sim::chain_result_hash(result));
@@ -408,23 +412,7 @@ sim::TrajectoryBatchResult run_crash_demo_batch(
 
   return sim::run_chain_batch(
       [](std::uint64_t seed) {
-        std::vector<chain::ChainSpec> chains;
-        chains.push_back(chain::ChainSpec{
-            "heavy", 600.0, 1.0 / 6.0, 30.0,
-            std::make_unique<chain::FixedWindowRetarget>(72, 1.0 / 6.0)});
-        chains.push_back(chain::ChainSpec{
-            "light", 600.0, 1.0 / 6.0, 10.0,
-            std::make_unique<chain::FixedWindowRetarget>(72, 1.0 / 6.0)});
-        std::vector<double> powers;
-        for (std::size_t i = 0; i < 12; ++i) {
-          powers.push_back(5.0 + static_cast<double>(i % 4) * 7.0);
-        }
-        chain::ChainSimOptions sim_options;
-        sim_options.duration_hours = 120.0;
-        sim_options.record_timeline = false;
-        sim_options.seed = seed;
-        return chain::MultiChainSimulator(std::move(powers), std::move(chains),
-                                          sim_options);
+        return make_heavy_light_chain(seed, 120.0, false);
       },
       batch);
 }

@@ -355,24 +355,36 @@ TEST(Naive, SuccessFlagMatchesOutcome) {
 }
 
 TEST(Naive, FailsSomewhereAlgorithm2Succeeds) {
-  // Find a seed where the naive pump misses the target; Algorithm 2 must
-  // still succeed there. (Existence of such cases is the point of E8.)
-  bool found_naive_failure = false;
-  for (std::uint64_t seed = 1; seed <= 60 && !found_naive_failure; ++seed) {
+  // Find seeds where a naive pump misses the target; Algorithm 2 must
+  // still succeed there. (Existence of such cases for both naive methods
+  // is the point of E8.)
+  bool proportional_failed = false;
+  bool deficit_failed = false;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const auto fixture = make_fixture(seed);
     if (!fixture) continue;
     auto sched = make_scheduler(SchedulerKind::kRandomMiner, seed);
-    const auto naive = naive_proportional_pump(fixture->game, fixture->s0,
-                                               fixture->sf, *sched);
-    if (naive.success) continue;
-    found_naive_failure = true;
-    auto sched2 = make_scheduler(SchedulerKind::kRandomMiner, seed);
+    const bool proportional_ok =
+        naive_proportional_pump(fixture->game, fixture->s0, fixture->sf,
+                                *sched)
+            .success;
+    sched = make_scheduler(SchedulerKind::kRandomMiner, seed);
+    const bool deficit_ok =
+        naive_deficit_pump(fixture->game, fixture->s0, fixture->sf, *sched)
+            .success;
+    if (proportional_ok && deficit_ok) continue;
+    proportional_failed |= !proportional_ok;
+    deficit_failed |= !deficit_ok;
+    sched = make_scheduler(SchedulerKind::kRandomMiner, seed);
     const auto principled = run_reward_design(fixture->game, fixture->s0,
-                                              fixture->sf, *sched2);
-    EXPECT_TRUE(principled.success);
+                                              fixture->sf, *sched);
+    EXPECT_TRUE(principled.success) << "seed " << seed;
   }
-  EXPECT_TRUE(found_naive_failure)
-      << "naive pump never failed across 60 seeds — baseline too strong?";
+  EXPECT_TRUE(proportional_failed)
+      << "proportional pump never failed across 60 seeds — baseline too "
+         "strong?";
+  EXPECT_TRUE(deficit_failed)
+      << "deficit pump never failed across 60 seeds — baseline too strong?";
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/access.hpp"
 #include "core/generators.hpp"
 #include "core/moves.hpp"
@@ -113,6 +115,8 @@ TEST(RestrictedGame, StabilityIsRelativeToAllowedCoins) {
 
 /// §6 asymmetric case: Theorem 1's convergence survives arbitrary access
 /// policies — the ordinal potential only inspects the moves actually taken.
+/// Sparse to dense access matrices (E11's claim: convergence at every
+/// density).
 class RestrictedConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RestrictedConvergence, AnySchedulerConverges) {
@@ -121,21 +125,23 @@ TEST_P(RestrictedConvergence, AnySchedulerConverges) {
   spec.num_miners = 3 + static_cast<std::size_t>(rng.next_below(10));
   spec.num_coins = 2 + static_cast<std::size_t>(rng.next_below(4));
   const Game base = random_game(spec, rng);
-  const AccessPolicy policy = AccessPolicy::random(
-      base.num_miners(), base.num_coins(), 0.4, rng);
-  const Game g(base.system_ptr(), base.rewards(), policy);
-  const Configuration start = random_configuration(g, rng);
-  ASSERT_TRUE(g.respects_access(start));
+  for (const double density : {0.4, 0.25, 0.75}) {
+    const AccessPolicy policy = AccessPolicy::random(
+        base.num_miners(), base.num_coins(), density, rng);
+    const Game g(base.system_ptr(), base.rewards(), policy);
+    const Configuration start = random_configuration(g, rng);
+    ASSERT_TRUE(g.respects_access(start));
 
-  for (const SchedulerKind kind :
-       {SchedulerKind::kRandomMove, SchedulerKind::kMinGain}) {
-    auto sched = make_scheduler(kind, GetParam() ^ 0xACC);
-    LearningOptions opts;
-    opts.audit_potential = true;
-    const auto result = run_learning(g, start, *sched, opts);
-    EXPECT_TRUE(result.converged);
-    EXPECT_TRUE(g.respects_access(result.final_configuration));
-    EXPECT_TRUE(is_equilibrium(g, result.final_configuration));
+    for (const SchedulerKind kind :
+         {SchedulerKind::kRandomMove, SchedulerKind::kMinGain}) {
+      auto sched = make_scheduler(kind, GetParam() ^ 0xACC);
+      LearningOptions opts;
+      opts.audit_potential = true;
+      const auto result = run_learning(g, start, *sched, opts);
+      EXPECT_TRUE(result.converged) << "density " << density;
+      EXPECT_TRUE(g.respects_access(result.final_configuration));
+      EXPECT_TRUE(is_equilibrium(g, result.final_configuration));
+    }
   }
 }
 
@@ -214,6 +220,23 @@ TEST(Security, BestDominationTargetPicksMaxShare) {
   // In both equilibria p1 is alone on a coin → share 1.
   EXPECT_EQ(target->attacker_share, Rational(1));
   EXPECT_FALSE(best_domination_target(g, MinerId(0), {}).has_value());
+
+  // Shares that differ by equilibrium (E12's attack): with m = (2,1,1) and
+  // F = (2,1), p1 holds 1/2 of c0 in <c1,c0,c0>, all of c1 in <c0,c1,c0>
+  // and 1/3 of c0 in <c0,c0,c1>; the target is the second, in any order.
+  Game h(System::from_integer_powers({2, 1, 1}, 2),
+         RewardFunction::from_integers({2, 1}));
+  auto h_eqs = enumerate_equilibria(h);
+  ASSERT_EQ(h_eqs.size(), 3u);
+  const Configuration alone(h.system_ptr(), {CoinId(0), CoinId(1), CoinId(0)});
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto best = best_domination_target(h, MinerId(1), h_eqs);
+    ASSERT_TRUE(best.has_value());
+    EXPECT_TRUE(best->equilibrium == alone);
+    EXPECT_EQ(best->coin, CoinId(1));
+    EXPECT_EQ(best->attacker_share, Rational(1));
+    std::reverse(h_eqs.begin(), h_eqs.end());
+  }
 }
 
 // ------------------------------------------------------- improvement graph
