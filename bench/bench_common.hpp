@@ -32,21 +32,15 @@ namespace goc::bench {
 /// optional `shared` list (e.g. `sim::batch_cli_names()` for a harness that
 /// calls `apply_batch_cli`) and `--csv`/`--json` (read by `emit`), and any
 /// positional argument (no harness takes one; `-quick` lands there): prints
-/// `unknown option(s): --x` and exits 2 before the harness does any work,
-/// so a mistyped flag never runs a whole experiment on defaults.
+/// `unknown option(s): --x` (`Cli::refuse_unknown`) and exits 2 before the
+/// harness does any work, so a mistyped flag never runs a whole experiment
+/// on defaults.
 inline Cli parse_cli(int argc, char** argv, std::vector<std::string> flags,
                      const std::vector<std::string>& shared = {}) {
   Cli cli(argc, argv);
   flags.insert(flags.end(), shared.begin(), shared.end());
   flags.insert(flags.end(), {"csv", "json"});
-  const std::vector<std::string> stray = cli.unknown(flags);
-  if (!stray.empty() || !cli.positional().empty()) {
-    std::cerr << cli.program() << ": unknown option(s):";
-    for (const auto& name : stray) std::cerr << " --" << name;
-    for (const auto& arg : cli.positional()) std::cerr << " " << arg;
-    std::cerr << "\n";
-    std::exit(2);
-  }
+  if (cli.refuse_unknown(flags)) std::exit(2);
   return cli;
 }
 

@@ -22,6 +22,7 @@
 int main(int argc, char** argv) {
   using namespace goc;
   const Cli cli(argc, argv);
+  if (cli.refuse_unknown({"seed"})) return 2;
   const std::uint64_t seed = cli.get_u64("seed", 17);
 
   // Coins: c0 = BTC-like (SHA-256), c1 = BCH-like (SHA-256),

@@ -7,7 +7,8 @@
 /// episode with the market simulator and prints the two series the paper
 /// plots, plus the migration milestones.
 ///
-/// Run:  ./btc_bch_migration [--days N] [--shock-day D] [--seed S] [--csv out]
+/// Run:  ./btc_bch_migration [--days N] [--shock-day D] [--revert-day D]
+///                           [--seed S] [--csv out]
 
 #include <iostream>
 
@@ -19,6 +20,9 @@ int main(int argc, char** argv) {
   using namespace goc;
   using namespace goc::market;
   const Cli cli(argc, argv);
+  if (cli.refuse_unknown({"days", "shock-day", "revert-day", "seed", "csv"})) {
+    return 2;
+  }
 
   ForkFlipParams params;
   params.days = cli.get_double("days", 30.0);

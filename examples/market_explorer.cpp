@@ -20,6 +20,7 @@
 int main(int argc, char** argv) {
   using namespace goc;
   const Cli cli(argc, argv);
+  if (cli.refuse_unknown({"miners", "coins", "seed", "exhaustive"})) return 2;
   const std::size_t miners = cli.get_u64("miners", 7);
   const std::size_t coins = cli.get_u64("coins", 2);
   const std::uint64_t seed = cli.get_u64("seed", 11);

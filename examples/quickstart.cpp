@@ -14,9 +14,11 @@
 #include "dynamics/learning.hpp"
 #include "equilibrium/welfare.hpp"
 #include "potential/list_potential.hpp"
+#include "util/cli.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace goc;
+  if (Cli(argc, argv).refuse_unknown({})) return 2;
 
   // 1. Four miners with powers 8, 4, 2, 1; three coins weighted 30, 20, 10.
   Game game(System::from_integer_powers({8, 4, 2, 1}, 3),

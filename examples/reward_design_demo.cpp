@@ -33,6 +33,7 @@ goc::SchedulerKind parse_scheduler(const std::string& name) {
 int main(int argc, char** argv) {
   using namespace goc;
   const Cli cli(argc, argv);
+  if (cli.refuse_unknown({"miners", "coins", "seed", "scheduler"})) return 2;
   const std::size_t miners = cli.get_u64("miners", 6);
   const std::size_t coins = cli.get_u64("coins", 3);
   const std::uint64_t seed = cli.get_u64("seed", 7);

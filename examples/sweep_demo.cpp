@@ -3,8 +3,7 @@
 /// scheduler grid, fan it across every core, and emit the aggregate table
 /// plus per-scenario CSV/JSON artifacts.
 ///
-///   ./sweep_demo --trials=5 --seed=42 --threads=0 \
-///       --csv=sweep.csv --json=sweep.json
+///   ./sweep_demo --trials=5 --seed=42 --csv=sweep.csv --json=sweep.json
 ///
 /// Determinism: rerunning with any `--threads` value reproduces the exact
 /// same records — per-task seeds depend only on the root seed and the
@@ -15,8 +14,12 @@
 /// trajectory batch, with CI-driven stopping, crash-safe checkpoints and
 /// sharded decision epochs all reachable from the command line:
 ///
-///   ./sweep_demo --replicas=32 --stop-metric=blocks_total --stop-tol=0.02 \
-///       --stop-rel --checkpoint=demo.gocr --epoch-lanes=4
+///   ./sweep_demo --replicas=32 --stop-metric=blocks_total --stop-tol=0.02
+///
+/// stops adding replicas once the 95% CI half-width of `blocks_total` is
+/// below 0.02; add `--stop-rel` to read that tolerance relative to |mean|,
+/// `--checkpoint=demo.gocr` for crash-safe checkpoints and
+/// `--epoch-lanes=4` to shard each decision epoch.
 
 #include <cstdio>
 #include <iostream>
@@ -30,11 +33,11 @@
 #include "engine/sweep.hpp"
 #include "io/serialize.hpp"
 #include "sim/batch_cli.hpp"
-#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace goc;
-  const Cli cli(argc, argv);
+  const Cli cli = bench::parse_cli(
+      argc, argv, {"trials", "seed", "epoch-lanes"}, sim::batch_cli_names());
   const std::size_t trials = cli.get_u64("trials", 5);
   const std::uint64_t seed = cli.get_u64("seed", 42);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores

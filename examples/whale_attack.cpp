@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   using namespace goc;
   using namespace goc::market;
   const Cli cli(argc, argv);
+  if (cli.refuse_unknown({"whale-fee", "epochs", "seed"})) return 2;
   const double whale_fee = cli.get_double("whale-fee", 4000.0);
   const std::size_t epochs = cli.get_u64("epochs", 16);
   const std::uint64_t seed = cli.get_u64("seed", 37);

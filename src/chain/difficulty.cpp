@@ -35,12 +35,6 @@ double FixedWindowRetarget::on_block(double now, double current_difficulty) {
   return current_difficulty * factor;
 }
 
-void FixedWindowRetarget::reset() {
-  blocks_in_window_ = 0;
-  window_start_ = 0.0;
-  have_start_ = false;
-}
-
 SmaRetarget::SmaRetarget(std::size_t window, double target_interval_hours,
                          double max_step)
     : window_(window), target_interval_(target_interval_hours),
@@ -62,8 +56,6 @@ double SmaRetarget::on_block(double now, double current_difficulty) {
   return current_difficulty * factor;
 }
 
-void SmaRetarget::reset() { times_.clear(); }
-
 EmergencyAdjuster::EmergencyAdjuster(std::size_t window,
                                      double target_interval_hours,
                                      double emergency_gap_hours,
@@ -77,7 +69,6 @@ EmergencyAdjuster::EmergencyAdjuster(std::size_t window,
 }
 
 double EmergencyAdjuster::stall_discount(double now) const {
-  if (!have_last_) return 1.0;
   const double stall = now - last_block_time_;
   if (stall <= emergency_gap_) return 1.0;
   const double cuts = std::floor(stall / emergency_gap_);
@@ -94,14 +85,7 @@ double EmergencyAdjuster::prospective(double now, double current_difficulty) con
 double EmergencyAdjuster::on_block(double now, double current_difficulty) {
   const double difficulty = current_difficulty * stall_discount(now);
   last_block_time_ = now;
-  have_last_ = true;
   return base_.on_block(now, difficulty);
-}
-
-void EmergencyAdjuster::reset() {
-  base_.reset();
-  last_block_time_ = 0.0;
-  have_last_ = true;  // genesis anchor
 }
 
 }  // namespace goc::chain

@@ -41,9 +41,6 @@ class DifficultyAdjuster {
   }
 
   virtual std::string name() const = 0;
-
-  /// Forgets all observed history.
-  virtual void reset() = 0;
 };
 
 /// Bitcoin-style: every `window` blocks, scale difficulty by
@@ -55,7 +52,6 @@ class FixedWindowRetarget final : public DifficultyAdjuster {
 
   double on_block(double now, double current_difficulty) override;
   std::string name() const override { return "fixed-window"; }
-  void reset() override;
 
  private:
   std::size_t window_;
@@ -75,7 +71,6 @@ class SmaRetarget final : public DifficultyAdjuster {
 
   double on_block(double now, double current_difficulty) override;
   std::string name() const override { return "sma"; }
-  void reset() override;
 
  private:
   std::size_t window_;
@@ -99,7 +94,6 @@ class EmergencyAdjuster final : public DifficultyAdjuster {
   double on_block(double now, double current_difficulty) override;
   double prospective(double now, double current_difficulty) const override;
   std::string name() const override { return "eda"; }
-  void reset() override;
 
  private:
   /// 0.8^⌊stall/gap⌋ (bounded below so difficulty never hits zero).
@@ -111,7 +105,6 @@ class EmergencyAdjuster final : public DifficultyAdjuster {
   // The genesis block anchors the stall clock at t = 0, so an idle chain's
   // prospective difficulty decays from the start of the run.
   double last_block_time_ = 0.0;
-  bool have_last_ = true;
 };
 
 }  // namespace goc::chain

@@ -80,10 +80,8 @@ LearningResult run_learning(const Game& game, Configuration start,
   PotentialKey prev_key;
   if (options.audit_potential) prev_key = potential_key(game, s);
 
-  // No index for schedulers that would fall back to the scan anyway:
-  // external Scheduler subclasses pay nothing for the fast path.
   std::optional<dynamics::BestResponseIndex> index;
-  if (options.use_index && scheduler.supports_index()) index.emplace(game, s);
+  if (options.use_index) index.emplace(game, s);
 
   while (result.steps < options.max_steps) {
     const auto move = index ? scheduler.pick_indexed(game, s, *index)

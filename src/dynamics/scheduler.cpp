@@ -47,7 +47,6 @@ class RandomMoveScheduler final : public Scheduler {
     return std::nullopt;
   }
   std::string name() const override { return "random-move"; }
-  bool supports_index() const override { return true; }
 
  private:
   Rng rng_;
@@ -80,7 +79,6 @@ class RandomMinerScheduler final : public Scheduler {
     return index.move_to(p, to);
   }
   std::string name() const override { return "random-miner"; }
-  bool supports_index() const override { return true; }
 
  private:
   Rng rng_;
@@ -110,7 +108,6 @@ class RoundRobinScheduler final : public Scheduler {
     return std::nullopt;
   }
   std::string name() const override { return "round-robin"; }
-  bool supports_index() const override { return true; }
   void reset() override { cursor_ = 0; }
 
  private:
@@ -162,7 +159,6 @@ class GainExtremalScheduler final : public Scheduler {
     return Move{*chosen, s.of(*chosen), chosen_to, chosen_gain.to_rational()};
   }
   std::string name() const override { return kMax ? "max-gain" : "min-gain"; }
-  bool supports_index() const override { return true; }
 };
 
 /// Power-ordered schedulers: the heaviest (or lightest) unstable miner takes
@@ -186,7 +182,6 @@ class PowerOrderedScheduler final : public Scheduler {
   std::string name() const override {
     return kLargest ? "largest-first" : "smallest-first";
   }
-  bool supports_index() const override { return true; }
 
  private:
   static MinerId choose(const Game& game,
@@ -219,7 +214,6 @@ class LexicographicScheduler final : public Scheduler {
     return index.move_to(miner, index.nth_improving(miner, 0));
   }
   std::string name() const override { return "lexicographic"; }
-  bool supports_index() const override { return true; }
 };
 
 }  // namespace

@@ -28,6 +28,8 @@
 /// paths pick the *same move* from the *same state* and consume the RNG
 /// identically, so entire trajectories coincide move-for-move — the
 /// contract tests/test_best_response_index.cpp enforces for every kind.
+/// Both are pure virtual: `run_learning` takes the index path whenever
+/// `LearningOptions::use_index` is set, so every subclass implements it.
 
 namespace goc {
 
@@ -45,21 +47,10 @@ class Scheduler {
 
   /// Index path: reads the improvement neighborhood from `index` (which
   /// must be in sync with `s`). Must pick the exact move `pick` would and
-  /// draw the same random variates. Overridden by every built-in kind; the
-  /// default falls back to the scan so external Scheduler subclasses keep
-  /// working unchanged.
+  /// draw the same random variates.
   virtual std::optional<Move> pick_indexed(
       const Game& game, const Configuration& s,
-      const dynamics::BestResponseIndex& index) {
-    (void)index;
-    return pick(game, s);
-  }
-
-  /// True when `pick_indexed` actually uses the index. `run_learning`
-  /// skips building (and per-step syncing) an index for schedulers that
-  /// would fall back to the scan anyway, so external subclasses pay
-  /// nothing for the fast path they don't implement.
-  virtual bool supports_index() const { return false; }
+      const dynamics::BestResponseIndex& index) = 0;
 
   /// Stable identifier for tables/CSV ("random", "max-gain", …).
   virtual std::string name() const = 0;

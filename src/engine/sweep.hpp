@@ -201,7 +201,7 @@ class SweepRunner {
     ThreadPool* pool = nullptr;
     /// Cooperative cancellation: polled before every task; a stale view
     /// makes `run` throw `engine::Cancelled`. Default never cancels.
-    CancelView cancel;
+    CancelView cancel{};
   };
 
   SweepRunner() : SweepRunner(Options{}) {}

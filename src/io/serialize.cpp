@@ -1,263 +1,13 @@
 #include "io/serialize.hpp"
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <fcntl.h>
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <unistd.h>
-#include <vector>
-
-#include "util/assert.hpp"
 
 namespace goc::io {
-namespace {
-
-/// Tokenized, comment-stripped line reader with positional errors.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  /// Next non-empty, non-comment line split on whitespace; false at EOF.
-  bool next(std::vector<std::string>* tokens) {
-    std::string line;
-    while (std::getline(stream_, line)) {
-      ++line_number_;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      std::istringstream ls(line);
-      tokens->clear();
-      std::string tok;
-      while (ls >> tok) tokens->push_back(tok);
-      if (!tokens->empty()) return true;
-    }
-    return false;
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("goc::io parse error at line " +
-                                std::to_string(line_number_) + ": " + what);
-  }
-
-  /// Reads a line and checks its keyword.
-  std::vector<std::string> expect(const std::string& keyword) {
-    std::vector<std::string> tokens;
-    if (!next(&tokens)) fail("expected '" + keyword + "', got end of input");
-    if (tokens.front() != keyword) {
-      fail("expected '" + keyword + "', got '" + tokens.front() + "'");
-    }
-    return tokens;
-  }
-
- private:
-  std::istringstream stream_;
-  std::size_t line_number_ = 0;
-};
-
-i128 parse_i128(const std::string& text, const LineReader& reader) {
-  // Manual parse: std::from_chars has no i128 overload.
-  if (text.empty()) reader.fail("empty integer");
-  std::size_t pos = 0;
-  bool negative = false;
-  if (text[0] == '-' || text[0] == '+') {
-    negative = (text[0] == '-');
-    pos = 1;
-  }
-  if (pos == text.size()) reader.fail("sign without digits in '" + text + "'");
-  i128 value = 0;
-  for (; pos < text.size(); ++pos) {
-    const char ch = text[pos];
-    if (ch < '0' || ch > '9') {
-      reader.fail("invalid digit in integer '" + text + "'");
-    }
-    i128 next_value;
-    if (mul_overflow(value, 10, &next_value) ||
-        add_overflow(next_value, ch - '0', &next_value)) {
-      reader.fail("integer out of range: '" + text + "'");
-    }
-    value = next_value;
-  }
-  return negative ? -value : value;
-}
-
-Rational parse_rational(const std::string& text, const LineReader& reader) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos) {
-    return Rational::from_parts(parse_i128(text, reader), 1);
-  }
-  const i128 num = parse_i128(text.substr(0, slash), reader);
-  const i128 den = parse_i128(text.substr(slash + 1), reader);
-  if (den == 0) reader.fail("zero denominator in '" + text + "'");
-  return Rational::from_parts(num, den);
-}
-
-std::size_t parse_size(const std::string& text, const LineReader& reader) {
-  std::size_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    reader.fail("invalid count '" + text + "'");
-  }
-  return value;
-}
-
-}  // namespace
-
-std::string rational_to_text(const Rational& value) { return value.to_string(); }
-
-Rational rational_from_text(const std::string& text) {
-  LineReader reader("");  // positionless helper
-  return parse_rational(text, reader);
-}
-
-std::string to_text(const Game& game) {
-  std::ostringstream os;
-  os << "goc-game v1\n";
-  os << "miners " << game.num_miners() << "\n";
-  os << "powers";
-  for (const Rational& m : game.system().powers()) os << " " << m.to_string();
-  os << "\ncoins " << game.num_coins() << "\n";
-  os << "rewards";
-  for (const Rational& r : game.rewards().values()) os << " " << r.to_string();
-  os << "\n";
-  if (!game.access().is_unrestricted()) {
-    os << "access";
-    for (std::uint32_t p = 0; p < game.num_miners(); ++p) {
-      os << " ";
-      for (std::uint32_t c = 0; c < game.num_coins(); ++c) {
-        os << (game.can_mine(MinerId(p), CoinId(c)) ? '1' : '0');
-      }
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-Game game_from_text(const std::string& text) {
-  LineReader reader(text);
-  const auto header = reader.expect("goc-game");
-  if (header.size() != 2 || header[1] != "v1") {
-    reader.fail("unsupported game format version");
-  }
-
-  const auto miners_line = reader.expect("miners");
-  if (miners_line.size() != 2) reader.fail("miners expects one count");
-  const std::size_t miners = parse_size(miners_line[1], reader);
-
-  const auto powers_line = reader.expect("powers");
-  if (powers_line.size() != miners + 1) {
-    reader.fail("powers expects exactly " + std::to_string(miners) + " values");
-  }
-  std::vector<Rational> powers;
-  powers.reserve(miners);
-  for (std::size_t i = 1; i < powers_line.size(); ++i) {
-    powers.push_back(parse_rational(powers_line[i], reader));
-  }
-
-  const auto coins_line = reader.expect("coins");
-  if (coins_line.size() != 2) reader.fail("coins expects one count");
-  const std::size_t coins = parse_size(coins_line[1], reader);
-
-  const auto rewards_line = reader.expect("rewards");
-  if (rewards_line.size() != coins + 1) {
-    reader.fail("rewards expects exactly " + std::to_string(coins) + " values");
-  }
-  std::vector<Rational> rewards;
-  rewards.reserve(coins);
-  for (std::size_t i = 1; i < rewards_line.size(); ++i) {
-    rewards.push_back(parse_rational(rewards_line[i], reader));
-  }
-
-  AccessPolicy access;
-  std::vector<std::string> extra;
-  if (reader.next(&extra)) {
-    if (extra.front() != "access" || extra.size() != miners + 1) {
-      reader.fail("expected optional 'access' with one row per miner");
-    }
-    std::vector<std::vector<bool>> allowed(miners);
-    for (std::size_t p = 0; p < miners; ++p) {
-      const std::string& row = extra[p + 1];
-      if (row.size() != coins) {
-        reader.fail("access row must have one flag per coin");
-      }
-      allowed[p].reserve(coins);
-      for (const char ch : row) {
-        if (ch != '0' && ch != '1') reader.fail("access flags must be 0/1");
-        allowed[p].push_back(ch == '1');
-      }
-    }
-    access = AccessPolicy(std::move(allowed));
-  }
-
-  try {
-    return Game(System(std::move(powers), coins), RewardFunction(std::move(rewards)),
-                std::move(access));
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("goc::io: invalid game: ") + e.what());
-  }
-}
-
-std::string to_text(const Configuration& config) {
-  std::ostringstream os;
-  os << "goc-config v1\nassignment";
-  for (const CoinId c : config.assignment()) os << " " << c.value;
-  os << "\n";
-  return os.str();
-}
-
-Configuration configuration_from_text(const std::string& text,
-                                      std::shared_ptr<const System> system) {
-  GOC_CHECK_ARG(system != nullptr, "configuration needs a system");
-  LineReader reader(text);
-  const auto header = reader.expect("goc-config");
-  if (header.size() != 2 || header[1] != "v1") {
-    reader.fail("unsupported configuration format version");
-  }
-  const auto line = reader.expect("assignment");
-  if (line.size() != system->num_miners() + 1) {
-    reader.fail("assignment expects one coin per miner");
-  }
-  std::vector<CoinId> assignment;
-  assignment.reserve(system->num_miners());
-  for (std::size_t i = 1; i < line.size(); ++i) {
-    const std::size_t coin = parse_size(line[i], reader);
-    if (coin >= system->num_coins()) reader.fail("coin id out of range");
-    assignment.emplace_back(static_cast<std::uint32_t>(coin));
-  }
-  return Configuration(std::move(system), std::move(assignment));
-}
-
-void save_game(const Game& game, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  out << to_text(game);
-  if (!out) throw std::runtime_error("failed writing " + path);
-}
-
-Game load_game(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return game_from_text(buffer.str());
-}
-
-void save_configuration(const Configuration& config, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  out << to_text(config);
-  if (!out) throw std::runtime_error("failed writing " + path);
-}
-
-Configuration load_configuration(const std::string& path,
-                                 std::shared_ptr<const System> system) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return configuration_from_text(buffer.str(), std::move(system));
-}
 
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -327,13 +77,6 @@ std::string table_to_json(
   }
   os << "\n}\n";
   return os.str();
-}
-
-void write_text_file(const std::string& content, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  out << content;
-  if (!out) throw std::runtime_error("failed writing " + path);
 }
 
 void atomic_write_file(const std::string& content, const std::string& path) {

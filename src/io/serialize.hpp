@@ -1,71 +1,18 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/configuration.hpp"
-#include "core/game.hpp"
 #include "util/table.hpp"
 
 /// \file serialize.hpp
-/// Plain-text persistence for games and configurations.
-///
-/// Experiments cite seeds, but shipping a *scenario* (a concrete game plus
-/// starting state) to a colleague or a bug report needs a stable artifact.
-/// The format is line-oriented and versioned:
-///
-/// ```
-/// goc-game v1
-/// miners 3
-/// powers 5 3 1/2
-/// coins 2
-/// rewards 10 7
-/// access 11 10 01        # optional; one row per miner, '1' = allowed
-/// ```
-///
-/// ```
-/// goc-config v1
-/// assignment 0 1 0
-/// ```
-///
-/// Rationals serialize as `p` or `p/q` (exact round-trip). Blank lines and
-/// `#` comments are ignored. Parsers throw std::invalid_argument with a
-/// line-number-bearing message on malformed input.
+/// Result emission for the sweep engine, the benchmark harnesses and the
+/// daemon, plus the crash-safe file write behind every artifact. We only
+/// ever *write* JSON (plots and trajectory tracking consume it); there is
+/// deliberately no parser here.
 
 namespace goc::io {
-
-/// Serializes a game (system + rewards + access policy).
-std::string to_text(const Game& game);
-
-/// Parses a game. Throws std::invalid_argument on malformed input.
-Game game_from_text(const std::string& text);
-
-/// Serializes a configuration (assignment only; the system travels with
-/// its game).
-std::string to_text(const Configuration& config);
-
-/// Parses a configuration onto `system`. Throws std::invalid_argument on
-/// malformed input or arity/coin-range mismatch.
-Configuration configuration_from_text(const std::string& text,
-                                      std::shared_ptr<const System> system);
-
-/// File helpers; throw std::runtime_error on I/O failure.
-void save_game(const Game& game, const std::string& path);
-Game load_game(const std::string& path);
-void save_configuration(const Configuration& config, const std::string& path);
-Configuration load_configuration(const std::string& path,
-                                 std::shared_ptr<const System> system);
-
-/// Exact round-trip helpers for rationals ("p" or "p/q").
-std::string rational_to_text(const Rational& value);
-Rational rational_from_text(const std::string& text);
-
-// ------------------------------------------------------------------- JSON
-// Result emission for the sweep engine and benchmark harnesses. We only
-// ever *write* JSON (plots and trajectory tracking consume it); there is
-// deliberately no parser here.
 
 /// Escapes a string for inclusion inside a JSON string literal (quotes,
 /// backslashes, control characters).
@@ -82,9 +29,6 @@ std::string table_to_json(const Table& table, const std::string& title);
 std::string table_to_json(
     const Table& table, const std::string& title,
     const std::vector<std::pair<std::string, std::string>>& extras);
-
-/// Writes `content` to `path`; throws std::runtime_error on I/O failure.
-void write_text_file(const std::string& content, const std::string& path);
 
 /// Crash-safe write: `content` (text or binary) goes to `path + ".tmp"`,
 /// is flushed to stable storage (fsync), then renamed over `path` — on a

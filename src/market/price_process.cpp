@@ -11,8 +11,7 @@ constexpr double kHoursPerDay = 24.0;
 }
 
 GbmProcess::GbmProcess(double initial_price, double mu_daily, double sigma_daily)
-    : initial_(initial_price),
-      mu_daily_(mu_daily),
+    : mu_daily_(mu_daily),
       sigma_daily_(sigma_daily),
       price_(initial_price) {
   GOC_CHECK_ARG(initial_price > 0.0, "initial price must be positive");
@@ -34,8 +33,7 @@ JumpDiffusionProcess::JumpDiffusionProcess(double initial_price, double mu_daily
                                            double jumps_per_day,
                                            double jump_mean_log,
                                            double jump_sigma_log)
-    : initial_(initial_price),
-      mu_daily_(mu_daily),
+    : mu_daily_(mu_daily),
       sigma_daily_(sigma_daily),
       jumps_per_day_(jumps_per_day),
       jump_mean_log_(jump_mean_log),
@@ -87,13 +85,6 @@ double ScheduledShockProcess::step(double dt_hours, Rng& rng) {
 
 double ScheduledShockProcess::price() const {
   return base_->price() * shock_multiplier_;
-}
-
-void ScheduledShockProcess::reset() {
-  base_->reset();
-  clock_hours_ = 0.0;
-  next_shock_ = 0;
-  shock_multiplier_ = 1.0;
 }
 
 std::unique_ptr<PriceProcess> ScheduledShockProcess::clone() const {

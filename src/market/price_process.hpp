@@ -18,6 +18,8 @@
 ///    factors at given times (used to replay the 2017 fork-flip event with
 ///    a deterministic shape).
 /// All processes advance in hours and are deterministic for a fixed Rng.
+/// They only move forward: a replica starts from a `clone` of the unstepped
+/// prototype (`Scenario::make_simulator`), never from a rewound process.
 
 namespace goc::market {
 
@@ -30,9 +32,6 @@ class PriceProcess {
 
   /// Current price (initial price before the first step).
   virtual double price() const = 0;
-
-  /// Restores the initial state (prices only; the caller owns Rng state).
-  virtual void reset() = 0;
 
   /// Deep copy carrying the *full runtime state* (current price, shock
   /// clock, fired shocks), not just the construction parameters — cloning
@@ -50,13 +49,11 @@ class GbmProcess final : public PriceProcess {
 
   double step(double dt_hours, Rng& rng) override;
   double price() const override { return price_; }
-  void reset() override { price_ = initial_; }
   std::unique_ptr<PriceProcess> clone() const override {
     return std::make_unique<GbmProcess>(*this);
   }
 
  private:
-  double initial_;
   double mu_daily_;
   double sigma_daily_;
   double price_;
@@ -72,13 +69,11 @@ class JumpDiffusionProcess final : public PriceProcess {
 
   double step(double dt_hours, Rng& rng) override;
   double price() const override { return price_; }
-  void reset() override { price_ = initial_; }
   std::unique_ptr<PriceProcess> clone() const override {
     return std::make_unique<JumpDiffusionProcess>(*this);
   }
 
  private:
-  double initial_;
   double mu_daily_;
   double sigma_daily_;
   double jumps_per_day_;
@@ -101,7 +96,6 @@ class ScheduledShockProcess final : public PriceProcess {
 
   double step(double dt_hours, Rng& rng) override;
   double price() const override;
-  void reset() override;
   std::unique_ptr<PriceProcess> clone() const override;
 
  private:

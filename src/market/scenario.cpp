@@ -105,10 +105,4 @@ Scenario random_market_prototype(std::size_t miners, std::size_t coins,
   return scenario;
 }
 
-MarketSimulator random_market_scenario(std::size_t miners, std::size_t coins,
-                                       double days, std::uint64_t seed) {
-  return random_market_prototype(miners, coins, days, seed)
-      .make_simulator(seed);
-}
-
 }  // namespace goc::market

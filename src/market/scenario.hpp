@@ -67,9 +67,4 @@ MarketSimulator fork_flip_scenario(const ForkFlipParams& params = {});
 Scenario random_market_prototype(std::size_t miners, std::size_t coins,
                                  double days, std::uint64_t seed);
 
-/// Builds the simulator directly — used by the market-explorer example and
-/// stress tests.
-MarketSimulator random_market_scenario(std::size_t miners, std::size_t coins,
-                                       double days, std::uint64_t seed);
-
 }  // namespace goc::market

@@ -273,12 +273,4 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::reset_all() noexcept {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mutex);
-  for (const auto& [_, counter] : i.counters) counter->reset();
-  for (const auto& [_, gauge] : i.gauges) gauge->reset();
-  for (const auto& [_, histogram] : i.histograms) histogram->reset();
-}
-
 }  // namespace goc::obs

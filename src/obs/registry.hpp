@@ -30,10 +30,9 @@
 ///    Prometheus-style text. Snapshots under concurrent writers are
 ///    *consistent enough for monitoring* (each metric is a sum of relaxed
 ///    loads), never torn per-slot.
-///  * **Off means off.** Defining `GOC_OBS_OFF` at compile time turns
-///    every record into a constant-false branch the optimizer deletes;
-///    setting the `GOC_OBS_OFF` environment variable (or calling
-///    `set_enabled(false)`) disables recording at runtime. Either way the
+///  * **Off means off.** Setting the `GOC_OBS_OFF` environment variable
+///    (or calling `set_enabled(false)`) disables recording at runtime, and
+///    every record becomes one relaxed load and a skipped branch. The
 ///    simulated trajectories are unchanged — the parity tests in
 ///    tests/test_obs.cpp assert equal `values_hash` with obs on and off.
 
@@ -52,14 +51,9 @@ std::size_t assign_lane_slot() noexcept;
 
 }  // namespace detail
 
-/// True when metric recording is active. With `GOC_OBS_OFF` defined at
-/// compile time this is a constant false and recording code folds away.
+/// True when metric recording is active.
 inline bool enabled() noexcept {
-#ifdef GOC_OBS_OFF
-  return false;
-#else
   return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Runtime toggle (parity tests flip this; `GOC_OBS_OFF` env presets it).
@@ -274,10 +268,6 @@ class Registry {
   Histogram& histogram(const std::string& name);
 
   Snapshot snapshot() const;
-
-  /// Zeroes every registered metric (test isolation between cases; the
-  /// registrations themselves are permanent).
-  void reset_all() noexcept;
 
  private:
   Registry() = default;

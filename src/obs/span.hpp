@@ -18,11 +18,9 @@
 ///
 /// Spans nest freely (each owns its own start stamp), cost two
 /// `steady_clock` reads plus one histogram record when obs is enabled,
-/// and degrade to nothing when it is not: with recording disabled the
-/// constructor skips the clock read entirely, and with `GOC_OBS_OFF`
-/// defined at compile time the whole body is dead code the optimizer
-/// removes. Timing never feeds back into simulation state, so spans are
-/// deterministic-safe by construction.
+/// and degrade to almost nothing when it is not: with recording disabled
+/// the constructor skips the clock read entirely. Timing never feeds back
+/// into simulation state, so spans are deterministic-safe by construction.
 
 namespace goc::obs {
 

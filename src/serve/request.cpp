@@ -4,6 +4,12 @@
 
 namespace goc::serve {
 
+std::string echo(std::string_view text, std::size_t limit) {
+  if (text.size() <= limit) return std::string(text);
+  return std::string(text.substr(0, limit)) + "...(+" +
+         std::to_string(text.size() - limit) + " bytes)";
+}
+
 std::vector<std::string> tokenize(const std::string& line) {
   std::string text = line;
   if (!text.empty() && text.back() == '\r') text.pop_back();
@@ -30,9 +36,10 @@ Cli cli_from_tokens(const std::string& program,
 
 void reject_unknown(const Cli& cli, const std::vector<std::string>& known) {
   const std::vector<std::string> stray = cli.unknown(known);
-  if (stray.empty()) return;
+  if (stray.empty() && cli.positional().empty()) return;
   std::string message = "unknown option(s) for " + cli.program() + ":";
-  for (const auto& name : stray) message += " --" + name;
+  for (const auto& name : stray) message += " --" + echo(name);
+  for (const auto& token : cli.positional()) message += " " + echo(token);
   throw std::invalid_argument(message);
 }
 

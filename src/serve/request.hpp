@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/generators.hpp"
@@ -19,6 +21,15 @@
 
 namespace goc::serve {
 
+/// Longest run of client text (a verb, a job kind, a job id, a flag
+/// value) that an `err` line echoes; `echo` cuts longer text and marks the
+/// cut.
+inline constexpr std::size_t kEchoBytes = 80;
+
+/// `text` as an `err` line echoes it: unchanged up to `limit` bytes, else
+/// its first `limit` bytes followed by "...(+N bytes)".
+std::string echo(std::string_view text, std::size_t limit = kEchoBytes);
+
 /// Splits a protocol line on runs of spaces/tabs; a trailing '\r' (CRLF
 /// clients over TCP) is stripped first.
 std::vector<std::string> tokenize(const std::string& line);
@@ -29,8 +40,9 @@ Cli cli_from_tokens(const std::string& program,
                     const std::vector<std::string>& args);
 
 /// Throws std::invalid_argument naming every option of `cli` outside
-/// `known` — the protocol's fail-fast guard, shared with the bench
-/// binaries' `Cli::unknown` checks.
+/// `known` and every positional token (no request takes one after its
+/// verb, kind or job id), each cut by `echo` — the protocol's fail-fast
+/// guard, the same rule as the binaries' `Cli::refuse_unknown`.
 void reject_unknown(const Cli& cli, const std::vector<std::string>& known);
 
 /// The non-empty items of a comma-separated list ("a,,b" → {a, b});

@@ -27,12 +27,6 @@
 
 namespace goc::serve {
 
-std::string echo(std::string_view text, std::size_t limit) {
-  if (text.size() <= limit) return std::string(text);
-  return std::string(text.substr(0, limit)) + "...(+" +
-         std::to_string(text.size() - limit) + " bytes)";
-}
-
 namespace {
 
 /// Shared flag vocabulary, spliced per command for `reject_unknown`.
@@ -53,6 +47,17 @@ std::uint64_t parse_job_id(const std::vector<std::string>& args,
                                 echo(args[0]) + "'");
   }
   return *id;
+}
+
+/// The options after `<verb> <id>`; refuses any outside `known` and any
+/// further positional token (`cancel 1 2` cancels nothing, not job 1).
+Cli job_options(const std::vector<std::string>& args, const std::string& verb,
+                const std::vector<std::string>& known) {
+  const Cli cli = cli_from_tokens(
+      "goc-serve:" + verb,
+      std::vector<std::string>(args.begin() + 1, args.end()));
+  reject_unknown(cli, known);
+  return cli;
 }
 
 /// Scenario parameters are checked at submit, so a bad one answers with
@@ -326,6 +331,7 @@ void Server::cmd_submit(const std::string& kind,
 void Server::cmd_status(const std::vector<std::string>& args,
                         std::ostream& out) {
   const std::uint64_t id = parse_job_id(args, "status");
+  job_options(args, "status", {});
   const auto status = jobs_.status(id);
   if (!status) {
     out << "err unknown job " << id << "\n";
@@ -341,10 +347,7 @@ void Server::cmd_status(const std::vector<std::string>& args,
 void Server::cmd_watch(const std::vector<std::string>& args,
                        std::ostream& out) {
   const std::uint64_t id = parse_job_id(args, "watch");
-  const Cli cli = cli_from_tokens(
-      "goc-serve:watch",
-      std::vector<std::string>(args.begin() + 1, args.end()));
-  reject_unknown(cli, {"interval-ms"});
+  const Cli cli = job_options(args, "watch", {"interval-ms"});
   const std::uint64_t interval_ms = cli.get_u64("interval-ms", 50);
 
   const auto write_row = [&out](const JobStatus& status) {
@@ -411,10 +414,7 @@ void Server::cmd_stats(const std::vector<std::string>& args,
 void Server::cmd_result(const std::vector<std::string>& args,
                         std::ostream& out) {
   const std::uint64_t id = parse_job_id(args, "result");
-  const Cli cli = cli_from_tokens(
-      "goc-serve:result",
-      std::vector<std::string>(args.begin() + 1, args.end()));
-  reject_unknown(cli, {"wait"});
+  const Cli cli = job_options(args, "result", {"wait"});
   const bool wait = cli.get_bool("wait", false);
   const auto fetched = jobs_.fetch(id, wait);
   if (!fetched) {
@@ -451,6 +451,7 @@ void Server::cmd_result(const std::vector<std::string>& args,
 void Server::cmd_cancel(const std::vector<std::string>& args,
                         std::ostream& out) {
   const std::uint64_t id = parse_job_id(args, "cancel");
+  job_options(args, "cancel", {});
   if (jobs_.cancel(id)) {
     out << "ok id=" << id << " state=cancelled\n";
   } else if (jobs_.status(id)) {

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/thread_pool.hpp"
@@ -43,19 +42,10 @@
 
 namespace goc::serve {
 
-/// Longest run of client text (a verb, a job kind, a job id, a flag
-/// value) that an `err` line echoes; `echo` cuts longer text and marks the
-/// cut.
-inline constexpr std::size_t kEchoBytes = 80;
-
 /// Longest error text an `err` line carries. Texts built outside the
 /// server (flag parsing) may echo input too, so the whole message is cut
-/// at this length, with the same marker.
+/// at this length, with the same marker as `echo` (serve/request.hpp).
 inline constexpr std::size_t kErrTextBytes = 400;
-
-/// `text` as an `err` line echoes it: unchanged up to `limit` bytes, else
-/// its first `limit` bytes followed by "...(+N bytes)".
-std::string echo(std::string_view text, std::size_t limit = kEchoBytes);
 
 struct ServerOptions {
   /// Lane count of the shared pool (`--threads` convention: 0 = one lane

@@ -39,7 +39,8 @@ namespace goc::sim {
 void apply_batch_cli(const Cli& cli, TrajectoryBatchOptions& options);
 
 /// The option names `apply_batch_cli` consumes — callers splice these
-/// into the known-name list they hand `Cli::unknown` to fail fast.
+/// into the known-name list they hand `bench::parse_cli` or
+/// `serve::reject_unknown` to fail fast.
 const std::vector<std::string>& batch_cli_names();
 
 /// The `--epoch-lanes` flag (`chain::ChainSimOptions::epoch_lanes` /

@@ -120,14 +120,6 @@ bool EventCore::pop_until(Event& out, double t_end) {
   return true;
 }
 
-void EventCore::reset(double now) {
-  for (const Node& n : heap_) pos_[slot_of(n)] = kNoSlot;
-  heap_.clear();
-  dispatched_ = kNoSlot;
-  now_ = now;
-  next_seq_ = 0;
-}
-
 void EventCore::sift_up(std::size_t i, Node moving) noexcept {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;

@@ -30,6 +30,10 @@
 /// Order is (time, seq) with `seq` assigned once per `schedule`, so events
 /// at equal times pop in schedule order (FIFO tie-breaking) and
 /// trajectories are deterministic without epsilon time offsets.
+///
+/// A core serves one run: a simulator builds a fresh one per replica
+/// rather than rewinding an old one, since building it costs little next
+/// to the replica it drives.
 
 namespace goc::sim {
 
@@ -74,10 +78,6 @@ class EventCore {
     return heap_.size() - (dispatched_ != kNoSlot ? 1 : 0);
   }
   bool empty() const noexcept { return pending() == 0; }
-
-  /// Drops pending events, rewinds the clock to `now`, and resets the
-  /// sequence counter; stream declarations and capacity survive.
-  void reset(double now = 0.0);
 
  private:
   /// A heap node: the time plus `seq << kSlotBits | slot`. Sequence

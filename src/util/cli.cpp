@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <iostream>
 #include <stdexcept>
-#include <type_traits>
 
 #include "util/assert.hpp"
 
@@ -12,17 +12,12 @@ namespace goc {
 
 namespace {
 
-/// Parses all of `text` into `out` with the matching `std::sto*`: false
-/// when it throws or stops before the end ("12abc" is not 12).
-template <typename T>
-bool parse_whole(const std::string& text, T& out) {
+/// Parses all of `text` as a double: false when `std::stod` throws or
+/// stops before the end ("12abc" is not 12).
+bool parse_double(const std::string& text, double& out) {
   try {
     std::size_t used = 0;
-    if constexpr (std::is_floating_point_v<T>) {
-      out = std::stod(text, &used);
-    } else {
-      out = std::stoll(text, &used);
-    }
+    out = std::stod(text, &used);
     return used == text.size();
   } catch (const std::exception&) {
     return false;
@@ -76,17 +71,6 @@ std::string Cli::get_string(const std::string& name,
   return it == options_.end() ? fallback : it->second;
 }
 
-std::int64_t Cli::get_i64(const std::string& name, std::int64_t fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  std::int64_t value = 0;
-  if (!parse_whole(it->second, value)) {
-    throw std::invalid_argument("option --" + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
-  return value;
-}
-
 std::uint64_t Cli::get_u64(const std::string& name,
                            std::uint64_t fallback) const {
   const auto it = options_.find(name);
@@ -104,7 +88,7 @@ double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   double value = 0.0;
-  if (!parse_whole(it->second, value) || !std::isfinite(value)) {
+  if (!parse_double(it->second, value) || !std::isfinite(value)) {
     throw std::invalid_argument("option --" + name +
                                 " expects a finite number, got '" + it->second +
                                 "'");
@@ -122,13 +106,6 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
                               v + "'");
 }
 
-std::vector<std::string> Cli::option_names() const {
-  std::vector<std::string> names;
-  names.reserve(options_.size());
-  for (const auto& [k, _] : options_) names.push_back(k);
-  return names;
-}
-
 std::vector<std::string> Cli::unknown(
     const std::vector<std::string>& known) const {
   std::vector<std::string> stray;
@@ -138,6 +115,19 @@ std::vector<std::string> Cli::unknown(
     }
   }
   return stray;
+}
+
+bool Cli::refuse_unknown(const std::vector<std::string>& known,
+                         bool positional_ok) const {
+  const std::vector<std::string> stray = unknown(known);
+  if (stray.empty() && (positional_ok || positional_.empty())) return false;
+  std::cerr << program_ << ": unknown option(s):";
+  for (const auto& name : stray) std::cerr << " --" << name;
+  if (!positional_ok) {
+    for (const auto& arg : positional_) std::cerr << " " << arg;
+  }
+  std::cerr << "\n";
+  return true;
 }
 
 }  // namespace goc

@@ -12,8 +12,9 @@
 ///
 /// Accepted syntax: `--name=value`, `--name value`, and boolean `--flag`.
 /// `unknown(known_names)` returns the parsed option names outside a known
-/// set so binaries (and the serve daemon's request parser) can fail fast
-/// with a usage string instead of silently ignoring a typo.
+/// set, and `refuse_unknown` is the one refusal every binary prints for
+/// them, so a typo fails fast instead of silently falling back to a
+/// default.
 
 namespace goc {
 
@@ -33,7 +34,6 @@ class Cli {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
-  std::int64_t get_i64(const std::string& name, std::int64_t fallback) const;
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   /// Boolean flags: present without value (or "true"/"1") → true;
@@ -45,14 +45,18 @@ class Cli {
     return positional_;
   }
 
-  /// Option names that were parsed (for validation against a known set).
-  std::vector<std::string> option_names() const;
-
   /// Parsed option names NOT in `known` (sorted, as parsed order is lost
   /// to the map). Empty means every option was recognised; non-empty is
   /// the fail-fast signal — a typo like `--stop-maxx` never silently
   /// falls back to a default again.
   std::vector<std::string> unknown(const std::vector<std::string>& known) const;
+
+  /// The refusal every binary shares: when an option is outside `known`,
+  /// or a positional argument is given and `positional_ok` is false,
+  /// prints `<program>: unknown option(s): --x y` to stderr and returns
+  /// true. The caller then exits with status 2 before doing any work.
+  bool refuse_unknown(const std::vector<std::string>& known,
+                      bool positional_ok = false) const;
 
  private:
   std::string program_;

@@ -103,22 +103,6 @@ double Rng::pareto(double scale, double shape) noexcept {
   return scale / std::pow(u, 1.0 / shape);
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  GOC_DASSERT(n > 0, "zipf over empty support");
-  // Rejection-inversion (Hörmann & Derflinger) is overkill here; a simple
-  // inverse-transform on the harmonic CDF keeps the dependency surface
-  // small. n is modest in every workload we generate.
-  double h = 0.0;
-  for (std::uint64_t k = 1; k <= n; ++k) h += 1.0 / std::pow(static_cast<double>(k), s);
-  const double target = uniform01() * h;
-  double acc = 0.0;
-  for (std::uint64_t k = 1; k <= n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k), s);
-    if (acc >= target) return k;
-  }
-  return n;
-}
-
 Rng Rng::split() noexcept { return Rng(next() ^ 0xA5A5A5A5DEADBEEFULL); }
 
 }  // namespace goc

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "util/assert.hpp"
 
@@ -60,22 +59,6 @@ class Rng {
 
   /// Pareto with scale x_m > 0 and shape alpha > 0.
   double pareto(double scale, double shape) noexcept;
-
-  /// Zipf-distributed rank in [1, n] with exponent `s >= 0` by inverse
-  /// transform over the exact CDF (O(log n) per draw after O(n) setup is
-  /// avoided; this uses rejection-free cumulative search on demand and is
-  /// intended for n up to ~1e6).
-  std::uint64_t zipf(std::uint64_t n, double s) noexcept;
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const std::size_t j = static_cast<std::size_t>(next_below(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
   /// Uniformly chosen index into a non-empty container.
   template <typename Container>

@@ -38,24 +38,6 @@ double RunningStats::ci95_halfwidth() const noexcept {
   return kZ95 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double combined = n1 + n2;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / combined;
-  mean_ = (n1 * mean_ + n2 * other.mean_) / combined;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 const std::vector<double>& Sample::sorted() const {
   if (!sorted_valid_ || sorted_cache_.size() != values_.size()) {
     sorted_cache_ = values_;

@@ -37,8 +37,6 @@ class RunningStats {
   /// mean (`kZ95 * stddev / sqrt(n)`); 0 for fewer than two observations.
   double ci95_halfwidth() const noexcept;
 
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

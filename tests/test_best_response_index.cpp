@@ -237,7 +237,9 @@ void expect_payoff_fraction_matches(const Game& g, const Configuration& s,
       EXPECT_EQ(u.to_rational(), *expected);
       EXPECT_TRUE(u == (Fraction{expected->numerator(),
                                  expected->denominator()}));
-      if (coin == here) EXPECT_EQ(g.payoff(s, miner), *expected);
+      if (coin == here) {
+        EXPECT_EQ(g.payoff(s, miner), *expected);
+      }
       if (!g.can_mine(miner, coin)) {
         EXPECT_THROW(g.payoff_if_move(s, miner, coin), std::invalid_argument);
         EXPECT_THROW(move_gain(g, s, miner, coin), std::invalid_argument);
@@ -648,7 +650,9 @@ void walk_against_rebuild(Game& g, Configuration s, std::uint64_t seed,
     }
     ASSERT_NO_FATAL_FAILURE(expect_same_as_fresh(g, s, index))
         << "after move " << step;
-    if (step % audit_every == 0) ASSERT_NO_THROW(index.audit());
+    if (step % audit_every == 0) {
+      ASSERT_NO_THROW(index.audit());
+    }
   }
 }
 

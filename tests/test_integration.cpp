@@ -19,7 +19,8 @@ namespace {
 /// Market → core: take the weights the simulator derived for some epoch and
 /// confirm the recorded state is exactly the game the paper analyzes.
 TEST(Integration, MarketWeightsInduceConsistentGame) {
-  market::MarketSimulator sim = market::random_market_scenario(16, 3, 2.0, 21);
+  market::MarketSimulator sim =
+      market::random_market_prototype(16, 3, 2.0, 21).make_simulator(21);
   const auto records = sim.run();
   const Game& game = sim.current_game();
   const Configuration& config = sim.configuration();
@@ -37,7 +38,8 @@ TEST(Integration, MarketWeightsInduceConsistentGame) {
 /// Market → dynamics: freezing an epoch's weights, better-response learning
 /// from the simulator's configuration converges (Theorem 1 on market data).
 TEST(Integration, LearningConvergesOnMarketGame) {
-  market::MarketSimulator sim = market::random_market_scenario(20, 4, 1.0, 23);
+  market::MarketSimulator sim =
+      market::random_market_prototype(20, 4, 1.0, 23).make_simulator(23);
   sim.run();
   const Game& game = sim.current_game();
   auto sched = make_scheduler(SchedulerKind::kRandomMove, 7);
@@ -56,7 +58,8 @@ TEST(Integration, LearningConvergesOnMarketGame) {
 /// one equilibrium of the epoch game to another via Algorithm 2 — the
 /// paper's end-to-end story on simulator-derived weights.
 TEST(Integration, RewardDesignOnMarketDerivedWeights) {
-  market::MarketSimulator sim = market::random_market_scenario(8, 3, 1.0, 29);
+  market::MarketSimulator sim =
+      market::random_market_prototype(8, 3, 1.0, 29).make_simulator(29);
   sim.run();
   const Game& epoch_game = sim.current_game();
 
@@ -112,7 +115,8 @@ TEST(Integration, WhaleAttackMovesHashrate) {
 /// Cross-substrate sanity: the market's epoch game and the greedy
 /// equilibrium construction agree on who the heavy coin is.
 TEST(Integration, GreedyEquilibriumFavorsHeavyMarketCoin) {
-  market::MarketSimulator sim = market::random_market_scenario(12, 3, 1.0, 41);
+  market::MarketSimulator sim =
+      market::random_market_prototype(12, 3, 1.0, 41).make_simulator(41);
   sim.run();
   const Game& game = sim.current_game();
   const Configuration eq = greedy_equilibrium(game);

@@ -8,237 +8,11 @@
 #include <iterator>
 #include <string>
 
-#include "core/generators.hpp"
-#include "core/moves.hpp"
 #include "io/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace goc::io {
 namespace {
-
-/// Asserts that `fn()` throws std::invalid_argument whose message contains
-/// `needle` — every parser throw site must say *what* was wrong, not just
-/// that something was.
-template <typename Fn>
-void expect_parse_error(Fn&& fn, const std::string& needle) {
-  try {
-    fn();
-    FAIL() << "expected std::invalid_argument mentioning '" << needle << "'";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message '" << e.what() << "' does not mention '" << needle << "'";
-  }
-}
-
-TEST(Serialize, GameRoundTripSimple) {
-  Game g(System::from_integer_powers({5, 3, 1}, 2),
-         RewardFunction::from_integers({10, 7}));
-  const Game back = game_from_text(to_text(g));
-  EXPECT_EQ(back.system().powers(), g.system().powers());
-  EXPECT_EQ(back.rewards().values(), g.rewards().values());
-  EXPECT_TRUE(back.access().is_unrestricted());
-}
-
-TEST(Serialize, GameRoundTripRationalPowers) {
-  Game g(System({Rational(5, 3), Rational(1, 2)}, 2),
-         RewardFunction({Rational(22, 7), Rational(3)}));
-  const Game back = game_from_text(to_text(g));
-  EXPECT_EQ(back.system().powers(), g.system().powers());
-  EXPECT_EQ(back.rewards().values(), g.rewards().values());
-}
-
-TEST(Serialize, GameRoundTripWithAccess) {
-  Game g(System::from_integer_powers({4, 2}, 3),
-         RewardFunction::from_integers({6, 5, 4}),
-         AccessPolicy({{true, true, false}, {false, true, true}}));
-  const Game back = game_from_text(to_text(g));
-  EXPECT_FALSE(back.access().is_unrestricted());
-  for (std::uint32_t p = 0; p < 2; ++p) {
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(back.can_mine(MinerId(p), CoinId(c)),
-                g.can_mine(MinerId(p), CoinId(c)));
-    }
-  }
-}
-
-TEST(Serialize, RoundTripPropertyOnRandomGames) {
-  Rng rng(99);
-  for (int trial = 0; trial < 25; ++trial) {
-    GameSpec spec;
-    spec.num_miners = 1 + static_cast<std::size_t>(rng.next_below(12));
-    spec.num_coins = 1 + static_cast<std::size_t>(rng.next_below(5));
-    spec.distinct_powers = rng.bernoulli(0.5);
-    Game g = random_game(spec, rng);
-    if (rng.bernoulli(0.5)) {
-      Rng arng = rng.split();
-      g = Game(g.system_ptr(), g.rewards(),
-               AccessPolicy::random(g.num_miners(), g.num_coins(), 0.6, arng));
-    }
-    const Game back = game_from_text(to_text(g));
-    ASSERT_EQ(back.system().powers(), g.system().powers());
-    ASSERT_EQ(back.rewards().values(), g.rewards().values());
-    // Behavioral equivalence probe: same equilibrium predicate on a random
-    // configuration.
-    const Configuration s = random_configuration(g, rng);
-    const Configuration s2(back.system_ptr(), s.assignment());
-    EXPECT_EQ(is_equilibrium(g, s), is_equilibrium(back, s2));
-  }
-}
-
-TEST(Serialize, ConfigurationRoundTrip) {
-  Game g(System::from_integer_powers({5, 3, 1}, 3),
-         RewardFunction::from_integers({10, 7, 2}));
-  const Configuration s(g.system_ptr(), {CoinId(2), CoinId(0), CoinId(1)});
-  const Configuration back =
-      configuration_from_text(to_text(s), g.system_ptr());
-  EXPECT_TRUE(back == s);
-}
-
-TEST(Serialize, CommentsAndBlankLinesIgnored) {
-  const std::string text =
-      "# a scenario\n\ngoc-game v1\nminers 2\n"
-      "powers 2 1  # big and small\ncoins 2\nrewards 1 1\n";
-  const Game g = game_from_text(text);
-  EXPECT_EQ(g.num_miners(), 2u);
-  EXPECT_EQ(g.system().power(MinerId(0)), Rational(2));
-}
-
-TEST(Serialize, MalformedInputsRejected) {
-  EXPECT_THROW(game_from_text(""), std::invalid_argument);
-  EXPECT_THROW(game_from_text("goc-game v2\n"), std::invalid_argument);
-  EXPECT_THROW(game_from_text("goc-game v1\nminers x\n"), std::invalid_argument);
-  EXPECT_THROW(
-      game_from_text("goc-game v1\nminers 2\npowers 1\ncoins 1\nrewards 1\n"),
-      std::invalid_argument);  // wrong arity
-  EXPECT_THROW(
-      game_from_text(
-          "goc-game v1\nminers 1\npowers 1/0\ncoins 1\nrewards 1\n"),
-      std::invalid_argument);  // zero denominator
-  EXPECT_THROW(
-      game_from_text(
-          "goc-game v1\nminers 1\npowers -1\ncoins 1\nrewards 1\n"),
-      std::invalid_argument);  // nonpositive power
-  EXPECT_THROW(
-      game_from_text("goc-game v1\nminers 1\npowers 1\ncoins 1\nrewards 1\n"
-                     "access 2\n"),
-      std::invalid_argument);  // bad access flag
-}
-
-TEST(Serialize, ConfigurationErrors) {
-  auto system = std::make_shared<const System>(
-      System::from_integer_powers({1, 1}, 2));
-  EXPECT_THROW(configuration_from_text("goc-config v1\nassignment 0\n", system),
-               std::invalid_argument);  // arity
-  EXPECT_THROW(
-      configuration_from_text("goc-config v1\nassignment 0 5\n", system),
-      std::invalid_argument);  // coin range
-  EXPECT_THROW(configuration_from_text("nonsense\n", system),
-               std::invalid_argument);
-}
-
-TEST(Serialize, RationalHelpers) {
-  EXPECT_EQ(rational_from_text("22/7"), Rational(22, 7));
-  EXPECT_EQ(rational_from_text("-3"), Rational(-3));
-  EXPECT_EQ(rational_from_text(rational_to_text(Rational(355, 113))),
-            Rational(355, 113));
-  EXPECT_THROW(rational_from_text("abc"), std::invalid_argument);
-  EXPECT_THROW(rational_from_text("1/0"), std::invalid_argument);
-}
-
-// One test per parser throw site, message content included: integers.
-TEST(SerializeErrors, IntegerParsing) {
-  expect_parse_error([] { rational_from_text(""); }, "empty integer");
-  expect_parse_error([] { rational_from_text("1/"); }, "empty integer");
-  expect_parse_error([] { rational_from_text("-"); }, "sign without digits");
-  expect_parse_error([] { rational_from_text("+"); }, "sign without digits");
-  expect_parse_error([] { rational_from_text("12a"); }, "invalid digit");
-  expect_parse_error([] { rational_from_text("0x10"); }, "invalid digit");
-  // 40 digits overflow i128 (max ~1.7e38).
-  expect_parse_error([] { rational_from_text(std::string(40, '9')); },
-                     "integer out of range");
-  expect_parse_error([] { rational_from_text("4/0"); }, "zero denominator");
-}
-
-TEST(SerializeErrors, GameHeaderAndStructure) {
-  expect_parse_error([] { game_from_text(""); }, "end of input");
-  expect_parse_error([] { game_from_text("goc-game\n"); },
-                     "unsupported game format version");
-  expect_parse_error([] { game_from_text("goc-game v2\n"); },
-                     "unsupported game format version");
-  expect_parse_error([] { game_from_text("goc-game v1\nrewards 1\n"); },
-                     "expected 'miners'");
-  expect_parse_error([] { game_from_text("goc-game v1\nminers 2 3\n"); },
-                     "miners expects one count");
-  expect_parse_error([] { game_from_text("goc-game v1\nminers two\n"); },
-                     "invalid count");
-  expect_parse_error(
-      [] { game_from_text("goc-game v1\nminers 2\npowers 1\n"); },
-      "powers expects exactly 2 values");
-  expect_parse_error(
-      [] {
-        game_from_text("goc-game v1\nminers 1\npowers 1\ncoins 1 2\n");
-      },
-      "coins expects one count");
-  expect_parse_error(
-      [] {
-        game_from_text(
-            "goc-game v1\nminers 1\npowers 1\ncoins 2\nrewards 5\n");
-      },
-      "rewards expects exactly 2 values");
-}
-
-TEST(SerializeErrors, GameAccessRows) {
-  const std::string base =
-      "goc-game v1\nminers 2\npowers 1 1\ncoins 2\nrewards 3 2\n";
-  expect_parse_error([&] { game_from_text(base + "trailer 10 01\n"); },
-                     "expected optional 'access'");
-  expect_parse_error([&] { game_from_text(base + "access 10\n"); },
-                     "one row per miner");
-  expect_parse_error([&] { game_from_text(base + "access 10 0\n"); },
-                     "one flag per coin");
-  expect_parse_error([&] { game_from_text(base + "access 10 0x\n"); },
-                     "access flags must be 0/1");
-}
-
-TEST(SerializeErrors, InvalidGameWrapped) {
-  // Structurally well-formed text whose values the Game constructor
-  // rejects must surface as the wrapped goc::io error, not a raw one.
-  expect_parse_error(
-      [] {
-        game_from_text("goc-game v1\nminers 1\npowers 0\ncoins 1\nrewards 1\n");
-      },
-      "goc::io: invalid game");
-}
-
-TEST(SerializeErrors, ConfigurationSites) {
-  auto system = std::make_shared<const System>(
-      System::from_integer_powers({1, 1}, 2));
-  expect_parse_error(
-      [&] { configuration_from_text("goc-config v3\nassignment 0 1\n", system); },
-      "unsupported configuration format version");
-  expect_parse_error(
-      [&] { configuration_from_text("goc-config v1\nassignment 0\n", system); },
-      "one coin per miner");
-  expect_parse_error(
-      [&] { configuration_from_text("goc-config v1\nassignment 0 9\n", system); },
-      "coin id out of range");
-  expect_parse_error(
-      [&] { configuration_from_text("goc-config v1\nassignment 0 -1\n", system); },
-      "invalid count");
-  EXPECT_THROW(configuration_from_text("goc-config v1\nassignment 0 1\n",
-                                       nullptr),
-               std::invalid_argument);
-}
-
-TEST(SerializeErrors, MessagesCarryLineNumbers) {
-  try {
-    game_from_text("goc-game v1\nminers 2\npowers 1\n");
-    FAIL() << "expected parse error";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-        << e.what();
-  }
-}
 
 /// Test-local inverse of json_escape, strict: rejects anything the escaper
 /// would not produce.
@@ -386,26 +160,6 @@ TEST(SerializeErrors, AtomicWriteConservesFdsOnFailurePaths) {
   EXPECT_FALSE(tmp_left.good());
   std::remove(inner.c_str());
   ASSERT_EQ(::rmdir(dir_target.c_str()), 0);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  Game g(System::from_integer_powers({9, 4}, 2),
-         RewardFunction::from_integers({3, 8}));
-  const std::string game_path = "/tmp/goc_io_test_game.txt";
-  const std::string config_path = "/tmp/goc_io_test_config.txt";
-  save_game(g, game_path);
-  const Game back = load_game(game_path);
-  EXPECT_EQ(back.system().powers(), g.system().powers());
-
-  const Configuration s(g.system_ptr(), {CoinId(1), CoinId(0)});
-  save_configuration(s, config_path);
-  const Configuration sback = load_configuration(config_path, g.system_ptr());
-  EXPECT_TRUE(sback == s);
-  std::remove(game_path.c_str());
-  std::remove(config_path.c_str());
-
-  EXPECT_THROW(load_game("/nonexistent/dir/game.txt"), std::runtime_error);
-  EXPECT_THROW(save_game(g, "/nonexistent/dir/game.txt"), std::runtime_error);
 }
 
 }  // namespace

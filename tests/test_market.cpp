@@ -37,15 +37,6 @@ TEST(Gbm, DriftMovesTheMean) {
   EXPECT_GT(finals.mean(), 100.0 * std::exp(0.05 * 30) * 0.8);
 }
 
-TEST(Gbm, ResetRestoresInitialPrice) {
-  GbmProcess p(42.0, 0.0, 0.1);
-  Rng rng(3);
-  p.step(5.0, rng);
-  EXPECT_NE(p.price(), 42.0);
-  p.reset();
-  EXPECT_DOUBLE_EQ(p.price(), 42.0);
-}
-
 TEST(Gbm, RejectsBadParameters) {
   EXPECT_THROW(GbmProcess(0.0, 0.0, 0.1), std::invalid_argument);
   EXPECT_THROW(GbmProcess(1.0, 0.0, -0.1), std::invalid_argument);
@@ -88,16 +79,22 @@ TEST(ScheduledShock, FiresOnceAtTheRightTime) {
   }
 }
 
-TEST(ScheduledShock, ResetRearmsShocks) {
-  auto base = std::make_unique<GbmProcess>(100.0, 0.0, 0.0);
-  ScheduledShockProcess p(std::move(base), {{1.0, 3.0}});
+TEST(ScheduledShock, ClonesCarryTheShockClock) {
+  // A replica starts from a clone of the unstepped prototype, so its shocks
+  // fire afresh; a mid-run clone keeps the ones already fired.
+  const ScheduledShockProcess prototype(
+      std::make_unique<GbmProcess>(100.0, 0.0, 0.0), {{1.0, 3.0}});
   Rng rng(1);
-  p.step(2.0, rng);
-  EXPECT_NEAR(p.price(), 300.0, 1e-9);
-  p.reset();
-  EXPECT_NEAR(p.price(), 100.0, 1e-9);
-  p.step(2.0, rng);
-  EXPECT_NEAR(p.price(), 300.0, 1e-9);
+  const auto first = prototype.clone();
+  first->step(2.0, rng);
+  EXPECT_NEAR(first->price(), 300.0, 1e-9);
+  const auto mid_run = first->clone();
+  mid_run->step(2.0, rng);
+  EXPECT_NEAR(mid_run->price(), 300.0, 1e-9);
+  const auto second = prototype.clone();
+  EXPECT_NEAR(second->price(), 100.0, 1e-9);
+  second->step(2.0, rng);
+  EXPECT_NEAR(second->price(), 300.0, 1e-9);
 }
 
 // ---------------------------------------------------------------- fee market
@@ -243,7 +240,8 @@ TEST(ForkFlip, ValidatesParameters) {
 }
 
 TEST(RandomMarket, RunsAndStaysConsistent) {
-  MarketSimulator sim = random_market_scenario(24, 4, 5.0, 9);
+  MarketSimulator sim =
+      random_market_prototype(24, 4, 5.0, 9).make_simulator(9);
   const auto records = sim.run();
   ASSERT_EQ(records.size(), 120u);
   for (const auto& rec : records) {

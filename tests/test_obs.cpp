@@ -137,7 +137,9 @@ TEST(Histogram, BucketBoundIsInclusiveUpperEdge) {
   for (std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 4ull, 100ull, 65535ull}) {
     const std::size_t b = Histogram::bucket_of(v);
     EXPECT_LE(v, Histogram::bucket_bound(b));
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_bound(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_bound(b - 1));
+    }
   }
 }
 

@@ -9,7 +9,6 @@
 #include "dynamics/learning.hpp"
 #include "market/market_sim.hpp"
 #include "market/price_process.hpp"
-#include "util/log.hpp"
 
 namespace goc {
 namespace {
@@ -26,6 +25,11 @@ class NonImprovingScheduler final : public Scheduler {
     const CoinId to((from.value + 1) % static_cast<std::uint32_t>(game.num_coins()));
     return Move{p, from, to, Rational(0)};
   }
+  std::optional<Move> pick_indexed(
+      const Game& game, const Configuration& s,
+      const dynamics::BestResponseIndex& /*index*/) override {
+    return pick(game, s);
+  }
   std::string name() const override { return "malicious-nonimproving"; }
 };
 
@@ -38,6 +42,11 @@ class MisappliedScheduler final : public Scheduler {
         (s.of(p).value + 1) % static_cast<std::uint32_t>(game.num_coins()));
     return Move{p, wrong_from, s.of(p), Rational(1)};
   }
+  std::optional<Move> pick_indexed(
+      const Game& game, const Configuration& s,
+      const dynamics::BestResponseIndex& /*index*/) override {
+    return pick(game, s);
+  }
   std::string name() const override { return "malicious-misapplied"; }
 };
 
@@ -46,7 +55,12 @@ TEST(FailureInjection, LearningRejectsNonImprovingMove) {
          RewardFunction::from_integers({1, 1}));
   const Configuration s(g.system_ptr(), {CoinId(0), CoinId(0)});
   NonImprovingScheduler sched;
-  EXPECT_THROW(run_learning(g, s, sched), InvariantError);
+  for (const bool use_index : {true, false}) {
+    LearningOptions options;
+    options.use_index = use_index;
+    EXPECT_THROW(run_learning(g, s, sched, options), InvariantError)
+        << "use_index=" << use_index;
+  }
 }
 
 TEST(FailureInjection, LearningRejectsMisappliedMove) {
@@ -54,7 +68,12 @@ TEST(FailureInjection, LearningRejectsMisappliedMove) {
          RewardFunction::from_integers({1, 1}));
   const Configuration s(g.system_ptr(), {CoinId(0), CoinId(0)});
   MisappliedScheduler sched;
-  EXPECT_THROW(run_learning(g, s, sched), InvariantError);
+  for (const bool use_index : {true, false}) {
+    LearningOptions options;
+    options.use_index = use_index;
+    EXPECT_THROW(run_learning(g, s, sched, options), InvariantError)
+        << "use_index=" << use_index;
+  }
 }
 
 // ------------------------------------------ exact arithmetic vs double ref
@@ -172,20 +191,6 @@ TEST(MarketValidation, WhaleIndexChecked) {
   MarketSimulator sim({1, 2}, std::move(coins), opts);
   EXPECT_THROW(sim.inject_whale(3, 100.0), std::invalid_argument);
   EXPECT_THROW(sim.current_game(), std::invalid_argument);  // no epoch yet
-}
-
-// ----------------------------------------------------------------- logging
-
-TEST(Logging, ThresholdSuppression) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  // Suppressed and emitted paths both exercised (no crash, no assertion).
-  GOC_LOG(Debug) << "invisible " << 42;
-  GOC_LOG(Error) << "visible " << 42;
-  set_log_level(LogLevel::Off);
-  GOC_LOG(Error) << "also invisible";
-  set_log_level(before);
 }
 
 // ------------------------------------------------------------ access + reward

@@ -40,6 +40,8 @@ TEST(Request, CliFromTokensSharesCliConventions) {
   EXPECT_THROW(reject_unknown(cli, {"replicas", "seed"}),
                std::invalid_argument);
   EXPECT_NO_THROW(reject_unknown(cli, {"replicas", "stop-rel", "seed"}));
+  const Cli stray = cli_from_tokens("goc-serve:batch", {"--seed=1", "extra"});
+  EXPECT_THROW(reject_unknown(stray, {"seed"}), std::invalid_argument);
 }
 
 TEST(Request, ParseSizeList) {
@@ -175,6 +177,32 @@ TEST(Server, RejectsUnknownFlagsAndKinds) {
   EXPECT_EQ(respond(server, "status nope").rfind("err ", 0), 0u);
   EXPECT_EQ(respond(server, "result 99 --wait").rfind("err unknown job", 0),
             0u);
+  EXPECT_EQ(server.jobs().size(), 0u);
+}
+
+TEST(Server, RejectsStrayPositionalTokens) {
+  Server server(ServerOptions{2});
+  const std::string sweep =
+      respond(server, "submit sweep --miners 10 20 --coins=3 --trials=1");
+  EXPECT_EQ(sweep, "err unknown option(s) for goc-serve:sweep: 20\n");
+  const std::string batch = respond(
+      server,
+      "submit batch extra --replicas=2 --miners=16 --chains=2 --days=1");
+  EXPECT_EQ(batch, "err unknown option(s) for goc-serve:batch: extra\n");
+  for (const std::string& line :
+       {std::string("enumerate --miners=3 --coins=2 7"),
+        std::string("stats json"), std::string("result 1 2"),
+        std::string("watch 1 2"), std::string("status 1 2"),
+        std::string("cancel 1 2"), std::string("status 1 --bogus=3")}) {
+    const std::string reply = respond(server, line);
+    EXPECT_EQ(reply.rfind("err unknown option(s) for goc-serve:", 0), 0u)
+        << line << " -> " << reply;
+  }
+  // A stray token is cut like every other echo.
+  const std::string huge(1000, 'y');
+  const std::string cut = respond(server, "submit enumerate " + huge);
+  EXPECT_NE(cut.find(huge.substr(0, kEchoBytes) + "...(+"), std::string::npos)
+      << cut.substr(0, 120);
   EXPECT_EQ(server.jobs().size(), 0u);
 }
 

@@ -244,11 +244,12 @@ TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
         ref_now = t_end;
       }
     } else {
-      core.reset();
+      // Re-declaring the streams drops every pending event; the clock and
+      // the sequence counter carry on.
+      core.declare_streams(EventType::kBlockFound, kBlocks);
+      core.declare_streams(EventType::kDecisionEpoch, 1);
       ref.clear();
       for (auto& p : ref_pending) p.reset();
-      ref_seq = 0;
-      ref_now = 0.0;
     }
     ASSERT_EQ(core.now(), ref_now) << "op " << op;
     ASSERT_EQ(core.pending(), ref.size()) << "op " << op;
@@ -256,19 +257,20 @@ TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
   EXPECT_GT(pops, 50000u);
 }
 
-TEST(EventCore, ResetReusesCapacity) {
+TEST(EventCore, RedeclareDropsPendingEvents) {
   EventCore core;
   core.declare_streams(EventType::kBlockFound, 1);
   for (int i = 0; i < 100; ++i) {
     core.schedule(static_cast<double>(i + 1), EventType::kBlockFound, 0);
   }
-  core.reset();
-  EXPECT_TRUE(core.empty());
-  EXPECT_DOUBLE_EQ(core.now(), 0.0);
-  core.schedule(1.0, EventType::kBlockFound, 0);
   Event event;
+  EXPECT_FALSE(core.pop_until(event, 0.5));
+  core.declare_streams(EventType::kBlockFound, 1);
+  EXPECT_TRUE(core.empty());
+  EXPECT_DOUBLE_EQ(core.now(), 0.5);  // the clock carries on
+  core.schedule(1.0, EventType::kBlockFound, 0);
   ASSERT_TRUE(core.pop_until(event, 1.0));
-  EXPECT_EQ(event.seq, 0u);  // sequence counter rewound too
+  EXPECT_EQ(event.seq, 100u);  // so does the sequence counter
 }
 
 TEST(EventCore, RejectsPastAndUndeclaredStreams) {

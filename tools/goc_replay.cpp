@@ -5,7 +5,6 @@
 #include "replay/golden.hpp"
 #include "replay/replay.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 
 /// \file goc_replay.cpp
 /// `goc-replay` — record, verify and inspect binary replay artifacts.
@@ -25,7 +24,8 @@
 /// bench/baselines/ go through this in CI on every compiler. `batch` is
 /// the fault-injection workload: with `--kill-after=N` the process
 /// SIGKILLs itself inside the Nth checkpoint write, leaving an artifact
-/// for the harness to corrupt and resume.
+/// for the harness to corrupt and resume. Each subcommand exits 2 on an
+/// option it does not read (`Cli::refuse_unknown`).
 
 namespace {
 
@@ -42,6 +42,9 @@ int usage(const char* program) {
 }
 
 int run_record(const goc::Cli& cli) {
+  if (cli.refuse_unknown({"scenario", "out", "seed", "replicas", "stride"})) {
+    return 2;
+  }
   goc::replay::GoldenOptions options;
   options.scenario = cli.get_string("scenario", options.scenario);
   options.seed = cli.get_u64("seed", options.seed);
@@ -61,7 +64,9 @@ int run_record(const goc::Cli& cli) {
   return 0;
 }
 
-int run_verify(const std::vector<std::string>& paths) {
+int run_verify(const goc::Cli& cli) {
+  if (cli.refuse_unknown({}, /*positional_ok=*/true)) return 2;
+  const std::vector<std::string>& paths = cli.positional();
   if (paths.empty()) {
     std::cerr << "verify: at least one artifact path is required\n";
     return 2;
@@ -81,7 +86,9 @@ int run_verify(const std::vector<std::string>& paths) {
   return failures == 0 ? 0 : 1;
 }
 
-int run_info(const goc::Cli& cli, const std::vector<std::string>& paths) {
+int run_info(const goc::Cli& cli) {
+  if (cli.refuse_unknown({"strict"}, /*positional_ok=*/true)) return 2;
+  const std::vector<std::string>& paths = cli.positional();
   if (paths.size() != 1) {
     std::cerr << "info: exactly one artifact path is required\n";
     return 2;
@@ -94,6 +101,10 @@ int run_info(const goc::Cli& cli, const std::vector<std::string>& paths) {
 }
 
 int run_batch(const goc::Cli& cli) {
+  if (cli.refuse_unknown({"checkpoint", "seed", "replicas", "interval",
+                          "threads", "kill-after", "adaptive"})) {
+    return 2;
+  }
   goc::replay::CrashBatchOptions options;
   options.checkpoint_path = cli.get_string("checkpoint", "");
   options.seed = cli.get_u64("seed", options.seed);
@@ -125,13 +136,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string command = argv[1];
   const goc::Cli cli(argc - 1, argv + 1);
-  if (cli.get_bool("verbose", false)) {
-    goc::set_log_level(goc::LogLevel::Debug);
-  }
   try {
     if (command == "record") return run_record(cli);
-    if (command == "verify") return run_verify(cli.positional());
-    if (command == "info") return run_info(cli, cli.positional());
+    if (command == "verify") return run_verify(cli);
+    if (command == "info") return run_info(cli);
     if (command == "batch") return run_batch(cli);
   } catch (const std::exception& e) {
     std::cerr << command << ": " << e.what() << "\n";

@@ -29,7 +29,6 @@
 #include "obs/stats_log.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 
 namespace {
 
@@ -43,11 +42,11 @@ bool send_all(int fd, const std::string& text) {
   return true;
 }
 
-int serve_tcp(goc::serve::Server& server, std::uint16_t port) {
+int serve_tcp(goc::serve::Server& server, std::uint16_t port, bool verbose) {
   ::signal(SIGPIPE, SIG_IGN);  // a vanished client must not kill the daemon
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) {
-    GOC_LOG(Error) << "goc-serve: socket: " << std::strerror(errno);
+    std::cerr << "goc-serve: socket: " << std::strerror(errno) << "\n";
     return 1;
   }
   int one = 1;
@@ -59,7 +58,7 @@ int serve_tcp(goc::serve::Server& server, std::uint16_t port) {
   if (::bind(listener, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(listener, 4) != 0) {
-    GOC_LOG(Error) << "goc-serve: bind/listen: " << std::strerror(errno);
+    std::cerr << "goc-serve: bind/listen: " << std::strerror(errno) << "\n";
     ::close(listener);
     return 1;
   }
@@ -73,10 +72,10 @@ int serve_tcp(goc::serve::Server& server, std::uint16_t port) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      GOC_LOG(Error) << "goc-serve: accept: " << std::strerror(errno);
+      std::cerr << "goc-serve: accept: " << std::strerror(errno) << "\n";
       break;
     }
-    GOC_LOG(Debug) << "goc-serve: client connected";
+    if (verbose) std::cerr << "goc-serve: client connected\n";
     std::string buffer;
     char chunk[4096];
     bool open = true;
@@ -102,12 +101,8 @@ int serve_tcp(goc::serve::Server& server, std::uint16_t port) {
 
 int run(int argc, char** argv) {
   const goc::Cli cli(argc, argv);
-  const std::vector<std::string> stray = cli.unknown(
-      {"threads", "port", "help", "verbose", "stats-log", "stats-interval"});
-  if (!stray.empty()) {
-    std::cerr << "goc-serve: unknown option(s):";
-    for (const auto& name : stray) std::cerr << " --" << name;
-    std::cerr << "\n";
+  if (cli.refuse_unknown({"threads", "port", "help", "verbose", "stats-log",
+                          "stats-interval"})) {
     return 2;
   }
   if (cli.get_bool("help", false)) {
@@ -115,15 +110,22 @@ int run(int argc, char** argv) {
               << "          [--stats-log=PATH] [--stats-interval=MS]\n"
               << "  line protocol on stdin/stdout (or a loopback TCP\n"
               << "  listener with --port; port 0 = OS-assigned).\n"
-              << "  --verbose lowers the stderr log level to debug\n"
-              << "  (GOC_LOG_LEVEL presets it); --stats-log appends one\n"
-              << "  JSON metrics snapshot per interval (default 1000 ms)\n"
-              << "  to PATH as JSONL.\n"
+              << "  --verbose also reports connections and setup on\n"
+              << "  stderr (errors always go there); --stats-log appends\n"
+              << "  one JSON metrics snapshot per interval (default\n"
+              << "  1000 ms) to PATH as JSONL.\n"
               << "  Type 'help' at the prompt for the command grammar.\n";
     return 0;
   }
-  if (cli.get_bool("verbose", false)) {
-    goc::set_log_level(goc::LogLevel::Debug);
+  const bool verbose = cli.get_bool("verbose", false);
+  std::optional<std::uint16_t> port;
+  if (cli.has("port")) {
+    const std::uint64_t value = cli.get_u64("port", 0);
+    if (value > 65535) {
+      std::cerr << "goc-serve: --port expects 0..65535, got " << value << "\n";
+      return 2;
+    }
+    port = static_cast<std::uint16_t>(value);
   }
   std::unique_ptr<goc::obs::StatsLogger> stats_log;
   if (cli.has("stats-log")) {
@@ -136,18 +138,18 @@ int run(int argc, char** argv) {
       std::cerr << "goc-serve: " << error.what() << "\n";
       return 2;
     }
-    GOC_LOG(Info) << "goc-serve: stats JSONL -> " << log_options.path
-                  << " every " << log_options.interval_ms << " ms";
+    if (verbose) {
+      std::cerr << "goc-serve: stats JSONL -> " << log_options.path
+                << " every " << log_options.interval_ms << " ms\n";
+    }
   }
   goc::serve::ServerOptions options;
   options.threads = cli.get_u64("threads", 0);
   goc::serve::Server server(options);
-  GOC_LOG(Debug) << "goc-serve: pool ready with " << server.lanes()
-                 << " lanes";
-  if (cli.has("port")) {
-    return serve_tcp(server,
-                     static_cast<std::uint16_t>(cli.get_u64("port", 0)));
+  if (verbose) {
+    std::cerr << "goc-serve: pool ready with " << server.lanes() << " lanes\n";
   }
+  if (port) return serve_tcp(server, *port, verbose);
   server.serve(std::cin, std::cout);
   return 0;
 }
