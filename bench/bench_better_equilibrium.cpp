@@ -158,4 +158,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

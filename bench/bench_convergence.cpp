@@ -88,29 +88,6 @@ int run(int argc, char** argv) {
             << result.threads() << " lanes in " << fmt_double(parallel_ms, 1)
             << " ms]\n";
 
-  // Emission cost of the sweep layer (the ROADMAP "sweep-record allocation
-  // churn" item): labels are interned and CSV streams into one buffer, so
-  // per-record emission cost stays flat rather than allocating a cell
-  // string per column.
-  {
-    watch.restart();
-    const std::string csv = result.to_csv(/*include_timing=*/false);
-    const double csv_ms = watch.elapsed_ms();
-    watch.restart();
-    const std::string json = result.to_json(/*include_timing=*/false);
-    const double json_ms = watch.elapsed_ms();
-    const double n = static_cast<double>(result.records().size());
-    Table emission({"records", "csv_bytes", "csv_ms", "json_bytes", "json_ms",
-                    "us_per_record"});
-    emission.row() << std::uint64_t(result.records().size())
-                   << std::uint64_t(csv.size()) << fmt_double(csv_ms, 3)
-                   << std::uint64_t(json.size()) << fmt_double(json_ms, 3)
-                   << fmt_double(n > 0 ? 1000.0 * (csv_ms + json_ms) / n : 0.0,
-                                 3);
-    bench::emit(cli, emission,
-                "Record emission (interned labels, streamed CSV)", "emission");
-  }
-
   if (compare_serial) {
     engine::SweepRunner serial({/*threads=*/1});
     watch.restart();
@@ -153,4 +130,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

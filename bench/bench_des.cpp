@@ -177,6 +177,14 @@ int run(int argc, char** argv) {
   const bool quick = cli.get_bool("quick", false);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
   const std::uint64_t seed0 = cli.get_u64("seed", 2017);
+  const bool with_adaptive = cli.get_bool("adaptive", false);
+  // The Monte Carlo batch section's flags are read here, before any
+  // output, so a malformed value refuses the run before it starts.
+  sim::TrajectoryBatchOptions batch;
+  batch.replicas = quick ? 16 : 48;
+  batch.root_seed = seed0;
+  batch.threads = threads;
+  sim::apply_batch_cli(cli, batch);  // --replicas/--stop-*/--checkpoint
 
   bench::banner(
       "Stochastic simulators (single lane)",
@@ -215,11 +223,6 @@ int run(int argc, char** argv) {
   bench::emit(cli, table, "Stochastic simulators (trajectory hash per row)");
 
   // ---------------------------------------------------- Monte Carlo batch
-  sim::TrajectoryBatchOptions batch;
-  batch.replicas = quick ? 16 : 48;
-  batch.root_seed = seed0;
-  batch.threads = threads;
-  sim::apply_batch_cli(cli, batch);  // --replicas/--stop-*/--checkpoint
   const std::size_t replicas = batch.replicas;
   const auto chain_factory = [&](std::uint64_t seed) {
     return make_reference_chain(quick ? 128 : 256, 8, quick ? 10.0 : 20.0,
@@ -250,7 +253,7 @@ int run(int argc, char** argv) {
             << " (values_hash " << parallel.values_hash() << ")]\n";
 
   // ----------------------------------------------- adaptive Monte Carlo
-  if (cli.get_bool("adaptive", false)) {
+  if (with_adaptive) {
     bench::banner(
         "Adaptive Monte Carlo (CI-driven stopping + sharded decision epochs)",
         "Stopping: waves of replicas stop once the replica-ordered prefix "
@@ -386,4 +389,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -44,6 +44,30 @@ int run(int argc, char** argv) {
   // --adaptive: stop the replay batch once the flip-window share's 95% CI
   // is inside 2 percentage points (replicas = floor, 8x replicas = cap).
   const bool adaptive = cli.get_bool("adaptive", false);
+  // The replay batch of the last section reads its flags here, before any
+  // output, so a malformed value refuses the run before it starts.
+  Fig1ReplayParams replay_params;
+  replay_params.days = params.days;
+  replay_params.shock_day = params.shock_day;
+  replay_params.revert_day = params.revert_day;
+  replay_params.seed = params.seed;
+  // --epoch-lanes=N runs the replay's decision rounds as sharded
+  // simultaneous-move epochs (0 keeps the sequential scan default).
+  replay_params.epoch_lanes = sim::epoch_lanes_from_cli(cli);
+  sim::TrajectoryBatchOptions batch;
+  batch.replicas = replicas;
+  batch.root_seed = params.seed;
+  batch.threads = threads;
+  if (adaptive) {
+    sim::StoppingRule rule;
+    rule.metric = "flip_window_share";
+    rule.tolerance = 0.04;  // 4 hashrate-share points, absolute
+    rule.min_replicas = std::max<std::size_t>(2, replicas);
+    rule.max_replicas = 8 * std::max<std::size_t>(2, replicas);
+    rule.wave = std::max<std::size_t>(2, replicas);
+    batch.stopping = rule;
+  }
+  sim::apply_batch_cli(cli, batch);  // --stop-*/--checkpoint override
 
   bench::banner("E1/E2 — Figure 1a/1b: BTC/BCH fork-flip migration",
                 "Scripted exchange-rate shock at day " +
@@ -97,28 +121,6 @@ int run(int argc, char** argv) {
   // window. Run as a Monte Carlo batch on the trajectory engine: R
   // replicas across the thread pool, phase shares reported with 95% CIs
   // (bit-identical at any --threads).
-  Fig1ReplayParams replay_params;
-  replay_params.days = params.days;
-  replay_params.shock_day = params.shock_day;
-  replay_params.revert_day = params.revert_day;
-  replay_params.seed = params.seed;
-  // --epoch-lanes=N runs the replay's decision rounds as sharded
-  // simultaneous-move epochs (0 keeps the sequential scan default).
-  replay_params.epoch_lanes = sim::epoch_lanes_from_cli(cli);
-  sim::TrajectoryBatchOptions batch;
-  batch.replicas = replicas;
-  batch.root_seed = params.seed;
-  batch.threads = threads;
-  if (adaptive) {
-    sim::StoppingRule rule;
-    rule.metric = "flip_window_share";
-    rule.tolerance = 0.04;  // 4 hashrate-share points, absolute
-    rule.min_replicas = std::max<std::size_t>(2, replicas);
-    rule.max_replicas = 8 * std::max<std::size_t>(2, replicas);
-    rule.wave = std::max<std::size_t>(2, replicas);
-    batch.stopping = rule;
-  }
-  sim::apply_batch_cli(cli, batch);  // --stop-*/--checkpoint override
   const sim::TrajectoryBatchResult replay =
       run_fig1_replay_batch(replay_params, batch);
   if (adaptive) {
@@ -163,4 +165,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

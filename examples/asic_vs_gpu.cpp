@@ -19,7 +19,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace goc;
   const Cli cli(argc, argv);
   if (cli.refuse_unknown({"seed"})) return 2;
@@ -93,3 +95,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

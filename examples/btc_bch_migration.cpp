@@ -16,7 +16,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace goc;
   using namespace goc::market;
   const Cli cli(argc, argv);
@@ -67,3 +69,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -17,7 +17,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace goc;
   const Cli cli(argc, argv);
   if (cli.refuse_unknown({"miners", "coins", "seed", "exhaustive"})) return 2;
@@ -80,3 +82,7 @@ int main(int argc, char** argv) {
                          "equilibrium, every row has a gainer)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -16,7 +16,9 @@
 #include "potential/list_potential.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace goc;
   if (Cli(argc, argv).refuse_unknown({})) return 2;
 
@@ -64,3 +66,7 @@ int main(int argc, char** argv) {
             << "\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

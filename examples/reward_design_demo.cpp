@@ -25,12 +25,11 @@ goc::SchedulerKind parse_scheduler(const std::string& name) {
   for (const SchedulerKind kind : goc::all_scheduler_kinds()) {
     if (goc::scheduler_kind_name(kind) == name) return kind;
   }
-  throw std::invalid_argument("unknown scheduler '" + name + "'");
+  throw goc::CliError("option --scheduler expects a scheduler name, got '" +
+                      name + "'");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace goc;
   const Cli cli(argc, argv);
   if (cli.refuse_unknown({"miners", "coins", "seed", "scheduler"})) return 2;
@@ -94,3 +93,7 @@ int main(int argc, char** argv) {
             << "sf is an equilibrium of F, so the system stays put.\n";
   return result.success ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -1,13 +1,15 @@
 /// \file sweep_demo.cpp
 /// The sweep engine in ~40 lines: expand a miner-count × coin-count ×
-/// scheduler grid, fan it across every core, and emit the aggregate table
-/// plus per-scenario CSV/JSON artifacts.
+/// scheduler grid, fan it across every core, and emit the per-point table
+/// (`--csv=<base>` / `--json=<base>` also save it as `<base>.csv` /
+/// `<base>.json`, as every bench does).
 ///
-///   ./sweep_demo --trials=5 --seed=42 --csv=sweep.csv --json=sweep.json
+///   ./sweep_demo --trials=5 --seed=42 --csv=sweep --json=sweep
 ///
 /// Determinism: rerunning with any `--threads` value reproduces the exact
-/// same records — per-task seeds depend only on the root seed and the
-/// task's position in the grid.
+/// same records, and so the same table apart from its `ms_mean` timing
+/// column — per-task seeds depend only on the root seed and the task's
+/// position in the grid.
 ///
 /// A second section demonstrates the shared Monte Carlo batch flags
 /// (bench_common.hpp): a two-chain better-response study fanned as a
@@ -21,7 +23,6 @@
 /// `--checkpoint=demo.gocr` for crash-safe checkpoints and
 /// `--epoch-lanes=4` to shard each decision epoch.
 
-#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <utility>
@@ -31,16 +32,28 @@
 #include "chain/chain_sim.hpp"
 #include "chain/difficulty.hpp"
 #include "engine/sweep.hpp"
-#include "io/serialize.hpp"
 #include "sim/batch_cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace goc;
   const Cli cli = bench::parse_cli(
       argc, argv, {"trials", "seed", "epoch-lanes"}, sim::batch_cli_names());
   const std::size_t trials = cli.get_u64("trials", 5);
   const std::uint64_t seed = cli.get_u64("seed", 42);
   const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
+  // The batch flags of the second section are read here too, so a
+  // malformed value refuses the run before it prints anything:
+  // --replicas/--stop-*/--checkpoint (sim::apply_batch_cli) and
+  // --epoch-lanes (sharded simultaneous-move decision epochs; 0 keeps
+  // the sequential policy scan).
+  const std::size_t epoch_lanes = sim::epoch_lanes_from_cli(cli);
+  sim::TrajectoryBatchOptions batch;
+  batch.replicas = 4;
+  batch.root_seed = seed;
+  batch.threads = threads;
+  sim::apply_batch_cli(cli, batch);
 
   engine::SweepSpec spec;
   spec.base.power_shape = PowerShape::kPareto;
@@ -61,33 +74,14 @@ int main(int argc, char** argv) {
   const engine::SweepRunner runner({threads});
   const engine::SweepResult result = runner.run(spec);
 
-  result.to_table().print(std::cout, "Sweep: convergence + equilibrium quality");
-  std::cout << "\n[" << result.records().size() << " scenarios on "
+  bench::emit(cli, result.to_table(),
+              "Sweep: convergence + equilibrium quality");
+  std::cout << "[" << result.records().size() << " scenarios on "
             << result.threads() << " lanes in "
             << fmt_double(result.total_wall_ms(), 1) << " ms; all converged: "
             << (result.all_converged() ? "yes" : "NO") << "]\n";
 
-  if (cli.has("csv")) {
-    const std::string path = cli.get_string("csv", "sweep.csv");
-    io::atomic_write_file(result.to_csv(), path);
-    std::cout << "[per-scenario csv saved to " << path << "]\n";
-  }
-  if (cli.has("json")) {
-    const std::string path = cli.get_string("json", "sweep.json");
-    io::atomic_write_file(result.to_json(), path);
-    std::cout << "[per-scenario json saved to " << path << "]\n";
-  }
-
-  // Monte Carlo trajectory batch, wired through the shared flags:
-  // --replicas/--stop-*/--checkpoint (sim::apply_batch_cli) and
-  // --epoch-lanes (sharded simultaneous-move decision epochs; 0 keeps
-  // the sequential policy scan).
-  const std::size_t epoch_lanes = sim::epoch_lanes_from_cli(cli);
-  sim::TrajectoryBatchOptions batch;
-  batch.replicas = 4;
-  batch.root_seed = seed;
-  batch.threads = threads;
-  sim::apply_batch_cli(cli, batch);
+  // Monte Carlo trajectory batch, wired through the shared flags.
   const auto chain_factory = [&](std::uint64_t task_seed) {
     std::vector<chain::ChainSpec> chains;
     chains.push_back(chain::ChainSpec{
@@ -119,3 +113,7 @@ int main(int argc, char** argv) {
 
   return result.all_converged() ? 0 : 1;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -18,7 +18,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace goc;
   using namespace goc::market;
   const Cli cli(argc, argv);
@@ -70,3 +72,7 @@ int main(int argc, char** argv) {
                "reward_design_demo example).\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -75,8 +75,8 @@ std::vector<Rational> draw_rewards(const GameSpec& spec, Rng& rng) {
 }  // namespace
 
 const std::string& power_shape_name(PowerShape shape) {
-  // Interned: emission layers stamp these onto every record row, so the
-  // labels are shared statics rather than per-call allocations.
+  // Interned: the labels are shared statics rather than per-call
+  // allocations.
   static const std::string kEqual = "equal", kUniform = "uniform",
                            kZipf = "zipf", kPareto = "pareto",
                            kUnknown = "unknown";

@@ -33,8 +33,7 @@ enum class RewardShape {
 };
 
 /// Stable identifier for tables/CSV ("equal", "uniform", "zipf", "pareto").
-/// Returns an interned static — record emission stamps these onto every
-/// row, so no per-call allocation.
+/// Returns an interned static, so no per-call allocation.
 const std::string& power_shape_name(PowerShape shape);
 
 /// Stable identifier for tables/CSV ("equal", "uniform", "majors").

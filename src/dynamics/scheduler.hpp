@@ -74,8 +74,7 @@ enum class SchedulerKind {
 const std::vector<SchedulerKind>& all_scheduler_kinds();
 
 /// Display name of a kind (matches Scheduler::name()). Returns an interned
-/// static — the old implementation constructed a whole scheduler object
-/// per call, which emission layers paid once per record row.
+/// static, so no call constructs a scheduler or allocates.
 const std::string& scheduler_kind_name(SchedulerKind kind);
 
 /// Factory. `seed` feeds the randomized kinds and is ignored by

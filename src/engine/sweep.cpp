@@ -1,13 +1,11 @@
 #include "engine/sweep.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "engine/thread_pool.hpp"
 #include "equilibrium/security.hpp"
 #include "equilibrium/welfare.hpp"
-#include "io/serialize.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "util/assert.hpp"
@@ -175,91 +173,6 @@ Table SweepResult::to_table() const {
                 << fmt_double(point.wall_ms.mean(), 3);
   }
   return table;
-}
-
-std::string SweepResult::to_csv(bool include_timing) const {
-  // Streamed straight into the output buffer: no intermediate Table (a
-  // vector-of-string-vectors materializing ~17 cells per record), and the
-  // label columns come from the interned shape/scheduler names. Cells are
-  // numbers and interned identifiers, so no RFC-4180 quoting can trigger.
-  std::string out;
-  out.reserve(192 * (records_.size() + 1));
-  out +=
-      "grid_index,trial,miners,coins,powers,rewards,scheduler,game_seed,"
-      "scheduler_seed,steps,converged,move_hash,welfare_efficiency,"
-      "rpu_fairness,dom_share,majority_controlled,occupied_coins";
-  if (include_timing) out += ",wall_ms";
-  out += "\n";
-  const auto add = [&out](const std::string& cell) {
-    out += cell;
-    out += ',';
-  };
-  for (const SweepRecord& r : records_) {
-    add(std::to_string(r.task.grid_index));
-    add(std::to_string(r.task.trial));
-    add(std::to_string(r.task.game_spec.num_miners));
-    add(std::to_string(r.task.game_spec.num_coins));
-    add(power_shape_name(r.task.game_spec.power_shape));
-    add(reward_shape_name(r.task.game_spec.reward_shape));
-    add(scheduler_kind_name(r.task.scheduler));
-    add(std::to_string(r.task.game_seed));
-    add(std::to_string(r.task.scheduler_seed));
-    add(std::to_string(r.steps));
-    add(r.converged ? "1" : "0");
-    add(std::to_string(r.move_hash));
-    add(fmt_double(r.welfare_efficiency, 6));
-    add(fmt_double(r.rpu_fairness, 6));
-    add(fmt_double(r.max_domination_share, 6));
-    add(std::to_string(r.majority_controlled));
-    out += std::to_string(r.occupied_coins);
-    if (include_timing) {
-      out += ',';
-      out += fmt_double(r.wall_ms, 3);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-std::string SweepResult::to_json(bool include_timing) const {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"root_seed\": " << root_seed_ << ",\n";
-  os << "  \"tasks\": " << records_.size() << ",\n";
-  if (include_timing) {
-    // Run-environment metadata: excluded alongside timing so that two runs
-    // of the same spec at different thread counts emit identical bytes.
-    os << "  \"threads\": " << threads_ << ",\n";
-    os << "  \"total_wall_ms\": " << fmt_double(total_wall_ms_, 3) << ",\n";
-  }
-  os << "  \"records\": [\n";
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const SweepRecord& r = records_[i];
-    os << "    {"
-       << "\"grid_index\": " << r.task.grid_index
-       << ", \"trial\": " << r.task.trial
-       << ", \"miners\": " << r.task.game_spec.num_miners
-       << ", \"coins\": " << r.task.game_spec.num_coins << ", \"powers\": \""
-       << io::json_escape(power_shape_name(r.task.game_spec.power_shape))
-       << "\", \"rewards\": \""
-       << io::json_escape(reward_shape_name(r.task.game_spec.reward_shape))
-       << "\", \"scheduler\": \""
-       << io::json_escape(scheduler_kind_name(r.task.scheduler))
-       << "\", \"game_seed\": " << r.task.game_seed
-       << ", \"scheduler_seed\": " << r.task.scheduler_seed
-       << ", \"steps\": " << r.steps
-       << ", \"converged\": " << (r.converged ? "true" : "false")
-       << ", \"move_hash\": " << r.move_hash
-       << ", \"welfare_efficiency\": " << fmt_double(r.welfare_efficiency, 6)
-       << ", \"rpu_fairness\": " << fmt_double(r.rpu_fairness, 6)
-       << ", \"dom_share\": " << fmt_double(r.max_domination_share, 6)
-       << ", \"majority_controlled\": " << r.majority_controlled
-       << ", \"occupied_coins\": " << r.occupied_coins;
-    if (include_timing) os << ", \"wall_ms\": " << fmt_double(r.wall_ms, 3);
-    os << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
 }
 
 bool SweepResult::deterministic_equals(const SweepResult& other) const {

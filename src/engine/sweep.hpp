@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "core/generators.hpp"
@@ -143,7 +142,7 @@ struct SweepPointStats {
 };
 
 /// The outcome of a sweep: per-task records (task order) plus per-point
-/// aggregates, with table/CSV/JSON emission.
+/// aggregates, emitted as one per-point table (`to_table()`).
 class SweepResult {
  public:
   SweepResult(std::uint64_t root_seed, std::size_t threads,
@@ -163,18 +162,6 @@ class SweepResult {
 
   /// Per-point summary table (the paper-style rows).
   Table to_table() const;
-
-  /// Per-record CSV, streamed into a single buffer (interned label
-  /// columns; strings materialize only here, never in the sweep hot
-  /// path). Pass `include_timing = false` to drop the nondeterministic
-  /// wall-time column, making the output bit-identical across thread
-  /// counts.
-  std::string to_csv(bool include_timing = true) const;
-
-  /// Per-record JSON array with a sweep-level header object; pass
-  /// `include_timing = false` to drop wall times and run-environment
-  /// metadata (thread count) as in `to_csv`.
-  std::string to_json(bool include_timing = true) const;
 
   /// Records-level deterministic equality (same tasks, same outcomes).
   bool deterministic_equals(const SweepResult& other) const;

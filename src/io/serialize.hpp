@@ -7,7 +7,7 @@
 #include "util/table.hpp"
 
 /// \file serialize.hpp
-/// Result emission for the sweep engine, the benchmark harnesses and the
+/// Table emission for the benchmark harnesses, the examples and the
 /// daemon, plus the crash-safe file write behind every artifact. We only
 /// ever *write* JSON (plots and trajectory tracking consume it); there is
 /// deliberately no parser here.

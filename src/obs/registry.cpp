@@ -64,15 +64,6 @@ std::uint64_t Histogram::sum() const noexcept {
   return total;
 }
 
-void Histogram::reset() noexcept {
-  for (Shard& shard : shards_) {
-    for (auto& bucket : shard.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    shard.sum.store(0, std::memory_order_relaxed);
-  }
-}
-
 // ------------------------------------------------------------- snapshots
 
 const CounterSnapshot* Snapshot::find_counter(

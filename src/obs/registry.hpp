@@ -103,13 +103,6 @@ class Counter {
     return sum;
   }
 
-  /// Zeroes every slot (test isolation; racy against concurrent writers).
-  void reset() noexcept {
-    for (auto& slot : slots_) {
-      slot.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
   const std::string& name() const noexcept { return name_; }
 
  private:
@@ -140,12 +133,6 @@ class Gauge {
       sum += slot.value.load(std::memory_order_relaxed);
     }
     return static_cast<std::int64_t>(sum);
-  }
-
-  void reset() noexcept {
-    for (auto& slot : slots_) {
-      slot.value.store(0, std::memory_order_relaxed);
-    }
   }
 
   const std::string& name() const noexcept { return name_; }
@@ -190,7 +177,6 @@ class Histogram {
 
   std::uint64_t count() const noexcept;
   std::uint64_t sum() const noexcept;
-  void reset() noexcept;
 
   const std::string& name() const noexcept { return name_; }
 

@@ -36,6 +36,15 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
   return value;
 }
 
+int run_main(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const CliError& error) {
+    std::cerr << (argc >= 1 ? argv[0] : "") << ": " << error.what() << "\n";
+    return 2;
+  }
+}
+
 Cli::Cli(int argc, const char* const* argv) {
   GOC_CHECK_ARG(argc >= 1 && argv != nullptr, "Cli requires argv[0]");
   program_ = argv[0];
@@ -77,9 +86,8 @@ std::uint64_t Cli::get_u64(const std::string& name,
   if (it == options_.end()) return fallback;
   const auto value = parse_u64(it->second);
   if (!value) {
-    throw std::invalid_argument("option --" + name +
-                                " expects an unsigned integer, got '" +
-                                it->second + "'");
+    throw CliError("option --" + name + " expects an unsigned integer, got '" +
+                   it->second + "'");
   }
   return *value;
 }
@@ -89,9 +97,8 @@ double Cli::get_double(const std::string& name, double fallback) const {
   if (it == options_.end()) return fallback;
   double value = 0.0;
   if (!parse_double(it->second, value) || !std::isfinite(value)) {
-    throw std::invalid_argument("option --" + name +
-                                " expects a finite number, got '" + it->second +
-                                "'");
+    throw CliError("option --" + name + " expects a finite number, got '" +
+                   it->second + "'");
   }
   return value;
 }
@@ -102,8 +109,7 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument("option --" + name + " expects a boolean, got '" +
-                              v + "'");
+  throw CliError("option --" + name + " expects a boolean, got '" + v + "'");
 }
 
 std::vector<std::string> Cli::unknown(

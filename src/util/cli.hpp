@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,7 +15,8 @@
 /// `unknown(known_names)` returns the parsed option names outside a known
 /// set, and `refuse_unknown` is the one refusal every binary prints for
 /// them, so a typo fails fast instead of silently falling back to a
-/// default.
+/// default. A malformed value (`--trials=abc`) throws `CliError`, which
+/// `run_main` turns into the same kind of refusal.
 
 namespace goc {
 
@@ -23,6 +25,19 @@ namespace goc {
 /// Every unsigned number read from a command line or a daemon request goes
 /// through here, so "-1" never wraps to 2^64 - 1 and "7x" is never 7.
 std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
+
+/// A malformed option value, as the `Cli::get_*` readers report it
+/// ("option --trials expects an unsigned integer, got 'abc'").
+class CliError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// The entry point every binary's `main` goes through: returns
+/// `run(argc, argv)`, except that a `CliError` prints `<program>: <message>`
+/// to stderr and returns 2, the exit status of `Cli::refuse_unknown`. Any
+/// other exception propagates unchanged.
+int run_main(int argc, char** argv, int (*run)(int, char**));
 
 class Cli {
  public:

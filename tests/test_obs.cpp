@@ -32,6 +32,20 @@ class EnabledGuard {
   ~EnabledGuard() { set_enabled(true); }
 };
 
+// Metrics are process-wide and never zeroed, so each test asserts on the
+// change it causes: a reading before, a reading after.
+
+/// A copy of histogram `name`'s row in a fresh registry snapshot.
+HistogramSnapshot histogram_snapshot(const std::string& name) {
+  const Snapshot snap = Registry::instance().snapshot();
+  const HistogramSnapshot* view = snap.find_histogram(name);
+  if (view == nullptr) {
+    ADD_FAILURE() << name << " is not registered";
+    return {};
+  }
+  return *view;
+}
+
 // ------------------------------------------------------------- registry
 
 TEST(Registry, InternsOneObjectPerName) {
@@ -58,7 +72,7 @@ TEST(Registry, RejectsKindCollisions) {
 
 TEST(Registry, CounterSumsExactlyAcrossThreads) {
   Counter& counter = Registry::instance().counter("test.mt.counter");
-  counter.reset();
+  const std::uint64_t before = counter.total();
   constexpr int kThreads = 8;
   constexpr std::uint64_t kAddsPerThread = 10000;
   std::vector<std::thread> threads;
@@ -69,12 +83,12 @@ TEST(Registry, CounterSumsExactlyAcrossThreads) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(counter.total(), kThreads * kAddsPerThread);
+  EXPECT_EQ(counter.total() - before, kThreads * kAddsPerThread);
 }
 
 TEST(Registry, GaugeBalancesAddAndSubAcrossThreads) {
   Gauge& gauge = Registry::instance().gauge("test.mt.gauge");
-  gauge.reset();
+  const std::int64_t before = gauge.value();
   constexpr int kThreads = 6;
   constexpr int kRounds = 5000;
   std::vector<std::thread> threads;
@@ -88,16 +102,16 @@ TEST(Registry, GaugeBalancesAddAndSubAcrossThreads) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(gauge.value(), std::int64_t{kThreads} * kRounds);
+  EXPECT_EQ(gauge.value() - before, std::int64_t{kThreads} * kRounds);
   gauge.sub(std::int64_t{kThreads} * kRounds);
-  EXPECT_EQ(gauge.value(), 0);
+  EXPECT_EQ(gauge.value(), before);
 }
 
 TEST(Registry, RecordingIsANoOpWhenDisabled) {
   Counter& counter = Registry::instance().counter("test.disabled.counter");
   Histogram& hist = Registry::instance().histogram("test.disabled.hist");
-  counter.reset();
-  hist.reset();
+  const std::uint64_t counter_before = counter.total();
+  const std::uint64_t hist_before = hist.count();
   {
     EnabledGuard off(false);
     counter.add(41);
@@ -105,10 +119,10 @@ TEST(Registry, RecordingIsANoOpWhenDisabled) {
     Span span(hist);
     span.finish();
   }
-  EXPECT_EQ(counter.total(), 0u);
-  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(counter.total(), counter_before);
+  EXPECT_EQ(hist.count(), hist_before);
   counter.add(1);  // back on after the guard
-  EXPECT_EQ(counter.total(), 1u);
+  EXPECT_EQ(counter.total(), counter_before + 1);
 }
 
 // ------------------------------------------------------------ histogram
@@ -145,28 +159,35 @@ TEST(Histogram, BucketBoundIsInclusiveUpperEdge) {
 
 TEST(Histogram, CountSumAndSnapshotBucketsAgree) {
   Histogram& hist = Registry::instance().histogram("test.hist.fill");
-  hist.reset();
+  const std::uint64_t count_before = hist.count();
+  const std::uint64_t sum_before = hist.sum();
+  const HistogramSnapshot before = histogram_snapshot("test.hist.fill");
   const std::vector<std::uint64_t> values = {0, 1, 2, 3, 4, 7, 8, 1000};
   std::uint64_t expected_sum = 0;
   for (const std::uint64_t v : values) {
     hist.record(v);
     expected_sum += v;
   }
-  EXPECT_EQ(hist.count(), values.size());
-  EXPECT_EQ(hist.sum(), expected_sum);
-  const Snapshot snap = Registry::instance().snapshot();
-  const HistogramSnapshot* view = snap.find_histogram("test.hist.fill");
-  ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->count, values.size());
-  EXPECT_EQ(view->sum, expected_sum);
-  ASSERT_EQ(view->buckets.size(), Histogram::kBuckets);
-  EXPECT_EQ(view->buckets[0], 1u);   // {0}
-  EXPECT_EQ(view->buckets[1], 1u);   // {1}
-  EXPECT_EQ(view->buckets[2], 2u);   // {2, 3}
-  EXPECT_EQ(view->buckets[3], 2u);   // {4, 7}
-  EXPECT_EQ(view->buckets[4], 1u);   // {8}
-  EXPECT_EQ(view->buckets[10], 1u);  // {1000}
-  EXPECT_DOUBLE_EQ(view->mean(), static_cast<double>(expected_sum) /
+  EXPECT_EQ(hist.count() - count_before, values.size());
+  EXPECT_EQ(hist.sum() - sum_before, expected_sum);
+  const HistogramSnapshot after = histogram_snapshot("test.hist.fill");
+  ASSERT_EQ(before.buckets.size(), Histogram::kBuckets);
+  ASSERT_EQ(after.buckets.size(), Histogram::kBuckets);
+  HistogramSnapshot added{"test.hist.fill", after.count - before.count,
+                          after.sum - before.sum,
+                          std::vector<std::uint64_t>(Histogram::kBuckets)};
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    added.buckets[b] = after.buckets[b] - before.buckets[b];
+  }
+  EXPECT_EQ(added.count, values.size());
+  EXPECT_EQ(added.sum, expected_sum);
+  EXPECT_EQ(added.buckets[0], 1u);   // {0}
+  EXPECT_EQ(added.buckets[1], 1u);   // {1}
+  EXPECT_EQ(added.buckets[2], 2u);   // {2, 3}
+  EXPECT_EQ(added.buckets[3], 2u);   // {4, 7}
+  EXPECT_EQ(added.buckets[4], 1u);   // {8}
+  EXPECT_EQ(added.buckets[10], 1u);  // {1000}
+  EXPECT_DOUBLE_EQ(added.mean(), static_cast<double>(expected_sum) /
                                      static_cast<double>(values.size()));
 }
 
@@ -175,8 +196,10 @@ TEST(Histogram, CountSumAndSnapshotBucketsAgree) {
 TEST(Span, NestedSpansRecordIndependently) {
   Histogram& outer = Registry::instance().histogram("test.span.outer");
   Histogram& inner = Registry::instance().histogram("test.span.inner");
-  outer.reset();
-  inner.reset();
+  const std::uint64_t outer_count = outer.count();
+  const std::uint64_t outer_sum = outer.sum();
+  const std::uint64_t inner_count = inner.count();
+  const std::uint64_t inner_sum = inner.sum();
   {
     Span outer_span(outer);
     {
@@ -187,20 +210,20 @@ TEST(Span, NestedSpansRecordIndependently) {
       Span inner_span(inner);
     }
   }
-  EXPECT_EQ(outer.count(), 1u);
-  EXPECT_EQ(inner.count(), 2u);
+  EXPECT_EQ(outer.count() - outer_count, 1u);
+  EXPECT_EQ(inner.count() - inner_count, 2u);
   // The outer span covers both inner ones, so its time dominates.
-  EXPECT_GE(outer.sum(), inner.sum());
-  EXPECT_GE(inner.sum(), 1000000u);  // the 1 ms sleep was measured
+  EXPECT_GE(outer.sum() - outer_sum, inner.sum() - inner_sum);
+  EXPECT_GE(inner.sum() - inner_sum, 1000000u);  // the 1 ms sleep
 }
 
 TEST(Span, FinishIsIdempotent) {
   Histogram& hist = Registry::instance().histogram("test.span.finish");
-  hist.reset();
+  const std::uint64_t before = hist.count();
   Span span(hist);
   span.finish();
   span.finish();  // second finish (and the destructor later) record nothing
-  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(hist.count() - before, 1u);
   // The clock keeps reading (only the histogram is detached).
   EXPECT_GT(span.elapsed_ns(), 0u);
 }
@@ -208,20 +231,21 @@ TEST(Span, FinishIsIdempotent) {
 // ------------------------------------------------------------- snapshot
 
 TEST(Snapshot, JsonCarriesAllThreeSections) {
-  Registry::instance().counter("test.json.counter").reset();
-  Registry::instance().counter("test.json.counter").add(12);
-  Registry::instance().gauge("test.json.gauge").reset();
-  Registry::instance().gauge("test.json.gauge").add(-3);
-  Registry::instance().histogram("test.json.hist").reset();
+  Counter& json_counter = Registry::instance().counter("test.json.counter");
+  Gauge& json_gauge = Registry::instance().gauge("test.json.gauge");
+  const std::uint64_t counter_before = json_counter.total();
+  const std::int64_t gauge_before = json_gauge.value();
+  json_counter.add(12);
+  json_gauge.add(-3);
   Registry::instance().histogram("test.json.hist").record(5);
   const Snapshot snap = Registry::instance().snapshot();
 
   const CounterSnapshot* counter = snap.find_counter("test.json.counter");
   ASSERT_NE(counter, nullptr);
-  EXPECT_EQ(counter->value, 12u);
+  EXPECT_EQ(counter->value - counter_before, 12u);
   const GaugeSnapshot* gauge = snap.find_gauge("test.json.gauge");
   ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->value, -3);
+  EXPECT_EQ(gauge->value - gauge_before, -3);
   EXPECT_EQ(snap.find_counter("no.such.metric"), nullptr);
   EXPECT_EQ(snap.find_gauge("no.such.metric"), nullptr);
   EXPECT_EQ(snap.find_histogram("no.such.metric"), nullptr);
@@ -230,8 +254,12 @@ TEST(Snapshot, JsonCarriesAllThreeSections) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.json.counter\": 12"), std::string::npos);
-  EXPECT_NE(json.find("\"test.json.gauge\": -3"), std::string::npos);
+  EXPECT_NE(json.find("\"test.json.counter\": " +
+                      std::to_string(counter->value)),
+            std::string::npos);
+  EXPECT_NE(
+      json.find("\"test.json.gauge\": " + std::to_string(gauge->value)),
+      std::string::npos);
   EXPECT_NE(json.find("\"test.json.hist\""), std::string::npos);
 
   // Compact mode is a single line (the --stats-log JSONL record body).
@@ -243,22 +271,26 @@ TEST(Snapshot, JsonCarriesAllThreeSections) {
 
 TEST(Snapshot, PrometheusRendersCumulativeBuckets) {
   Histogram& hist = Registry::instance().histogram("test.prom.hist");
-  hist.reset();
+  const HistogramSnapshot before = histogram_snapshot("test.prom.hist");
+  ASSERT_EQ(before.buckets.size(), Histogram::kBuckets);
   hist.record(0);
   hist.record(2);
   hist.record(1000);
   const Snapshot snap = Registry::instance().snapshot();
   const std::string text = snap.to_prometheus();
+  const auto line = [](const std::string& series, std::uint64_t value) {
+    return "goc_test_prom_hist_" + series + " " + std::to_string(value);
+  };
   // Dots map to underscores under the goc_ prefix.
-  EXPECT_NE(text.find("goc_test_prom_hist_count 3"), std::string::npos);
-  EXPECT_NE(text.find("goc_test_prom_hist_sum 1002"), std::string::npos);
+  EXPECT_NE(text.find(line("count", before.count + 3)), std::string::npos);
+  EXPECT_NE(text.find(line("sum", before.sum + 1002)), std::string::npos);
   // Buckets are cumulative: le="0" sees only the zero, le="3" adds the 2,
   // le="+Inf" equals the count.
-  EXPECT_NE(text.find("goc_test_prom_hist_bucket{le=\"0\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("goc_test_prom_hist_bucket{le=\"3\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("goc_test_prom_hist_bucket{le=\"+Inf\"} 3"),
+  const std::uint64_t le0 = before.buckets[0];
+  const std::uint64_t le3 = le0 + before.buckets[1] + before.buckets[2];
+  EXPECT_NE(text.find(line("bucket{le=\"0\"}", le0 + 1)), std::string::npos);
+  EXPECT_NE(text.find(line("bucket{le=\"3\"}", le3 + 2)), std::string::npos);
+  EXPECT_NE(text.find(line("bucket{le=\"+Inf\"}", before.count + 3)),
             std::string::npos);
 }
 
@@ -329,8 +361,8 @@ sim::TrajectoryBatchResult run_parity_market_batch() {
 TEST(Parity, ChainBatchHashUnchangedWithObsOff) {
   Counter& migrations = Registry::instance().counter("chain.migrations");
   Histogram& epoch_ns = Registry::instance().histogram("chain.epoch_ns");
-  migrations.reset();
-  epoch_ns.reset();
+  const std::uint64_t migrations_before = migrations.total();
+  const std::uint64_t epochs_before = epoch_ns.count();
   const sim::TrajectoryBatchResult with_obs = run_parity_chain_batch();
   // The counter adds each epoch's moves once: its total is the batch's
   // summed migrations column. 2 days at a 4 h decision interval is 12
@@ -344,8 +376,8 @@ TEST(Parity, ChainBatchHashUnchangedWithObsOff) {
     moved += with_obs.value(r, column);
   }
   EXPECT_GT(moved, 0.0);
-  EXPECT_EQ(static_cast<double>(migrations.total()), moved);
-  EXPECT_EQ(epoch_ns.count(), with_obs.replicas() * 12);
+  EXPECT_EQ(static_cast<double>(migrations.total() - migrations_before), moved);
+  EXPECT_EQ(epoch_ns.count() - epochs_before, with_obs.replicas() * 12);
 
   std::uint64_t without_obs = 0;
   {
@@ -353,7 +385,7 @@ TEST(Parity, ChainBatchHashUnchangedWithObsOff) {
     without_obs = run_parity_chain_batch().values_hash();
   }
   EXPECT_EQ(with_obs.values_hash(), without_obs);
-  EXPECT_EQ(static_cast<double>(migrations.total()), moved);
+  EXPECT_EQ(static_cast<double>(migrations.total() - migrations_before), moved);
 }
 
 TEST(Parity, MarketBatchHashUnchangedWithObsOff) {
@@ -388,15 +420,15 @@ LearningResult run_audited_learning() {
 TEST(Parity, AuditedLearningMoveHashUnchangedWithObsOff) {
   Histogram& audit_ns = Registry::instance().histogram("learn.audit_ns");
   Counter& cf = Registry::instance().counter("arith.compare.cf");
-  audit_ns.reset();
-  cf.reset();
+  const std::uint64_t audits_before = audit_ns.count();
+  const std::uint64_t cf_before = cf.total();
   const LearningResult with_obs = run_audited_learning();
   ASSERT_TRUE(with_obs.converged);
   ASSERT_GT(with_obs.steps, 0u);
   // One audit span per step; a small integer game never needs the
   // continued-fraction fallback of the exact comparison.
-  EXPECT_EQ(audit_ns.count(), with_obs.steps);
-  EXPECT_EQ(cf.total(), 0u);
+  EXPECT_EQ(audit_ns.count() - audits_before, with_obs.steps);
+  EXPECT_EQ(cf.total(), cf_before);
 
   const LearningResult without_obs = [] {
     EnabledGuard off(false);
@@ -410,19 +442,19 @@ TEST(Parity, AuditedLearningMoveHashUnchangedWithObsOff) {
 TEST(Parity, LearningCountsStepsAndRescans) {
   Counter& steps = Registry::instance().counter("learn.steps");
   Counter& rescans = Registry::instance().counter("index.rescans");
-  steps.reset();
-  rescans.reset();
+  std::uint64_t steps_before = steps.total();
+  std::uint64_t rescans_before = rescans.total();
   const LearningResult with_obs = run_audited_learning();
   ASSERT_GT(with_obs.steps, 0u);
-  EXPECT_EQ(steps.total(), with_obs.steps);
+  EXPECT_EQ(steps.total() - steps_before, with_obs.steps);
   // Every indexed step rescans at least the mover and at most all 40
   // miners.
-  EXPECT_GE(rescans.total(), with_obs.steps);
-  EXPECT_LE(rescans.total(), with_obs.steps * 40);
+  EXPECT_GE(rescans.total() - rescans_before, with_obs.steps);
+  EXPECT_LE(rescans.total() - rescans_before, with_obs.steps * 40);
 
   // The ε driver on the scan path counts its steps and no rescans.
-  steps.reset();
-  rescans.reset();
+  steps_before = steps.total();
+  rescans_before = rescans.total();
   Rng rng(7);
   GameSpec spec;
   spec.num_miners = 20;
@@ -432,15 +464,15 @@ TEST(Parity, LearningCountsStepsAndRescans) {
   scan_path.use_index = false;
   const LearningResult eps = run_learning_to_epsilon(
       game, random_configuration(game, rng), Rational(0), scan_path);
-  EXPECT_EQ(steps.total(), eps.steps);
-  EXPECT_EQ(rescans.total(), 0u);
+  EXPECT_EQ(steps.total() - steps_before, eps.steps);
+  EXPECT_EQ(rescans.total(), rescans_before);
 
-  steps.reset();
+  steps_before = steps.total();
   const LearningResult without_obs = [] {
     EnabledGuard off(false);
     return run_audited_learning();
   }();
-  EXPECT_EQ(steps.total(), 0u);
+  EXPECT_EQ(steps.total(), steps_before);
   EXPECT_EQ(with_obs.move_hash, without_obs.move_hash);
 }
 

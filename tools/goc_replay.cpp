@@ -25,7 +25,8 @@
 /// the fault-injection workload: with `--kill-after=N` the process
 /// SIGKILLs itself inside the Nth checkpoint write, leaving an artifact
 /// for the harness to corrupt and resume. Each subcommand exits 2 on an
-/// option it does not read (`Cli::refuse_unknown`).
+/// option it does not read (`Cli::refuse_unknown`) or a malformed option
+/// value (`run_main`).
 
 namespace {
 
@@ -130,9 +131,7 @@ int run_batch(const goc::Cli& cli) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   const std::string command = argv[1];
   const goc::Cli cli(argc - 1, argv + 1);
@@ -141,9 +140,15 @@ int main(int argc, char** argv) {
     if (command == "verify") return run_verify(cli);
     if (command == "info") return run_info(cli);
     if (command == "batch") return run_batch(cli);
+  } catch (const goc::CliError&) {
+    throw;  // a malformed flag value: run_main refuses it with exit 2
   } catch (const std::exception& e) {
     std::cerr << command << ": " << e.what() << "\n";
     return 1;
   }
   return usage(argv[0]);
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }

@@ -117,6 +117,8 @@ int run(int argc, char** argv) {
               << "  Type 'help' at the prompt for the command grammar.\n";
     return 0;
   }
+  // Every flag is read before the first file, socket or thread, so a
+  // malformed value refuses the run before it starts.
   const bool verbose = cli.get_bool("verbose", false);
   std::optional<std::uint16_t> port;
   if (cli.has("port")) {
@@ -127,11 +129,14 @@ int run(int argc, char** argv) {
     }
     port = static_cast<std::uint16_t>(value);
   }
+  goc::obs::StatsLogger::Options log_options;
+  log_options.path = cli.get_string("stats-log", "");
+  log_options.interval_ms = cli.get_u64("stats-interval", 1000);
+  goc::serve::ServerOptions options;
+  options.threads = cli.get_u64("threads", 0);
+
   std::unique_ptr<goc::obs::StatsLogger> stats_log;
   if (cli.has("stats-log")) {
-    goc::obs::StatsLogger::Options log_options;
-    log_options.path = cli.get_string("stats-log", "");
-    log_options.interval_ms = cli.get_u64("stats-interval", 1000);
     try {
       stats_log = std::make_unique<goc::obs::StatsLogger>(log_options);
     } catch (const std::exception& error) {
@@ -143,8 +148,6 @@ int run(int argc, char** argv) {
                 << " every " << log_options.interval_ms << " ms\n";
     }
   }
-  goc::serve::ServerOptions options;
-  options.threads = cli.get_u64("threads", 0);
   goc::serve::Server server(options);
   if (verbose) {
     std::cerr << "goc-serve: pool ready with " << server.lanes() << " lanes\n";
@@ -156,4 +159,4 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run(argc, argv); }
+int main(int argc, char** argv) { return goc::run_main(argc, argv, run); }
