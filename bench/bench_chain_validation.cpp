@@ -37,11 +37,25 @@ int run(int argc, char** argv) {
       argc, argv, {"seed", "quick", "adaptive"}, sim::batch_cli_names());
   const std::uint64_t seed0 = cli.get_u64("seed", 9);
   const bool quick = cli.get_bool("quick", false);
-  const std::size_t threads = cli.get_u64("threads", 0);  // 0 = all cores
   const std::size_t replicas = cli.get_u64("replicas", quick ? 4 : 16);
-  // --adaptive: replace the fixed replica count with a CI-driven stopping
-  // rule on share_mae — replicas is then the floor, 8x replicas the cap.
-  const bool adaptive = cli.get_bool("adaptive", false);
+  // Part A's batch options, read before the banner so a malformed batch
+  // flag refuses the run before any output. --adaptive replaces the fixed
+  // replica count with a CI-driven stopping rule on share_mae — replicas
+  // is then the floor, 8x replicas the cap; --stop-* / --checkpoint
+  // override that preset.
+  sim::TrajectoryBatchOptions part_a;
+  part_a.replicas = replicas;
+  if (cli.get_bool("adaptive", false)) {
+    sim::StoppingRule rule;
+    rule.metric = "share_mae";
+    rule.tolerance = 0.25;  // 25% relative half-width on the MAE trend
+    rule.relative = true;
+    rule.min_replicas = std::max<std::size_t>(2, replicas);
+    rule.max_replicas = 8 * std::max<std::size_t>(2, replicas);
+    rule.wave = std::max<std::size_t>(2, replicas);
+    part_a.stopping = rule;
+  }
+  sim::apply_batch_cli(cli, part_a);
 
   bench::banner("E9 — chain-level validation of the proportional-reward "
                 "model",
@@ -70,24 +84,11 @@ int run(int argc, char** argv) {
                "share_MAE_mean", "share_MAE_ci95", "largest_realized_mean",
                "largest_power_share"});
   for (const double days : {2.0, 10.0, 60.0, 240.0}) {
-    sim::TrajectoryBatchOptions batch;
-    batch.replicas = replicas;
+    sim::TrajectoryBatchOptions batch = part_a;
     batch.root_seed = seed0 + static_cast<std::uint64_t>(days);
-    batch.threads = threads;
-    if (adaptive) {
-      sim::StoppingRule rule;
-      rule.metric = "share_mae";
-      rule.tolerance = 0.25;  // 25% relative half-width on the MAE trend
-      rule.relative = true;
-      rule.min_replicas = std::max<std::size_t>(2, replicas);
-      rule.max_replicas = 8 * std::max<std::size_t>(2, replicas);
-      rule.wave = std::max<std::size_t>(2, replicas);
-      batch.stopping = rule;
-    }
-    // --stop-* / --checkpoint override the --adaptive preset; the horizon
-    // suffix keeps the four studies from sharing one checkpoint file
-    // (their root seeds differ, so a shared file would refuse to resume).
-    sim::apply_batch_cli(cli, batch);
+    // The horizon suffix keeps the four studies from sharing one checkpoint
+    // file (their root seeds differ, so a shared file would refuse to
+    // resume).
     if (batch.checkpoint.has_value()) {
       batch.checkpoint->path +=
           "." + std::to_string(static_cast<int>(days)) + "d";

@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "engine/sweep.hpp"
+#include "engine/thread_pool.hpp"
 
 namespace {
 
@@ -34,12 +35,6 @@ int run(int argc, char** argv) {
   const bool compare_serial = cli.get_bool("compare-serial", false);
   const bool compare_scan = cli.get_bool("compare-scan", false);
 
-  bench::banner(
-      "E3 — Theorem 1: convergence of arbitrary better-response learning",
-      "Steps to pure equilibrium from a uniform random start; audit = ordinal-"
-      "potential ascent verified every step (small instances). Sweep engine, "
-      "deterministic per-task seeding.");
-
   engine::SweepSpec spec;
   spec.base.power_shape = PowerShape::kPareto;
   spec.base.power_lo = 10;
@@ -53,8 +48,9 @@ int run(int argc, char** argv) {
                           SchedulerKind::kMaxGain, SchedulerKind::kMinGain};
   spec.trials = trials;
   spec.root_seed = seed0;
-  // The audit rescans every miner (O(n·|C|)) each step; keep it for small
-  // runs.
+  // The audit checks every miner against an exact scan each step (one scan
+  // per occupied (power class, home) cell, O(n·|C|) at worst); keep it for
+  // small runs.
   spec.audit_max_miners = 100;
   spec.filter = [trials](const engine::SweepTask& task) {
     const std::size_t n = task.game_spec.num_miners;
@@ -76,7 +72,19 @@ int run(int argc, char** argv) {
     return task.trial < row_trials;
   };
 
-  const engine::SweepRunner runner({threads});
+  // The spec and the pool check their values (--trials, --threads) before
+  // the banner, so a bad value refuses the run before any output.
+  spec.validate();
+  using engine::ThreadPool;
+  ThreadPool pool(ThreadPool::workers_for(ThreadPool::resolve_lanes(threads)));
+  const engine::SweepRunner runner({.pool = &pool});
+
+  bench::banner(
+      "E3 — Theorem 1: convergence of arbitrary better-response learning",
+      "Steps to pure equilibrium from a uniform random start; audit = ordinal-"
+      "potential ascent verified every step (small instances). Sweep engine, "
+      "deterministic per-task seeding.");
+
   bench::Stopwatch watch;
   const engine::SweepResult result = runner.run(spec);
   const double parallel_ms = watch.elapsed_ms();
@@ -110,12 +118,11 @@ int run(int argc, char** argv) {
     engine::SweepSpec replay = spec;
     replay.audit_max_miners = 0;
     watch.restart();
-    engine::SweepRunner({threads}).run(replay);
+    runner.run(replay);
     const double index_ms = watch.elapsed_ms();
     replay.learning.use_index = false;
     watch.restart();
-    const engine::SweepResult scan_result =
-        engine::SweepRunner({threads}).run(replay);
+    const engine::SweepResult scan_result = runner.run(replay);
     const double scan_ms = watch.elapsed_ms();
     const bool identical = result.deterministic_equals(scan_result);
     std::cout << "[unaudited replays: index " << fmt_double(index_ms, 1)

@@ -25,8 +25,8 @@ goc::SchedulerKind parse_scheduler(const std::string& name) {
   for (const SchedulerKind kind : goc::all_scheduler_kinds()) {
     if (goc::scheduler_kind_name(kind) == name) return kind;
   }
-  throw goc::CliError("option --scheduler expects a scheduler name, got '" +
-                      name + "'");
+  throw std::invalid_argument(
+      "option --scheduler expects a scheduler name, got '" + name + "'");
 }
 
 int run(int argc, char** argv) {

@@ -69,6 +69,7 @@ int run(int argc, char** argv) {
   spec.trials = trials;
   spec.root_seed = seed;
   spec.audit_max_miners = 50;  // verify Theorem 1's potential on small runs
+  spec.validate();             // refuses --trials=0 before any output
 
   std::cout << "Expanding " << spec.grid_size() << " scenarios...\n";
   const engine::SweepRunner runner({threads});

@@ -79,39 +79,64 @@ std::optional<std::uint64_t> multiset_count(std::uint64_t slots,
 
 }  // namespace
 
-SymmetryClasses symmetry_classes(const Game& game) {
-  const std::size_t n = game.num_miners();
-  const std::size_t coins = game.num_coins();
-  SymmetryClasses out;
-  out.class_of.resize(n);
-  out.next_classmate.assign(n, -1);
-
-  const auto interchangeable = [&](MinerId a, MinerId b) {
-    if (!(game.system().power(a) == game.system().power(b))) return false;
+std::vector<std::uint32_t> symmetry_class_ids(const Game& game) {
+  const System& system = game.system();
+  const std::vector<MinerId>& order = system.power_order();
+  const std::size_t n = order.size();
+  const std::uint32_t coins = static_cast<std::uint32_t>(game.num_coins());
+  const bool unrestricted = game.access().is_unrestricted();
+  const auto same_row = [&](MinerId a, MinerId b) {
+    if (unrestricted) return true;
     for (std::uint32_t c = 0; c < coins; ++c) {
-      if (game.can_mine(a, CoinId(c)) != game.can_mine(b, CoinId(c))) return false;
+      if (game.can_mine(a, CoinId(c)) != game.can_mine(b, CoinId(c))) {
+        return false;
+      }
     }
     return true;
   };
-
-  for (std::uint32_t p = 0; p < n; ++p) {
-    const MinerId miner(p);
-    std::size_t found = out.classes.size();
-    for (std::size_t k = 0; k < out.classes.size(); ++k) {
-      if (interchangeable(out.classes[k].front(), miner)) {
-        found = k;
-        break;
+  // ids[p] first holds p's leader, the smallest id interchangeable with p.
+  // Equal powers sit next to each other in power_order(), in ascending id,
+  // so the first member of a run with a given access row is its leader.
+  std::vector<std::uint32_t> ids(n);
+  std::vector<MinerId> leaders;  // of the current run
+  for (std::size_t i = 0; i < n;) {
+    const Rational& power = system.power(order[i]);
+    leaders.clear();
+    for (; i < n && system.power(order[i]) == power; ++i) {
+      const MinerId p = order[i];
+      const auto same = std::find_if(leaders.begin(), leaders.end(),
+                                     [&](MinerId l) { return same_row(l, p); });
+      if (same == leaders.end()) {
+        leaders.push_back(p);
+        ids[p.value] = p.value;
+      } else {
+        ids[p.value] = same->value;
       }
     }
-    if (found == out.classes.size()) {
-      out.classes.push_back({miner});
+  }
+  // A leader precedes its classmates in id order, so its entry already
+  // holds the class id when theirs are rewritten.
+  std::uint32_t next = 0;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    ids[p] = ids[p] == p ? next++ : ids[ids[p]];
+  }
+  return ids;
+}
+
+SymmetryClasses symmetry_classes(const Game& game) {
+  SymmetryClasses out;
+  out.class_of = symmetry_class_ids(game);
+  out.next_classmate.assign(out.class_of.size(), -1);
+  for (std::uint32_t p = 0; p < out.class_of.size(); ++p) {
+    const std::uint32_t k = out.class_of[p];
+    if (k == out.classes.size()) {
+      out.classes.push_back({MinerId(p)});
     } else {
-      out.next_classmate[out.classes[found].back().value] =
+      out.next_classmate[out.classes[k].back().value] =
           static_cast<std::int32_t>(p);
-      out.classes[found].push_back(miner);
+      out.classes[k].push_back(MinerId(p));
       out.trivial = false;
     }
-    out.class_of[p] = static_cast<std::uint32_t>(found);
   }
   return out;
 }

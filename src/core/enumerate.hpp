@@ -90,6 +90,13 @@ struct SymmetryClasses {
 /// Groups the game's miners by (power, access row).
 SymmetryClasses symmetry_classes(const Game& game);
 
+/// `symmetry_classes(game).class_of` without the member lists: class ids
+/// number the classes in the order of their smallest miner id. One pass
+/// over the runs of equal power in `System::power_order()`, comparing
+/// access rows only within a run: O(n·|C|) when each run holds a few
+/// distinct access rows (O(n) under unrestricted access).
+std::vector<std::uint32_t> symmetry_class_ids(const Game& game);
+
 /// The no-symmetry partition: n singleton classes (used when
 /// `EnumerationOptions::symmetry` is off).
 SymmetryClasses singleton_classes(std::size_t num_miners);

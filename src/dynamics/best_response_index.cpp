@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/enumerate.hpp"
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
 
@@ -33,6 +34,8 @@ BestResponseIndex::BestResponseIndex(const Game& game, const Configuration& s)
   members_.assign(n_, 0);
   start_.assign(coins + 1, 0);
   visited_.assign(n_, 0);
+  class_ = symmetry_class_ids(game);
+  num_classes_ = *std::max_element(class_.begin(), class_.end()) + 1;
   rebuild();
 }
 
@@ -316,23 +319,48 @@ Move BestResponseIndex::move_to(MinerId p, CoinId c) const {
 void BestResponseIndex::audit() const {
   const Configuration& s = *tracked_;
   GOC_ASSERT(epoch_ == s.move_epoch(), "index out of sync with configuration");
-  std::vector<CoinId> improving;
-  improving.reserve(game_->num_coins());
+  const std::size_t coins = game_->num_coins();
+  if (audit_leader_.empty()) {
+    audit_round_of_.assign(num_classes_ * coins, 0);
+    audit_leader_.assign(num_classes_ * coins, 0);
+    audit_improving_.reserve(coins);
+  }
+  ++audit_round_;
   std::size_t total = 0;
+  std::size_t scans = 0;
   for (std::uint32_t q = 0; q < n_; ++q) {
     const MinerId miner(q);
-    const MoveScan reference = scan_moves(*game_, s, miner, &improving);
-    GOC_ASSERT(reference.best == best_of(miner),
-               "index best response diverged from scan");
-    GOC_ASSERT(improving.size() == count_[q],
-               "index improving count diverged from scan");
-    for (std::size_t i = 0; i < improving.size(); ++i) {
-      GOC_ASSERT(nth_improving(miner, i) == improving[i],
+    const std::size_t cell = class_[q] * coins + s.of(miner).value;
+    if (audit_round_of_[cell] != audit_round_) {
+      audit_round_of_[cell] = audit_round_;
+      audit_leader_[cell] = q;
+      ++scans;
+      const MoveScan reference =
+          scan_moves(*game_, s, miner, &audit_improving_);
+      GOC_ASSERT(reference.best == best_of(miner),
+                 "index best response diverged from scan");
+      GOC_ASSERT(audit_improving_.size() == count_[q],
+                 "index improving count diverged from scan");
+      for (std::size_t i = 0; i < audit_improving_.size(); ++i) {
+        GOC_ASSERT(nth_improving(miner, i) == audit_improving_[i],
+                   "index improving set diverged from scan");
+      }
+    } else {
+      // The cell's scan is this miner's scan too, and the leader's facts
+      // matched it; equal rows answer every improving-set query alike.
+      const std::uint32_t leader = audit_leader_[cell];
+      GOC_ASSERT(best_[q] == best_[leader],
+                 "index best response diverged from scan");
+      GOC_ASSERT(count_[q] == count_[leader],
+                 "index improving count diverged from scan");
+      GOC_ASSERT(std::equal(&improving_[q * stride_],
+                            &improving_[q * stride_] + stride_,
+                            &improving_[leader * stride_]),
                  "index improving set diverged from scan");
     }
-    GOC_ASSERT(static_cast<bool>(unstable_flag_[q]) == !improving.empty(),
+    GOC_ASSERT(static_cast<bool>(unstable_flag_[q]) == (count_[q] != 0),
                "index stability flag diverged from scan");
-    total += improving.size();
+    total += count_[q];
   }
   GOC_ASSERT(total == total_improving_,
              "index total improving count diverged from scan");
@@ -340,6 +368,9 @@ void BestResponseIndex::audit() const {
                  static_cast<std::size_t>(std::count(unstable_flag_.begin(),
                                                      unstable_flag_.end(), 1)),
              "index unstable set diverged from flags");
+  static obs::Counter& audit_scans =
+      obs::Registry::instance().counter("index.audit_scans");
+  audit_scans.add(scans);
 }
 
 }  // namespace goc::dynamics

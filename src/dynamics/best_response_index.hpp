@@ -124,10 +124,24 @@ class BestResponseIndex {
   /// exact (`move_gain`, reduced once).
   Move move_to(MinerId p, CoinId c) const;
 
-  /// Cross-checks every cached fact against one `scan_moves` per miner
-  /// (core/moves.*); throws goc::InvariantError on any mismatch. O(n·|C|)
-  /// exact comparisons of unreduced payoffs and no reduction — the audit
-  /// path, wired to `LearningOptions::audit_potential`.
+  /// p's symmetry class (`symmetry_class_ids`: equal power and access
+  /// row). Classmates on the same coin share every cached fact, because
+  /// the facts are a function of (power, access row, home, masses).
+  std::uint32_t class_of(MinerId p) const { return class_[p.value]; }
+  std::size_t num_classes() const noexcept { return num_classes_; }
+
+  /// Cross-checks every miner's cached facts (best response, improving
+  /// count and set, stability flag) and the totals against an exact
+  /// `scan_moves` (core/moves.*) under the current masses; throws
+  /// goc::InvariantError on any mismatch. The scan is a function of (power,
+  /// access row, home, masses), so it runs once per occupied (class, home)
+  /// cell: its first miner in id order is compared with the scan, and every
+  /// later miner of the cell with that first miner's facts, which equal the
+  /// scan (`index.audit_scans` counts the scans). Exact comparisons of
+  /// unreduced payoffs and no reduction; nothing is kept from one audit to
+  /// the next. The audit path of `LearningOptions::audit_potential`. Its
+  /// scratch lives in the index (sized by the first audit), so concurrent
+  /// audits of one index race.
   void audit() const;
 
  private:
@@ -165,6 +179,15 @@ class BestResponseIndex {
   std::vector<std::uint32_t> start_;        // group c: [start_[c], start_[c+1])
   std::vector<std::uint64_t> visited_;      // stamp of the last rescan
   std::uint64_t stamp_ = 0;
+
+  std::vector<std::uint32_t> class_;        // symmetry_class_ids
+  std::size_t num_classes_ = 0;
+  // Audit scratch, per (class, home) cell: the round that scanned it and
+  // the miner whose facts matched that scan.
+  mutable std::vector<std::uint64_t> audit_round_of_;
+  mutable std::vector<std::uint32_t> audit_leader_;
+  mutable std::vector<CoinId> audit_improving_;
+  mutable std::uint64_t audit_round_ = 0;
 };
 
 }  // namespace goc::dynamics

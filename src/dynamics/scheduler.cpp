@@ -141,11 +141,22 @@ class GainExtremalScheduler final : public Scheduler {
     // strict comparisons reproducing the lowest-miner-id tie-break.
     // Cross-miner gain comparisons are exact: each candidate's gain is an
     // unreduced `Fraction` difference of two payoffs (cross products, no
-    // GCD), and only the winner's gain is reduced into its Move.
+    // GCD), and only the winner's gain is reduced into its Move. A later
+    // miner of an earlier one's (class, home) cell has the same candidate
+    // and the same gain, so under the strict comparison it never wins and
+    // is skipped.
+    const std::size_t coins = game.num_coins();
+    const std::size_t cells = index.num_classes() * coins;
+    if (cell_round_.size() != cells) cell_round_.assign(cells, 0);
+    ++round_;
     std::optional<MinerId> chosen;
     CoinId chosen_to;
     Fraction chosen_gain;
     for (const MinerId p : index.unstable()) {
+      std::uint64_t& seen =
+          cell_round_[index.class_of(p) * coins + s.of(p).value];
+      if (seen == round_) continue;
+      seen = round_;
       const CoinId to = kMax ? *index.best_of(p) : index.min_improving(p);
       const Fraction gain = game.payoff_fraction(s, p, to) -
                             game.payoff_fraction(s, p, s.of(p));
@@ -159,6 +170,10 @@ class GainExtremalScheduler final : public Scheduler {
     return Move{*chosen, s.of(*chosen), chosen_to, chosen_gain.to_rational()};
   }
   std::string name() const override { return kMax ? "max-gain" : "min-gain"; }
+
+ private:
+  std::vector<std::uint64_t> cell_round_;  // last pick that met the cell
+  std::uint64_t round_ = 0;
 };
 
 /// Power-ordered schedulers: the heaviest (or lightest) unstable miner takes

@@ -1,6 +1,9 @@
 #include "engine/sweep.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "engine/thread_pool.hpp"
@@ -50,8 +53,12 @@ std::size_t SweepSpec::grid_size() const {
          axis(scheduler_kinds.size()) * trials;
 }
 
-std::vector<SweepTask> SweepSpec::expand() const {
+void SweepSpec::validate() const {
   GOC_CHECK_ARG(trials >= 1, "SweepSpec.trials must be at least 1");
+}
+
+std::vector<SweepTask> SweepSpec::expand() const {
+  validate();
   const std::vector<std::size_t> miners =
       miner_counts.empty() ? std::vector<std::size_t>{base.num_miners}
                            : miner_counts;
@@ -98,6 +105,25 @@ std::vector<SweepTask> SweepSpec::expand() const {
     }
   }
   return tasks;
+}
+
+bool SweepSpec::audits(const SweepTask& task) const {
+  return audit_max_miners > 0 && task.game_spec.num_miners <= audit_max_miners;
+}
+
+std::vector<std::size_t> SweepSpec::dispatch_order(
+    const std::vector<SweepTask>& tasks) const {
+  const auto cost = [&](const SweepTask& task) {
+    return std::tuple(audits(task), task.game_spec.num_miners,
+                      task.scheduler == SchedulerKind::kMinGain);
+  };
+  std::vector<std::size_t> order(tasks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost(tasks[a]) > cost(tasks[b]);
+                   });
+  return order;
 }
 
 bool SweepRecord::deterministic_equals(const SweepRecord& other) const {
@@ -244,15 +270,14 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
     pool = &*owned;
   }
 
+  const std::vector<std::size_t> order = spec.dispatch_order(tasks);
   std::vector<SweepRecord> records(tasks.size());
   const auto started = clock_type::now();
-  pool->parallel_for(tasks.size(), [&](std::size_t i) {
+  pool->parallel_for(tasks.size(), [&](std::size_t k) {
     options_.cancel.throw_if_stale("sweep cancelled");
+    const std::size_t i = order[k];
     LearningOptions options = spec.learning;
-    if (spec.audit_max_miners > 0 &&
-        tasks[i].game_spec.num_miners <= spec.audit_max_miners) {
-      options.audit_potential = true;
-    }
+    if (spec.audits(tasks[i])) options.audit_potential = true;
     records[i] = run_task(tasks[i], options);
   });
 

@@ -73,11 +73,12 @@ struct SweepSpec {
 
   /// Audit the ordinal potential for tasks with at most this many miners;
   /// 0 leaves `learning` untouched. The audit is expensive: every step
-  /// rescans each miner's best and better responses in exact `Rational`
-  /// arithmetic (`BestResponseIndex::audit`, O(n·|C|) gain evaluations) on
-  /// top of the O(|C| log |C|) potential key, and that rescan dominates
-  /// the E3 wall time even though its comparisons cross-multiply without
-  /// a GCD. `learn.audit_ns` records each audited step's audit block.
+  /// checks each miner's best and better responses against an exact scan
+  /// (`BestResponseIndex::audit`: one O(|C|) scan per occupied (power
+  /// class, home) cell, so O(n·|C|) payoffs at worst) on top of the
+  /// O(|C| log |C|) potential key, and that block dominates the E3 wall
+  /// time even though its comparisons cross-multiply without a GCD.
+  /// `learn.audit_ns` records each audited step's audit block.
   std::size_t audit_max_miners = 0;
 
   /// Optional predicate: tasks for which it returns false are dropped from
@@ -87,8 +88,22 @@ struct SweepSpec {
   /// Grid cardinality *before* filtering: product of axis sizes × trials.
   std::size_t grid_size() const;
 
+  /// Throws std::invalid_argument when the spec cannot expand (trials < 1).
+  /// `expand` calls it; a command line calls it before its first output.
+  void validate() const;
+
   /// All surviving tasks in grid order (trial is the innermost axis).
   std::vector<SweepTask> expand() const;
+
+  /// True when `audit_max_miners` switches the audit on for `task`.
+  bool audits(const SweepTask& task) const;
+
+  /// Positions of `tasks` (an `expand()` result) costliest first, the cost
+  /// estimated from each task's shape alone: audited before unaudited,
+  /// then more miners, then min-gain (the longest paths); ties keep grid
+  /// order. `SweepRunner::run` dispatches in this order.
+  std::vector<std::size_t> dispatch_order(
+      const std::vector<SweepTask>& tasks) const;
 };
 
 /// Per-task outcome. Every field except `wall_ms` is a pure function of the
@@ -174,7 +189,12 @@ class SweepResult {
   std::vector<SweepPointStats> points_;
 };
 
-/// Runs sweeps over a thread pool.
+/// Runs sweeps over a thread pool. The lanes take tasks costliest first
+/// (`SweepSpec::dispatch_order`): in grid order the largest tasks come
+/// last, and the last one to start would run alone while the other lanes
+/// idle. Each record is written into its task's grid-order slot, so the
+/// records, like the seeds, do not depend on the dispatch order or on the
+/// number of lanes.
 class SweepRunner {
  public:
   struct Options {

@@ -1,7 +1,10 @@
 #include "engine/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -36,6 +39,12 @@ struct PoolMetrics {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  if (num_threads > kMaxWorkers) {
+    throw std::invalid_argument(
+        "a thread pool takes at most " + std::to_string(kMaxWorkers) +
+        " workers (--threads up to " + std::to_string(kMaxWorkers + 1) +
+        "), got " + std::to_string(num_threads));
+  }
   workers_.reserve(num_threads);
   try {
     for (std::size_t i = 0; i < num_threads; ++i) {
@@ -168,7 +177,7 @@ void ThreadPool::parallel_for_chunks(
 
 std::size_t ThreadPool::default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(hw, 1, kMaxWorkers + 1);
 }
 
 }  // namespace goc::engine

@@ -17,10 +17,12 @@
 /// Two usage modes:
 ///  * `submit(fn)` — enqueue an arbitrary callable, get a `std::future` back.
 ///  * `parallel_for(n, fn)` — run `fn(0..n-1)` across the pool and block
-///    until done. Indices are handed out through a shared atomic cursor, so
-///    idle workers "steal" whatever index comes next — a work-stealing-
-///    friendly schedule that keeps all cores busy even when per-index cost
-///    is wildly uneven (e.g. min-gain scheduler tasks next to max-gain ones).
+///    until done. Indices are handed out in ascending order through a shared
+///    atomic cursor, so an idle lane takes whatever index comes next. That
+///    balances uneven per-index costs only when the costly indices are not
+///    handed out last: a costly index that starts last runs alone while the
+///    other lanes idle. A caller that can estimate costs numbers its indices
+///    costliest first (`SweepRunner::run` does).
 ///
 /// A pool constructed with zero threads degenerates to inline execution on
 /// the calling thread; `parallel_for` then visits indices in order. This is
@@ -32,9 +34,16 @@ namespace goc::engine {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; 0 means inline (serial) execution. If
-  /// a spawn fails, the workers already spawned are stopped and joined and
-  /// the `std::system_error` is rethrown.
+  /// The most workers a pool spawns: 256 lanes with the calling thread.
+  /// Every `--threads` value reaches a pool, so this is also the command
+  /// line's ceiling.
+  static constexpr std::size_t kMaxWorkers = 255;
+
+  /// Spawns `num_threads` workers; 0 means inline (serial) execution.
+  /// Throws `std::invalid_argument` before spawning anything when
+  /// `num_threads` exceeds `kMaxWorkers`. If a spawn fails, the workers
+  /// already spawned are stopped and joined and the `std::system_error` is
+  /// rethrown.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Joins all workers; pending tasks are drained first.
@@ -78,7 +87,8 @@ class ThreadPool {
   void parallel_for_chunks(std::size_t count, std::size_t grain,
                            const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// `max(1, hardware_concurrency)` — the default worker count for sweeps.
+  /// `hardware_concurrency` clamped to [1, kMaxWorkers + 1] — the default
+  /// lane count for sweeps.
   static std::size_t default_threads();
 
   /// Resolves a user-facing `--threads` value to a total lane count:

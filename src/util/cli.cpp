@@ -39,7 +39,7 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
 int run_main(int argc, char** argv, int (*run)(int, char**)) {
   try {
     return run(argc, argv);
-  } catch (const CliError& error) {
+  } catch (const std::invalid_argument& error) {
     std::cerr << (argc >= 1 ? argv[0] : "") << ": " << error.what() << "\n";
     return 2;
   }
@@ -86,7 +86,7 @@ std::uint64_t Cli::get_u64(const std::string& name,
   if (it == options_.end()) return fallback;
   const auto value = parse_u64(it->second);
   if (!value) {
-    throw CliError("option --" + name + " expects an unsigned integer, got '" +
+    throw std::invalid_argument("option --" + name + " expects an unsigned integer, got '" +
                    it->second + "'");
   }
   return *value;
@@ -97,7 +97,7 @@ double Cli::get_double(const std::string& name, double fallback) const {
   if (it == options_.end()) return fallback;
   double value = 0.0;
   if (!parse_double(it->second, value) || !std::isfinite(value)) {
-    throw CliError("option --" + name + " expects a finite number, got '" +
+    throw std::invalid_argument("option --" + name + " expects a finite number, got '" +
                    it->second + "'");
   }
   return value;
@@ -109,7 +109,7 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  throw CliError("option --" + name + " expects a boolean, got '" + v + "'");
+  throw std::invalid_argument("option --" + name + " expects a boolean, got '" + v + "'");
 }
 
 std::vector<std::string> Cli::unknown(

@@ -15,8 +15,10 @@
 /// `unknown(known_names)` returns the parsed option names outside a known
 /// set, and `refuse_unknown` is the one refusal every binary prints for
 /// them, so a typo fails fast instead of silently falling back to a
-/// default. A malformed value (`--trials=abc`) throws `CliError`, which
-/// `run_main` turns into the same kind of refusal.
+/// default. A malformed value (`--trials=abc`) and a well-formed value
+/// that breaks a library precondition (`--trials=0`) both throw
+/// `std::invalid_argument`, which `run_main` turns into the same kind of
+/// refusal.
 
 namespace goc {
 
@@ -26,17 +28,13 @@ namespace goc {
 /// through here, so "-1" never wraps to 2^64 - 1 and "7x" is never 7.
 std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
-/// A malformed option value, as the `Cli::get_*` readers report it
-/// ("option --trials expects an unsigned integer, got 'abc'").
-class CliError : public std::invalid_argument {
- public:
-  using std::invalid_argument::invalid_argument;
-};
-
 /// The entry point every binary's `main` goes through: returns
-/// `run(argc, argv)`, except that a `CliError` prints `<program>: <message>`
-/// to stderr and returns 2, the exit status of `Cli::refuse_unknown`. Any
-/// other exception propagates unchanged.
+/// `run(argc, argv)`, except that a `std::invalid_argument` (a malformed
+/// value from `Cli::get_*`, "option --trials expects an unsigned integer,
+/// got 'abc'", or a library precondition such as `SweepSpec.trials` or the
+/// `ThreadPool` ceiling, reached from a command-line value) prints
+/// `<program>: <message>` to stderr and returns 2, the exit status of
+/// `Cli::refuse_unknown`. Any other exception propagates unchanged.
 int run_main(int argc, char** argv, int (*run)(int, char**));
 
 class Cli {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <tuple>
+#include <utility>
 
 #include "core/enumerate.hpp"
 #include "core/generators.hpp"
@@ -10,6 +12,7 @@
 #include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
 #include "dynamics/scheduler.hpp"
+#include "obs/registry.hpp"
 
 /// The index contract: `dynamics::BestResponseIndex` must agree with the
 /// scan-based reference implementation in core/moves.* on every cached
@@ -728,6 +731,107 @@ TEST(ThresholdSync, MatchesRebuildOnAnE3ShapedGame) {
   spec.reward_hi = 100000;
   Game g = random_game(spec, rng);
   walk_against_rebuild(g, random_configuration(g, rng), 9, 200, 50);
+}
+
+// -------------------------------------- audit: one scan per (class, home)
+
+std::uint64_t audit_scans() {
+  return obs::Registry::instance().counter("index.audit_scans").total();
+}
+
+/// The occupied (symmetry class, home coin) cells of s, counted from
+/// `symmetry_classes` rather than from the index.
+std::size_t occupied_cells(const Game& g, const Configuration& s) {
+  const SymmetryClasses classes = symmetry_classes(g);
+  std::set<std::pair<std::uint32_t, std::uint32_t>> cells;
+  for (std::uint32_t p = 0; p < g.num_miners(); ++p) {
+    cells.emplace(classes.class_of[p], s.of(MinerId(p)).value);
+  }
+  return cells.size();
+}
+
+/// Random moves; after each, one audit must scan exactly once per
+/// occupied cell.
+void expect_one_scan_per_cell(const Game& g, Configuration s,
+                              std::uint64_t seed, int moves) {
+  Rng rng(seed);
+  BestResponseIndex index(g, s);
+  for (int step = 0; step < moves; ++step) {
+    const MinerId p(static_cast<std::uint32_t>(rng.next_below(g.num_miners())));
+    std::vector<CoinId> options = g.allowed_coins(p);
+    std::erase(options, s.of(p));
+    if (!options.empty()) s.move(p, options[rng.pick_index(options)]);
+    index.sync(s);
+    const std::uint64_t before = audit_scans();
+    ASSERT_NO_THROW(index.audit());
+    ASSERT_EQ(audit_scans() - before, occupied_cells(g, s)) << "step " << step;
+  }
+}
+
+TEST(IndexAudit, ScansOncePerOccupiedClassAndHome) {
+  // Classes by power: {0, 1, 2} (5), {3, 4} (3) and {5} (7).
+  const Game g(System::from_integer_powers({5, 5, 5, 3, 3, 7}, 3),
+               RewardFunction::from_integers({100, 70, 40}));
+  const Configuration s(g.system_ptr(), {CoinId(0), CoinId(0), CoinId(1),
+                                         CoinId(2), CoinId(2), CoinId(0)});
+  const BestResponseIndex index(g, s);
+  EXPECT_EQ(index.num_classes(), 3u);
+  const std::uint64_t before = audit_scans();
+  index.audit();
+  // Cells (5, coin 0), (5, coin 1), (3, coin 2) and (7, coin 0).
+  EXPECT_EQ(audit_scans() - before, 4u);
+
+  // 60 miners in three powers: the count follows the cells as miners move.
+  std::vector<std::int64_t> powers;
+  for (int i = 0; i < 60; ++i) powers.push_back(std::int64_t{4} << (i % 3));
+  const Game many(System::from_integer_powers(powers, 4),
+                  RewardFunction::from_integers({300, 700, 300, 500}));
+  Rng rng(3);
+  expect_one_scan_per_cell(many, random_configuration(many, rng), 3, 200);
+}
+
+TEST(IndexAudit, EqualPowersWithDifferentAccessRowsNeverShareAScan) {
+  // Four equal powers on one coin; only miners 1 and 3 share an access row.
+  const AccessPolicy access({{true, true, true},
+                             {true, true, false},
+                             {true, false, true},
+                             {true, true, false}});
+  const Game g(System::from_integer_powers({4, 4, 4, 4}, 3),
+               RewardFunction::from_integers({9, 5, 3}), access);
+  const Configuration s = Configuration::all_at(g.system_ptr(), CoinId(0));
+  const BestResponseIndex index(g, s);
+  EXPECT_EQ(index.num_classes(), 3u);
+  EXPECT_NE(index.class_of(MinerId(0)), index.class_of(MinerId(1)));
+  EXPECT_NE(index.class_of(MinerId(1)), index.class_of(MinerId(2)));
+  EXPECT_EQ(index.class_of(MinerId(1)), index.class_of(MinerId(3)));
+  const std::uint64_t before = audit_scans();
+  index.audit();
+  EXPECT_EQ(audit_scans() - before, 3u);
+
+  // Random half access over few powers: rows split the power classes.
+  std::vector<std::int64_t> powers;
+  for (int i = 0; i < 40; ++i) powers.push_back(std::int64_t{3} << (i % 2));
+  Rng rng(4);
+  const Game restricted(System::from_integer_powers(powers, 4),
+                        RewardFunction::from_integers({300, 700, 300, 500}),
+                        AccessPolicy::random(40, 4, 0.5, rng));
+  expect_one_scan_per_cell(restricted, allowed_start(restricted), 4, 200);
+}
+
+TEST(IndexAudit, ChecksEveryClassmateNotOnlyTheFirst) {
+  // One class (equal powers, unrestricted access), one member per coin.
+  // Rewards the index is not told about leave miner 0 stable (1/2 < 3)
+  // but make miner 1 unstable (3/2 > 1): only miner 1's facts go stale.
+  Game g(System::from_integer_powers({1, 1}, 2),
+         RewardFunction::from_integers({1, 1}));
+  const Configuration s(g.system_ptr(), {CoinId(0), CoinId(1)});
+  const BestResponseIndex index(g, s);
+  ASSERT_EQ(index.num_classes(), 1u);
+  ASSERT_NO_THROW(index.audit());
+  g.reweight(std::vector<Rational>{Rational(3), Rational(1)});
+  ASSERT_TRUE(is_stable(g, s, MinerId(0)));
+  ASSERT_FALSE(is_stable(g, s, MinerId(1)));
+  EXPECT_THROW(index.audit(), InvariantError);
 }
 
 // ------------------------------------- scheduler path equivalence (all 8)

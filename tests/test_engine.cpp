@@ -137,9 +137,10 @@ TEST(ThreadPool, FailedSpawnJoinsSpawnedWorkersAndRethrows) {
 #endif
 #endif
   // A forked child caps its address space a few thread stacks above its
-  // current size, so the pool's constructor spawns some workers and then
-  // fails. Before the fix the joinable workers made unwinding call
-  // std::terminate (SIGABRT); now they are joined and the error rethrown.
+  // current size, so the pool's constructor spawns some of its most
+  // workers and then fails. Before the fix the joinable workers made
+  // unwinding call std::terminate (SIGABRT); now they are joined and the
+  // error rethrown.
   const ::pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -151,7 +152,7 @@ TEST(ThreadPool, FailedSpawnJoinsSpawnedWorkersAndRethrows) {
     const ::rlimit limit{cap, cap};
     if (pages <= 0 || ::setrlimit(RLIMIT_AS, &limit) != 0) _exit(3);
     try {
-      ThreadPool pool(4096);
+      ThreadPool pool(ThreadPool::kMaxWorkers);
       _exit(2);  // the cap did not bite
     } catch (const std::system_error&) {
       _exit(0);
@@ -165,6 +166,12 @@ TEST(ThreadPool, FailedSpawnJoinsSpawnedWorkersAndRethrows) {
       << "child died of signal "
       << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ThreadPool, RefusesMoreThanTheCeilingBeforeSpawning) {
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxWorkers + 1), std::invalid_argument);
+  EXPECT_THROW(ThreadPool(SIZE_MAX), std::invalid_argument);
+  EXPECT_LE(ThreadPool::default_threads(), ThreadPool::kMaxWorkers + 1);
 }
 
 // ---------------------------------------------------------- grid expansion
@@ -376,6 +383,47 @@ TEST(SweepResult, TableHasOneRowPerGridPoint) {
   // 2 × 2 × 2 × 1 × 3 grid points (trials collapse into rows).
   EXPECT_EQ(result.to_table().rows(), 24u);
   EXPECT_EQ(result.points().size(), 24u);
+}
+
+// ------------------------------------------------------ dispatch order
+
+TEST(SweepRunner, CostliestTasksGoFirstAndRecordsKeepGridOrder) {
+  // In grid order the costliest task (audited min-gain at 40 miners) comes
+  // last among the audited ones, and the unaudited 60-miner tasks after it.
+  SweepSpec spec;
+  spec.base.power_shape = PowerShape::kPareto;
+  spec.base.power_lo = 10;
+  spec.base.reward_lo = 100;
+  spec.base.reward_hi = 100000;
+  spec.miner_counts = {6, 12, 40, 60};
+  spec.coin_counts = {3};
+  spec.scheduler_kinds = {SchedulerKind::kRandomMove, SchedulerKind::kMinGain};
+  spec.trials = 2;
+  spec.root_seed = 2021;
+  spec.audit_max_miners = 40;
+  const std::vector<SweepTask> tasks = spec.expand();
+  // Grid positions: miners 6 → 0..3, 12 → 4..7, 40 → 8..11, 60 → 12..15,
+  // random-move before min-gain and trials innermost within each.
+  EXPECT_EQ(spec.dispatch_order(tasks),
+            (std::vector<std::size_t>{10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1,
+                                      14, 15, 12, 13}));
+
+  // The serial grid-order path: run_task on each task in turn.
+  std::vector<SweepRecord> serial;
+  for (const SweepTask& task : tasks) {
+    LearningOptions options = spec.learning;
+    options.audit_potential = spec.audits(task);
+    serial.push_back(SweepRunner::run_task(task, options));
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const SweepResult result = SweepRunner({threads}).run(spec);
+    ASSERT_EQ(result.records().size(), tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(result.records()[i].task.grid_index, tasks[i].grid_index);
+      EXPECT_TRUE(result.records()[i].deterministic_equals(serial[i]))
+          << "record " << i << " at " << threads << " threads";
+    }
+  }
 }
 
 // ------------------------------------------------- pool sharing + cancel

@@ -169,6 +169,49 @@ TEST(SymmetryClasses, AccessRowsSplitEqualPowers) {
   EXPECT_EQ(classes.classes.size(), 2u);
 }
 
+TEST(SymmetryClasses, PowerOrderRunsReproduceFirstAppearanceIds) {
+  // The classes as first defined: scan miners in id order, join the first
+  // class whose first member has the same power and access row, else open
+  // a new class. The canonical walk depends on these ids and member
+  // orders, so the power-order construction must reproduce them exactly.
+  Rng rng(41);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.next_below(30);
+    const std::size_t coins = 2 + rng.next_below(4);
+    std::vector<std::int64_t> powers;
+    for (std::size_t p = 0; p < n; ++p) {
+      powers.push_back(1 + static_cast<std::int64_t>(rng.next_below(4)));
+    }
+    const Game g(System::from_integer_powers(powers, coins),
+                 RewardFunction::from_integers(
+                     std::vector<std::int64_t>(coins, 10)),
+                 trial % 2 == 0 ? AccessPolicy()
+                                : AccessPolicy::random(n, coins, 0.6, rng));
+    std::vector<std::vector<MinerId>> expected;
+    std::vector<std::uint32_t> expected_of(n);
+    for (std::uint32_t p = 0; p < n; ++p) {
+      std::size_t k = 0;
+      for (; k < expected.size(); ++k) {
+        const MinerId head = expected[k].front();
+        bool same = g.system().power(head) == g.system().power(MinerId(p));
+        for (std::uint32_t c = 0; c < coins && same; ++c) {
+          same = g.can_mine(head, CoinId(c)) ==
+                 g.can_mine(MinerId(p), CoinId(c));
+        }
+        if (same) break;
+      }
+      if (k == expected.size()) expected.emplace_back();
+      expected[k].push_back(MinerId(p));
+      expected_of[p] = static_cast<std::uint32_t>(k);
+    }
+    const SymmetryClasses classes = symmetry_classes(g);
+    EXPECT_EQ(symmetry_class_ids(g), expected_of) << "trial " << trial;
+    EXPECT_EQ(classes.class_of, expected_of) << "trial " << trial;
+    EXPECT_EQ(classes.classes, expected) << "trial " << trial;
+    EXPECT_EQ(classes.trivial, expected.size() == n) << "trial " << trial;
+  }
+}
+
 TEST(SymmetryClasses, CanonicalCountMatchesWalk) {
   // 3 equal miners + 1 distinct over 2 coins: C(3+1,3)·C(1+1,1) = 4·2 = 8.
   Game g(System::from_integer_powers({3, 3, 3, 7}, 2),

@@ -25,8 +25,8 @@
 /// the fault-injection workload: with `--kill-after=N` the process
 /// SIGKILLs itself inside the Nth checkpoint write, leaving an artifact
 /// for the harness to corrupt and resume. Each subcommand exits 2 on an
-/// option it does not read (`Cli::refuse_unknown`) or a malformed option
-/// value (`run_main`).
+/// option it does not read (`Cli::refuse_unknown`) or on an option value
+/// that is malformed or breaks a library precondition (`run_main`).
 
 namespace {
 
@@ -140,8 +140,8 @@ int run(int argc, char** argv) {
     if (command == "verify") return run_verify(cli);
     if (command == "info") return run_info(cli);
     if (command == "batch") return run_batch(cli);
-  } catch (const goc::CliError&) {
-    throw;  // a malformed flag value: run_main refuses it with exit 2
+  } catch (const std::invalid_argument&) {
+    throw;  // a bad flag value: run_main refuses it with exit 2
   } catch (const std::exception& e) {
     std::cerr << command << ": " << e.what() << "\n";
     return 1;
