@@ -15,6 +15,7 @@
 /// `--compare-scan=false`.
 
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
 #include "potential/list_potential.hpp"
+#include "sim/event_core.hpp"
 
 namespace {
 
@@ -230,6 +232,29 @@ int run(int argc, char** argv) {
               .is_integer();
       (void)sink;
       i = (i + 1) % pairs.size();
+    });
+  }
+  {
+    // The chain simulator's block loop on the reference chain's streams
+    // (128 chains and the decision epoch): pop the earliest race, then
+    // re-arm the dispatched stream with one exponential draw.
+    constexpr std::uint32_t kChains = 128;
+    sim::EventCore core;
+    core.declare_streams(sim::EventType::kBlockFound, kChains);
+    core.declare_streams(sim::EventType::kDecisionEpoch, 1);
+    Rng rng(seed);
+    const auto rate = [](std::uint32_t subject) {
+      return 1.0 + static_cast<double>(subject % 16);
+    };
+    for (std::uint32_t c = 0; c < kChains; ++c) {
+      core.schedule(rng.exponential(rate(c)), sim::EventType::kBlockFound, c);
+    }
+    core.schedule(rng.exponential(rate(0)), sim::EventType::kDecisionEpoch, 0);
+    sim::Event event;
+    time_op(ops, "event_rearm(streams=129)", base_iters, [&] {
+      core.pop_until(event, std::numeric_limits<double>::infinity());
+      core.schedule(core.now() + rng.exponential(rate(event.subject)),
+                    event.type, event.subject);
     });
   }
   bench::emit(cli, ops, "Core operations", "ops");

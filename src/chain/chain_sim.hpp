@@ -46,8 +46,9 @@
 /// dispatch, one pending event per stream: each chain's race and the
 /// decision clock). A migration re-schedules both affected races in place,
 /// a chain left without miners has its race cancelled, and a block re-arms
-/// its chain's race at the heap root. A sorted member list per chain makes
-/// a block cost O(miners on that chain) instead of O(all miners).
+/// its chain's race in the leaf it was dispatched from. A sorted member
+/// list per chain makes a block cost O(miners on that chain) instead of
+/// O(all miners).
 /// Trajectories are pinned byte for byte by the committed
 /// `GOLDEN_chain.gocr` / `GOLDEN_fig1.gocr` recordings and by the hash pins
 /// in `tests/test_sim.cpp`.

@@ -215,6 +215,7 @@ JobTable::Work Server::make_sweep_work(const Cli& cli) {
   spec.root_seed = cli.get_u64("seed", spec.root_seed);
   spec.learning.max_steps =
       cli.get_u64("max-steps", spec.learning.max_steps);
+  spec.validate();
 
   return [this, spec](const engine::CancelView& cancel,
                       const JobTable::ProgressFn&) {

@@ -1,5 +1,7 @@
 #include "sim/event_core.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <string>
 
 #include "obs/registry.hpp"
@@ -51,9 +53,8 @@ void EventCore::declare_streams(EventType type, std::size_t count) {
     first_slot_[t] = static_cast<std::uint32_t>(first);
     first += num_streams_[t];
   }
-  heap_.clear();
-  heap_.reserve(total);
-  pos_.assign(total, kNoSlot);
+  leaves_ = static_cast<std::uint32_t>(total);
+  tree_.assign(std::max<std::size_t>(2 * total, 2), kEmpty);
   dispatched_ = kNoSlot;
 }
 
@@ -63,103 +64,71 @@ std::uint32_t EventCore::slot(EventType type, std::uint32_t subject) const {
   return first_slot_[t] + subject;
 }
 
+void EventCore::set_leaf(std::uint32_t s, Node n) noexcept {
+  // The sibling's address depends only on the level, so its load never
+  // waits on a comparison, and the select compiles without a branch.
+  std::size_t i = std::size_t{leaves_} + s;
+  tree_[i] = n;
+  for (; i > 1; i >>= 1) {
+    const Node sibling = tree_[i ^ 1];
+    n = sibling < n ? sibling : n;
+    tree_[i >> 1] = n;
+  }
+}
+
 void EventCore::schedule(double time, EventType type, std::uint32_t subject) {
   GOC_CHECK_ARG(time >= now_, "cannot schedule events in the past");
   const std::uint32_t s = slot(type, subject);
   GOC_ASSERT(next_seq_ < kMaxSeq, "event sequence numbers exhausted");
-  const Node node{time, (next_seq_++ << kSlotBits) | s};
-  const std::uint32_t at = pos_[s];
-  if (at == kNoSlot) {
-    heap_.push_back(node);
-    sift_up(heap_.size() - 1, node);
-    return;
-  }
   if (s == dispatched_) {
-    // Re-arming the stream just dispatched: its node is still the root and
-    // the new one (time ≥ now, larger seq) orders after it.
-    dispatched_ = kNoSlot;
-    sift_down(0, node);
-    return;
+    dispatched_ = kNoSlot;  // re-arming the stream just dispatched
+  } else if (tree_[leaves_ + s] != kEmpty) {
+    EventMetrics::get().replaced[static_cast<std::size_t>(type)]->add();
   }
-  EventMetrics::get().replaced[static_cast<std::size_t>(type)]->add();
-  if (earlier(node, heap_[at])) {
-    sift_up(at, node);
-  } else {
-    sift_down(at, node);
-  }
+  // The only negative time that passes the check is −0.0: clearing the
+  // sign bit stores it as +0.0, so the bits order like the times.
+  const std::uint64_t time_bits =
+      std::bit_cast<std::uint64_t>(time) & ~(std::uint64_t{1} << 63);
+  set_leaf(s, Node{time_bits} << 64 | ((next_seq_++ << kSlotBits) | s));
 }
 
 void EventCore::cancel(EventType type, std::uint32_t subject) {
   const std::uint32_t s = slot(type, subject);
-  if (pos_[s] == kNoSlot || s == dispatched_) return;
+  if (s == dispatched_ || tree_[leaves_ + s] == kEmpty) return;
   EventMetrics::get().cancelled[static_cast<std::size_t>(type)]->add();
-  remove_at(pos_[s]);
+  set_leaf(s, kEmpty);
 }
 
 bool EventCore::pop_until(Event& out, double t_end) {
   GOC_CHECK_ARG(t_end >= now_, "cannot run backwards");
   if (dispatched_ != kNoSlot) {
+    set_leaf(dispatched_, kEmpty);
     dispatched_ = kNoSlot;
-    remove_at(0);
   }
-  if (heap_.empty() || !(heap_.front().time <= t_end)) {
+  const Node root = tree_[1];
+  if (root == kEmpty || !(time_of(root) <= t_end)) {
     now_ = t_end;
     return false;
   }
-  const Node& root = heap_.front();
-  const std::uint32_t s = slot_of(root);
+  const auto key = static_cast<std::uint64_t>(root);  // the low half
+  const auto s = static_cast<std::uint32_t>(key & kSlotMask);
   std::size_t t = kNumEventTypes - 1;
   while (s < first_slot_[t]) --t;
-  out.time = root.time;
-  out.seq = root.key >> kSlotBits;
+  out.time = time_of(root);
+  out.seq = key >> kSlotBits;
   out.subject = s - first_slot_[t];
   out.type = static_cast<EventType>(t);
-  now_ = root.time;
+  now_ = out.time;
   dispatched_ = s;
   EventMetrics::get().dispatched[t]->add();
   return true;
 }
 
-void EventCore::sift_up(std::size_t i, Node moving) noexcept {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(moving, heap_[parent])) break;
-    place(i, heap_[parent]);
-    i = parent;
-  }
-  place(i, moving);
-}
-
-void EventCore::sift_down(std::size_t i, Node moving) noexcept {
-  // Bottom-up: walk the hole to a leaf along the earlier child (one
-  // comparison per level), then sift `moving` back up from there. A
-  // re-keyed race usually belongs near the bottom, so the climb is short.
-  const std::size_t n = heap_.size();
-  std::size_t hole = i;
-  for (std::size_t child = 2 * hole + 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n) child += earlier(heap_[child + 1], heap_[child]);
-    place(hole, heap_[child]);
-    hole = child;
-  }
-  while (hole > i) {
-    const std::size_t parent = (hole - 1) / 2;
-    if (!earlier(moving, heap_[parent])) break;
-    place(hole, heap_[parent]);
-    hole = parent;
-  }
-  place(hole, moving);
-}
-
-void EventCore::remove_at(std::size_t i) noexcept {
-  pos_[slot_of(heap_[i])] = kNoSlot;
-  const Node last = heap_.back();
-  heap_.pop_back();
-  if (i == heap_.size()) return;
-  if (earlier(last, heap_[i])) {
-    sift_up(i, last);
-  } else {
-    sift_down(i, last);
-  }
+std::size_t EventCore::pending() const noexcept {
+  const auto leaves = tree_.begin() + leaves_;
+  const auto live = std::count_if(leaves, leaves + leaves_,
+                                  [](Node n) { return n != kEmpty; });
+  return static_cast<std::size_t>(live) - (dispatched_ != kNoSlot ? 1 : 0);
 }
 
 }  // namespace goc::sim

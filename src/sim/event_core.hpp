@@ -1,10 +1,13 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
 #include <vector>
+
+#include "util/int128.hpp"
 
 /// \file event_core.hpp
 /// The flat discrete-event core — layer 1 of the `sim/` subsystem.
@@ -14,18 +17,22 @@
 /// and no indirect call at dispatch).
 ///
 /// The core holds **at most one pending event per (type, subject)
-/// stream**: an indexed binary min-heap with one slot per declared stream
-/// and a position table, sized once by `declare_streams` — no allocation
-/// and no stale events, ever.
-///  * `schedule` on a stream that already has a pending event *replaces*
-///    it in place (one sift from its current position). A block race whose
-///    rate changed when miners migrated is simply re-scheduled; the
-///    exponential race is memoryless, so the fresh draw is exact.
-///  * `cancel` removes a stream's pending event, if there is one.
-///  * `pop_until` leaves the dispatched event at the root and remembers
-///    its stream. When the handler re-arms that stream (a chain's next
-///    block race) the root is re-keyed with a single `sift_down` instead of
-///    a pop plus a push; otherwise the next `pop_until` removes it first.
+/// stream**: a winner (tournament) tree with one leaf per declared stream,
+/// sized once by `declare_streams` — no allocation and no stale events,
+/// ever. Leaves sit at `[n, 2n)` and node `i` holds the earlier of nodes
+/// `2i` and `2i + 1`, which works for any `n`; an empty leaf holds a
+/// sentinel that orders after every event.
+///  * `schedule` writes the stream's leaf and replays its matches up to the
+///    root: one pass of log2(n) levels, each reading the sibling `i ^ 1`
+///    and keeping the earlier node without a branch. On a stream with a
+///    pending event this *replaces* it. A block race whose rate changed
+///    when miners migrated is simply re-scheduled; the exponential race is
+///    memoryless, so the fresh draw is exact.
+///  * `cancel` writes the sentinel into the stream's leaf, if it is pending.
+///  * `pop_until` reads the root and leaves the dispatched event in its
+///    leaf. When the handler re-arms that stream (a chain's next block
+///    race) the new event overwrites it in one pass; otherwise the next
+///    `pop_until` clears the leaf first.
 ///
 /// Order is (time, seq) with `seq` assigned once per `schedule`, so events
 /// at equal times pop in schedule order (FIFO tie-breaking) and
@@ -73,47 +80,40 @@ class EventCore {
   bool pop_until(Event& out, double t_end);
 
   double now() const noexcept { return now_; }
-  /// Pending events: at most one per declared stream.
-  std::size_t pending() const noexcept {
-    return heap_.size() - (dispatched_ != kNoSlot ? 1 : 0);
-  }
+  /// Pending events: at most one per declared stream. Counts the leaves,
+  /// so it costs O(streams); the simulators never ask.
+  std::size_t pending() const noexcept;
   bool empty() const noexcept { return pending() == 0; }
 
  private:
-  /// A heap node: the time plus `seq << kSlotBits | slot`. Sequence
-  /// numbers are unique, so comparing keys compares seqs.
-  struct Node {
-    double time;
-    std::uint64_t key;
-  };
+  /// A tree node: the time's bits above `seq << kSlotBits | slot`. Times
+  /// are ≥ +0.0 (−0.0 is stored as +0.0), so their bits order like the
+  /// times, and sequence numbers are unique: one unsigned comparison
+  /// orders two nodes by (time, seq).
+  using Node = u128;
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask =
       (std::uint64_t{1} << kSlotBits) - 1;
   static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
+  /// An empty leaf: its time bits exceed those of +inf.
+  static constexpr Node kEmpty = ~Node{0};
 
-  static bool earlier(const Node& a, const Node& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
-  static std::uint32_t slot_of(const Node& n) noexcept {
-    return static_cast<std::uint32_t>(n.key & kSlotMask);
+  static double time_of(Node n) noexcept {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(n >> 64));
   }
   std::uint32_t slot(EventType type, std::uint32_t subject) const;
-  void place(std::size_t i, const Node& n) noexcept {
-    heap_[i] = n;
-    pos_[slot_of(n)] = static_cast<std::uint32_t>(i);
-  }
-  void sift_up(std::size_t i, Node moving) noexcept;
-  void sift_down(std::size_t i, Node moving) noexcept;
-  void remove_at(std::size_t i) noexcept;
+  /// Writes leaf `s` and replays its matches up to the root.
+  void set_leaf(std::uint32_t s, Node n) noexcept;
 
-  std::vector<Node> heap_;           ///< binary min-heap by (time, seq)
-  std::vector<std::uint32_t> pos_;   ///< slot → heap index, or kNoSlot
+  /// [1, n) matches, [n, 2n) leaves; [0] unused. Two empty nodes until
+  /// streams are declared, so the root always exists.
+  std::vector<Node> tree_{kEmpty, kEmpty};
+  std::uint32_t leaves_ = 0;  ///< n: one leaf per declared stream
   std::array<std::uint32_t, kNumEventTypes> first_slot_{};
   std::array<std::uint32_t, kNumEventTypes> num_streams_{};
-  /// Slot of the dispatched event still sitting at the root, or kNoSlot.
+  /// Slot of the dispatched event still sitting in its leaf, or kNoSlot.
   std::uint32_t dispatched_ = kNoSlot;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;

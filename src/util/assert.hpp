@@ -8,7 +8,8 @@
 ///
 /// Convention (C++ Core Guidelines I.5/E.x):
 ///  * `GOC_CHECK_ARG`   — validates a *caller-supplied precondition* of a
-///    public API; failure throws `std::invalid_argument`.
+///    public API; failure throws `std::invalid_argument` whose `what()` is
+///    the message alone.
 ///  * `GOC_ASSERT`      — validates an *internal invariant*; failure throws
 ///    `goc::InvariantError`. Enabled in all build types: the library's
 ///    correctness claims mirror paper proofs, so silent corruption is worse
@@ -38,11 +39,12 @@ namespace detail {
                        file + ":" + std::to_string(line) +
                        (msg.empty() ? "" : (": " + msg)));
 }
-[[noreturn]] inline void argument_failure(const char* expr, const char* file,
-                                          int line, const std::string& msg) {
-  throw std::invalid_argument(std::string("precondition violated: ") + expr +
-                              " at " + file + ":" + std::to_string(line) +
-                              (msg.empty() ? "" : (": " + msg)));
+/// A caller error reaches the caller's user (a CLI's stderr, a serve
+/// client), so it carries only its message, or the condition when there is
+/// none, and never the library's source location.
+[[noreturn]] inline void argument_failure(const char* expr,
+                                          const std::string& msg) {
+  throw std::invalid_argument(msg.empty() ? std::string(expr) : msg);
 }
 }  // namespace detail
 
@@ -54,10 +56,9 @@ namespace detail {
       ::goc::detail::invariant_failure(#cond, __FILE__, __LINE__, msg); \
   } while (false)
 
-#define GOC_CHECK_ARG(cond, msg)                                      \
-  do {                                                                \
-    if (!(cond))                                                      \
-      ::goc::detail::argument_failure(#cond, __FILE__, __LINE__, msg); \
+#define GOC_CHECK_ARG(cond, msg)                              \
+  do {                                                        \
+    if (!(cond)) ::goc::detail::argument_failure(#cond, msg); \
   } while (false)
 
 #ifdef NDEBUG

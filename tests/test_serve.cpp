@@ -307,6 +307,13 @@ TEST(Server, RejectsInvalidBatchOptionsAtSubmit) {
             0u);
 }
 
+TEST(Server, RejectsInvalidSweepAtSubmit) {
+  Server server(ServerOptions{2});
+  EXPECT_EQ(respond(server, "submit sweep --miners=10 --coins=2 --trials=0"),
+            "err SweepSpec.trials must be at least 1\n");
+  EXPECT_EQ(server.jobs().size(), 0u);
+}
+
 TEST(Server, EpochLanesAreBoundedByTheServerLanes) {
   Server server(ServerOptions{2});
   const std::string batch =

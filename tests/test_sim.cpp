@@ -131,8 +131,8 @@ TEST(EventCore, ScheduleReplacesPendingEvent) {
   core.schedule(1.0, EventType::kBlockFound, 0);
   core.schedule(2.0, EventType::kBlockFound, 1);
   core.schedule(4.0, EventType::kBlockFound, 2);
-  core.schedule(3.0, EventType::kBlockFound, 0);  // later: sifts down
-  core.schedule(0.5, EventType::kBlockFound, 2);  // earlier: sifts up
+  core.schedule(3.0, EventType::kBlockFound, 0);  // replaced by a later one
+  core.schedule(0.5, EventType::kBlockFound, 2);  // by an earlier one
   EXPECT_EQ(core.pending(), 3u);
   Event event;
   std::vector<std::pair<double, std::uint32_t>> order;
@@ -194,23 +194,26 @@ TEST(EventCore, CancelOfDispatchedStreamIsNoop) {
   EXPECT_TRUE(core.empty());
 }
 
-TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
-  // Reference: every pending event in one ordered set, at most one per
-  // stream. Times come from a coarse grid so ties are common and the FIFO
-  // tie-break is exercised.
+// Drives a core with `blocks` block streams and one decision stream
+// through random schedules, cancels, pops and re-declarations, and checks
+// every pop against a naive reference: every pending event in one ordered
+// set, at most one per stream. Times come from a coarse grid so ties are
+// common and the FIFO tie-break is exercised; more than `min_pops` events
+// must be dispatched.
+void expect_matches_naive_reference(std::uint32_t blocks,
+                                    std::size_t min_pops) {
   using Key = std::tuple<double, std::uint64_t, EventType, std::uint32_t>;
-  constexpr std::uint32_t kBlocks = 6;
-  constexpr std::uint32_t kStreams = kBlocks + 1;
+  const std::uint32_t streams = blocks + 1;
   EventCore core;
-  core.declare_streams(EventType::kBlockFound, kBlocks);
+  core.declare_streams(EventType::kBlockFound, blocks);
   core.declare_streams(EventType::kDecisionEpoch, 1);
   std::set<Key> ref;
-  std::vector<std::optional<Key>> ref_pending(kStreams);
+  std::vector<std::optional<Key>> ref_pending(streams);
   std::uint64_t ref_seq = 0;
   double ref_now = 0.0;
-  const auto stream_of = [](std::uint32_t s) {
-    return s < kBlocks ? std::pair{EventType::kBlockFound, s}
-                       : std::pair{EventType::kDecisionEpoch, 0u};
+  const auto stream_of = [blocks](std::uint32_t s) {
+    return s < blocks ? std::pair{EventType::kBlockFound, s}
+                      : std::pair{EventType::kDecisionEpoch, 0u};
   };
   const auto ref_cancel = [&](std::uint32_t s) {
     if (ref_pending[s]) ref.erase(*ref_pending[s]);
@@ -230,7 +233,7 @@ TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
   Rng rng(20211);
   std::size_t pops = 0;
   for (int op = 0; op < 200000; ++op) {
-    const auto s = static_cast<std::uint32_t>(rng.next_below(kStreams));
+    const auto s = static_cast<std::uint32_t>(rng.next_below(streams));
     const std::uint64_t kind = rng.next_below(100);
     if (kind < 45) {
       schedule(s, core.now() + grid(rng));
@@ -251,7 +254,7 @@ TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
             << "op " << op;
         const std::uint32_t hs = event.type == EventType::kBlockFound
                                      ? event.subject
-                                     : kBlocks;
+                                     : blocks;
         ref_cancel(hs);
         ref_now = event.time;
         ++pops;
@@ -264,7 +267,7 @@ TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
     } else {
       // Re-declaring the streams drops every pending event; the clock and
       // the sequence counter carry on.
-      core.declare_streams(EventType::kBlockFound, kBlocks);
+      core.declare_streams(EventType::kBlockFound, blocks);
       core.declare_streams(EventType::kDecisionEpoch, 1);
       ref.clear();
       for (auto& p : ref_pending) p.reset();
@@ -272,7 +275,90 @@ TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
     ASSERT_EQ(core.now(), ref_now) << "op " << op;
     ASSERT_EQ(core.pending(), ref.size()) << "op " << op;
   }
-  EXPECT_GT(pops, 50000u);
+  EXPECT_GT(pops, min_pops);
+}
+
+TEST(EventCore, MatchesNaiveReferenceUnderRandomOperations) {
+  // 7 streams, then the tree's edge shapes: one stream in all (the root is
+  // the only leaf, and is often empty), 5 leaves (not a power of two), and
+  // the reference chain's 128 chains plus its decision stream.
+  for (const auto& [blocks, min_pops] :
+       {std::pair{6u, 50000u}, std::pair{0u, 25000u}, std::pair{4u, 50000u},
+        std::pair{128u, 50000u}}) {
+    SCOPED_TRACE(blocks + 1);
+    expect_matches_naive_reference(blocks, min_pops);
+  }
+}
+
+TEST(EventCore, EqualTimesPopInScheduleOrderAcrossTheTree) {
+  // All 129 streams of the reference chain at one time, scheduled in
+  // reverse slot order: every match on every level is decided by seq.
+  constexpr std::uint32_t kChains = 128;
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, kChains);
+  core.declare_streams(EventType::kDecisionEpoch, 1);
+  core.schedule(2.0, EventType::kDecisionEpoch, 0);
+  for (std::uint32_t c = kChains; c-- > 0;) {
+    core.schedule(2.0, EventType::kBlockFound, c);
+  }
+  Event event;
+  std::uint64_t expected_seq = 0;
+  while (core.pop_until(event, 2.0)) {
+    ASSERT_EQ(event.seq, expected_seq);
+    if (expected_seq == 0) {
+      EXPECT_EQ(event.type, EventType::kDecisionEpoch);
+    } else {
+      EXPECT_EQ(event.type, EventType::kBlockFound);
+      EXPECT_EQ(event.subject + expected_seq, kChains);
+    }
+    ++expected_seq;
+  }
+  EXPECT_EQ(expected_seq, kChains + 1);
+}
+
+TEST(EventCore, NegativeZeroTimeOrdersAsZero) {
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, 4);
+  core.schedule(std::numeric_limits<double>::denorm_min(),
+                EventType::kBlockFound, 3);
+  core.schedule(-0.0, EventType::kBlockFound, 1);
+  core.schedule(0.0, EventType::kBlockFound, 0);
+  core.schedule(-0.0, EventType::kBlockFound, 2);
+  // −0.0 and +0.0 tie, so schedule order decides; both precede the
+  // smallest positive time.
+  Event event;
+  std::vector<std::pair<double, std::uint32_t>> order;
+  while (core.pop_until(event, 1.0)) {
+    order.emplace_back(event.time, event.subject);
+  }
+  EXPECT_EQ(order, (std::vector<std::pair<double, std::uint32_t>>{
+                       {0.0, 1},
+                       {0.0, 0},
+                       {0.0, 2},
+                       {std::numeric_limits<double>::denorm_min(), 3}}));
+}
+
+TEST(EventCore, InfiniteTimeIsPendingUntilAnInfiniteWindow) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EventCore core;
+  core.declare_streams(EventType::kBlockFound, 3);
+  core.schedule(kInf, EventType::kBlockFound, 0);
+  core.schedule(5.0, EventType::kBlockFound, 1);
+  core.schedule(kInf, EventType::kBlockFound, 2);
+  Event event;
+  ASSERT_TRUE(core.pop_until(event, 1e300));
+  EXPECT_EQ(event.subject, 1u);
+  EXPECT_FALSE(core.pop_until(event, 1e300));
+  EXPECT_EQ(core.pending(), 2u);
+  EXPECT_EQ(core.now(), 1e300);
+  // An infinite time orders before an empty leaf and ties FIFO.
+  ASSERT_TRUE(core.pop_until(event, kInf));
+  EXPECT_EQ(event.subject, 0u);
+  EXPECT_EQ(event.time, kInf);
+  core.cancel(EventType::kBlockFound, 2);
+  EXPECT_TRUE(core.empty());
+  EXPECT_FALSE(core.pop_until(event, kInf));
+  EXPECT_EQ(core.now(), kInf);
 }
 
 TEST(EventCore, RedeclareDropsPendingEvents) {

@@ -4,9 +4,12 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/int128.hpp"
 #include "util/rng.hpp"
@@ -15,6 +18,25 @@
 
 namespace goc {
 namespace {
+
+// ---------------------------------------------------------------- assert
+
+std::string check_arg_what(int trials, const char* message) {
+  try {
+    GOC_CHECK_ARG(trials >= 1, message);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "no throw";
+}
+
+TEST(CheckArg, CarriesTheMessageAloneOrElseTheCondition) {
+  // A caller error is shown to the caller's user: no source location.
+  EXPECT_EQ(check_arg_what(0, "trials must be at least 1"),
+            "trials must be at least 1");
+  EXPECT_EQ(check_arg_what(0, ""), "trials >= 1");
+  EXPECT_EQ(check_arg_what(1, ""), "no throw");
+}
 
 // ---------------------------------------------------------------- int128
 
