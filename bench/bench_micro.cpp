@@ -24,6 +24,7 @@
 #include "core/moves.hpp"
 #include "dynamics/best_response_index.hpp"
 #include "dynamics/learning.hpp"
+#include "market/fee_market.hpp"
 #include "potential/list_potential.hpp"
 #include "sim/event_core.hpp"
 
@@ -255,6 +256,16 @@ int run(int argc, char** argv) {
       core.pop_until(event, std::numeric_limits<double>::infinity());
       core.schedule(core.now() + rng.exponential(rate(event.subject)),
                     event.type, event.subject);
+    });
+  }
+  {
+    // One market epoch of random_market_prototype's busiest coin: ~3 000
+    // fee arrivals, each one Pareto fee and one clock uniform.
+    market::FeeMarket fees(3000.0, 0.0002, 1.8);
+    Rng rng(seed);
+    time_op(ops, "fee_accrue(rate=3000,dt=1h)", base_iters / 200, [&] {
+      volatile double sink = fees.accrue(1.0, rng);
+      (void)sink;
     });
   }
   bench::emit(cli, ops, "Core operations", "ops");

@@ -12,6 +12,15 @@
 /// outsized fee: the lever the paper names for raising a coin's weight
 /// without touching the exchange rate. The reward-design examples use it as
 /// the physical carrier of H(c) − F(c).
+///
+/// The stream is defined by a running sum of exponential gaps: one uniform
+/// for the first gap, then per arrival a fee uniform and a gap uniform.
+/// `accrue` draws exactly that stream but decides the clock on the product
+/// of the gap uniforms (one multiply instead of a `log` per arrival), and
+/// reruns the sum from the generator's entry state in the rare call where
+/// the product is too close to its threshold to be sure. The
+/// `market.fee.arrivals` and `market.fee.clock_fallbacks` counters take one
+/// add per call.
 
 namespace goc::market {
 
@@ -21,8 +30,8 @@ class FeeMarket {
   /// `fee_shape` > 1 (finite mean).
   FeeMarket(double tx_per_hour, double fee_scale, double fee_shape);
 
-  /// Accrues `dt_hours` of organic fee arrivals into the pending pool.
-  /// Returns the amount added.
+  /// Accrues `dt_hours` (finite, ≥ 0) of organic fee arrivals into the
+  /// pending pool. Returns the amount added.
   double accrue(double dt_hours, Rng& rng);
 
   /// Adds a whale fee (native units) to the pending pool.

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "util/assert.hpp"
@@ -12,7 +14,9 @@
 /// splitmix64. Distributions are implemented in-house rather than with
 /// `<random>` so that a given seed reproduces the same experiment on every
 /// platform and standard library — benchmark tables in EXPERIMENTS.md cite
-/// seeds and must be regenerable.
+/// seeds and must be regenerable. The raw step, the uniform and the Pareto
+/// draw are inline, so a sampling loop such as the fee market's makes no
+/// call but the libm one.
 
 namespace goc {
 
@@ -32,7 +36,17 @@ class Rng {
   result_type operator()() noexcept { return next(); }
 
   /// Next raw 64-bit value.
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound) without modulo bias (Lemire's method).
   /// `bound` must be positive.
@@ -42,7 +56,16 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1) with 53 bits of randomness.
-  double uniform01() noexcept;
+  double uniform01() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
+
+  /// `uniform01` with 0 replaced by 2^-53, so in (0, 1): the draw behind
+  /// `exponential` and `pareto` (it keeps their logs and powers finite).
+  double uniform01_nonzero() noexcept {
+    const double u = uniform01();
+    return u <= 0.0 ? 0x1.0p-53 : u;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
@@ -58,7 +81,10 @@ class Rng {
   double normal(double mean, double stddev) noexcept;
 
   /// Pareto with scale x_m > 0 and shape alpha > 0.
-  double pareto(double scale, double shape) noexcept;
+  double pareto(double scale, double shape) noexcept {
+    GOC_DASSERT(scale > 0 && shape > 0, "pareto parameters must be positive");
+    return scale / std::pow(uniform01_nonzero(), 1.0 / shape);
+  }
 
   /// Uniformly chosen index into a non-empty container.
   template <typename Container>
@@ -69,6 +95,9 @@ class Rng {
 
   /// Derives an independent child generator (for parallel workloads).
   Rng split() noexcept;
+
+  /// Equal states: the two generators draw the same stream from here on.
+  bool operator==(const Rng&) const noexcept = default;
 
  private:
   std::uint64_t s_[4];

@@ -136,6 +136,64 @@ TEST(FeeMarket, RejectsBadParameters) {
   EXPECT_THROW(fees.inject_whale(-5.0), std::invalid_argument);
 }
 
+// ------------------------------------------------- statistical fee oracle
+//
+// The fee clock checked against its distribution, not against hashes. The
+// thresholds come from theory and were fixed before the first run. Each
+// check is two-sided at p = 1e-3, so on a fresh seed a correct sampler fails
+// each one with probability ~1e-3 (~3e-3 for the three). The seed is fixed:
+// a failure is a finding, never a reason to re-seed or widen a bound.
+
+/// Draws a generator took to get from `before` to `after` (at most `limit`).
+std::uint64_t draws_between(Rng before, const Rng& after,
+                            std::uint64_t limit = 1u << 20) {
+  std::uint64_t draws = 0;
+  for (; draws < limit && before != after; ++draws) before.next();
+  return draws;
+}
+
+TEST(FeeOracle, ArrivalsArePoissonAndFeesAverageTheirExpectation) {
+  // λ·dt = 40 (160 tx/h over 15 minutes) in each of 2 000 calls. Fees are
+  // Pareto(1, 3): shape 3 has a finite variance, so the CLT bounds the
+  // mean (the markets' shape 1.8 has none).
+  constexpr int kCalls = 2000;
+  constexpr double kRate = 160.0;
+  constexpr double kDt = 0.25;
+  constexpr double kLambdaDt = kRate * kDt;
+  constexpr double kZ = 3.2905;  // two-sided normal quantile, p = 1e-3
+  FeeMarket fees(kRate, 1.0, 3.0);
+  Rng rng(2021);
+  RunningStats arrivals;
+  RunningStats added;
+  for (int call = 0; call < kCalls; ++call) {
+    const Rng before = rng;
+    added.add(fees.accrue(kDt, rng));
+    // One gap uniform, then a fee and a gap per arrival.
+    arrivals.add(static_cast<double>((draws_between(before, rng) - 1) / 2));
+  }
+
+  // Poisson(40) mean: z = (x̄ − λdt) / sqrt(λdt / N).
+  EXPECT_LT(std::abs(arrivals.mean() - kLambdaDt) /
+                std::sqrt(kLambdaDt / kCalls),
+            kZ);
+  // Dispersion index Σ(x − x̄)²/x̄ ~ χ²(N − 1) for Poisson counts; its
+  // quantiles by Wilson–Hilferty (~1797.5 and ~2213.6 here).
+  const double nu = kCalls - 1;
+  const double h = 2.0 / (9.0 * nu);
+  const auto chi2_quantile = [&](double z) {
+    return nu * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
+  };
+  const double dispersion = arrivals.m2() / arrivals.mean();
+  EXPECT_GT(dispersion, chi2_quantile(-kZ));
+  EXPECT_LT(dispersion, chi2_quantile(kZ));
+  // Compound Poisson: mean expected_hourly()·dt, variance λdt·E[X²] with
+  // E[X²] = scale²·shape/(shape − 2) = 3.
+  const double expected = fees.expected_hourly() * kDt;
+  EXPECT_LT(std::abs(added.mean() - expected) /
+                std::sqrt(kLambdaDt * 3.0 / kCalls),
+            kZ);
+}
+
 // ----------------------------------------------------------------- simulator
 
 MarketSimulator tiny_market(std::uint64_t seed, std::uint64_t br_cap = 0) {

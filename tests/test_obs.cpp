@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "core/generators.hpp"
 #include "dynamics/learning.hpp"
 #include "dynamics/scheduler.hpp"
+#include "market/fee_market.hpp"
 #include "market/scenario.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -389,13 +391,63 @@ TEST(Parity, ChainBatchHashUnchangedWithObsOff) {
 }
 
 TEST(Parity, MarketBatchHashUnchangedWithObsOff) {
+  Counter& arrivals = Registry::instance().counter("market.fee.arrivals");
+  const std::uint64_t arrivals_before = arrivals.total();
   const std::uint64_t with_obs = run_parity_market_batch().values_hash();
+  const std::uint64_t arrivals_after = arrivals.total();
+  EXPECT_GT(arrivals_after, arrivals_before);
   std::uint64_t without_obs = 0;
   {
     EnabledGuard off(false);
     without_obs = run_parity_market_batch().values_hash();
   }
   EXPECT_EQ(with_obs, without_obs);
+  EXPECT_EQ(arrivals.total(), arrivals_after);
+}
+
+/// Draws a generator took to get from `before` to `after` (at most `limit`).
+std::uint64_t draws_between(Rng before, const Rng& after,
+                            std::uint64_t limit = 1u << 20) {
+  std::uint64_t draws = 0;
+  for (; draws < limit && before != after; ++draws) before.next();
+  return draws;
+}
+
+TEST(FeeMetrics, OneAddPerAccrueCall) {
+  Counter& arrivals = Registry::instance().counter("market.fee.arrivals");
+  Counter& fallbacks =
+      Registry::instance().counter("market.fee.clock_fallbacks");
+  market::FeeMarket fees(3000.0, 0.0002, 1.8);
+  Rng rng(2021);
+  // `accrue` draws one gap uniform, then a fee and a gap per arrival.
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    const Rng before = rng;
+    const std::uint64_t arrivals_before = arrivals.total();
+    const std::uint64_t fallbacks_before = fallbacks.total();
+    fees.accrue(1.0, rng);
+    const std::uint64_t draws = draws_between(before, rng);
+    ASSERT_EQ(draws % 2, 1u);
+    EXPECT_GT(draws, 1u);
+    EXPECT_EQ(arrivals.total() - arrivals_before, (draws - 1) / 2);
+    EXPECT_EQ(fallbacks.total(), fallbacks_before);
+  }
+
+  // dt one ulp below the first gap is a decision inside the clock's
+  // margin: one fallback, no arrival.
+  const double first_gap = Rng(rng).exponential(3000.0);
+  const std::uint64_t arrivals_before = arrivals.total();
+  const std::uint64_t fallbacks_before = fallbacks.total();
+  EXPECT_EQ(fees.accrue(std::nextafter(first_gap, 0.0), rng), 0.0);
+  EXPECT_EQ(arrivals.total(), arrivals_before);
+  EXPECT_EQ(fallbacks.total() - fallbacks_before, 1u);
+
+  {
+    EnabledGuard off(false);
+    fees.accrue(1.0, rng);
+    fees.accrue(std::nextafter(Rng(rng).exponential(3000.0), 0.0), rng);
+  }
+  EXPECT_EQ(arrivals.total(), arrivals_before);
+  EXPECT_EQ(fallbacks.total() - fallbacks_before, 1u);
 }
 
 /// One audited E3-style run: Pareto powers, integer rewards, 3 coins, the
